@@ -342,14 +342,11 @@ def cabled_group_generators(
 
 def leaves_under(tree: FissionTree, node_id: int) -> tuple[int, ...]:
     """Leaf strand positions (1-based) below a node, in leaf order."""
-    reach = {node_id}
-    changed = True
-    while changed:
-        changed = False
-        for n in tree.nodes:
-            if n.parent in reach and n.id not in reach:
-                reach.add(n.id)
-                changed = True
+    reach, stack = set(), [node_id]
+    while stack:
+        node = stack.pop()
+        reach.add(node)
+        stack.extend(tree.children_map[node])
     return tuple(
         pos + 1 for pos, leaf in enumerate(tree.leaf_order) if leaf in reach
     )

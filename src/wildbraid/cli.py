@@ -56,6 +56,10 @@ def _parse_rational(value, where: str) -> Fraction:
     raise InputError(f"{where}: entry {value!r} is not an exact rational")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.IrregularType]:
     if not isinstance(block, dict):
         raise InputError(f"{where}: expected an object")
@@ -66,7 +70,7 @@ def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.I
     if family not in rootsys.FAMILIES:
         raise InputError(f"{where}.lie_type: unknown family {family!r}")
     rank = block["rank"]
-    if not isinstance(rank, int):
+    if not _is_int(rank):
         raise InputError(f"{where}.rank: expected an integer")
     try:
         rs = rootsys.build_root_system(family, rank)
@@ -76,7 +80,7 @@ def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.I
     if not isinstance(vectors, list) or (not vectors and "p" not in block):
         raise InputError(f"{where}.coefficients: p >= 1 required")
     p = block.get("p", len(vectors))
-    if not isinstance(p, int) or p < 1:
+    if not _is_int(p) or p < 1:
         raise InputError(f"{where}.p: p >= 1 required")
     if len(vectors) > p:
         raise InputError(f"{where}: {len(vectors)} coefficients exceed p = {p}")
@@ -107,7 +111,7 @@ def parse_input(source):
     """
     if isinstance(source, Path):
         text = source.read_text()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    elif isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
     elif isinstance(source, str):
         path = Path(source)
@@ -120,7 +124,9 @@ def parse_input(source):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if isinstance(data, dict) and "points" in data:
+    if not isinstance(data, dict):
+        raise InputError("expected a JSON object")
+    if "points" in data:
         if not isinstance(data["points"], list) or not data["points"]:
             raise InputError("points: expected a nonempty list of blocks")
         return [
@@ -312,6 +318,8 @@ def _cmd_cable(args) -> int:
 
 
 def _cmd_stokes_verify(args) -> int:
+    if args.count < 0:
+        raise InputError("--count must be nonnegative")
     rng = random.Random(args.seed)
     failures = []
     for i in range(args.count):

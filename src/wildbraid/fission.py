@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import rootsys
+from . import linalg, rootsys
 from .rootsys import (
     ArrangementType,
     CartanElement,
@@ -90,15 +90,17 @@ class DegreeProfile:
 
 
 def degree_profile(q: IrregularType) -> DegreeProfile:
-    """d_alpha = max{ i : alpha(A_i) != 0 }, with 0 for the zero polynomial."""
-    degrees = []
-    for root in q.rs.roots:
-        d = 0
-        for i, coeff in enumerate(q.coefficients, start=1):
-            if coeff.root_value(root) != 0:
-                d = i
-        degrees.append(d)
-    return DegreeProfile(q.rs, q.p, tuple(degrees))
+    """d_alpha = max{ i : alpha(A_i) != 0 }, with 0 for the zero polynomial.
+
+    Only zero/non-zero matters, so each coefficient is cleared of
+    denominators once and the root values are integer dot products.
+    """
+    top_down = [linalg.integer_vector(c.coords) for c in reversed(q.coefficients)]
+    degrees = tuple(
+        next((q.p - k for k, coeff in enumerate(top_down) if rootsys.dot(root, coeff)), 0)
+        for root in q.rs.roots
+    )
+    return DegreeProfile(q.rs, q.p, degrees)
 
 
 @dataclass(frozen=True)
@@ -115,27 +117,20 @@ class Filtration:
         return self.levels[i - 1]
 
 
-_LEVI_CACHE: dict[tuple[str, int, tuple[int, ...]], bool] = {}
-
-
-def _validate_levi(rs: RootSystem, sub: RootSubsystem) -> None:
-    key = (rs.family, rs.rank, sub.members)
-    ok = _LEVI_CACHE.get(key)
-    if ok is None:
-        sub.validate()
-        ok = sub.is_levi()
-        _LEVI_CACHE[key] = ok
-    if not ok:
-        raise rootsys.SubsystemError("filtration level is not a Levi subsystem")
-
-
 def filtration(q: IrregularType) -> Filtration:
-    """Phi_1 <= ... <= Phi_{p+1} with Phi_i = {alpha : d_alpha < i}, all Levi."""
+    """Phi_1 <= ... <= Phi_{p+1} with Phi_i = {alpha : d_alpha < i}, all Levi.
+
+    Each distinct level gets one Levi test (which implies closure under
+    negation and reflections); a repeated level reuses the previous one.
+    """
     prof = degree_profile(q)
-    levels = []
+    levels: list[RootSubsystem] = []
     for i in range(1, q.p + 2):
         sub = subsystem(q.rs, (j for j, d in enumerate(prof.by_root) if d < i))
-        _validate_levi(q.rs, sub)
+        if levels and levels[-1].members == sub.members:
+            sub = levels[-1]
+        elif not sub.is_levi():
+            raise rootsys.SubsystemError("filtration level is not a Levi subsystem")
         levels.append(sub)
     return Filtration(q.rs, tuple(levels))
 
@@ -262,20 +257,13 @@ def check_tree_invariants(tree: FissionTree) -> None:
         raise ValueError("family A trees are all green/large")
 
 
-_FUSION_CACHE: dict[tuple[str, int, tuple[int, ...]], rootsys.Fusion] = {}
-
-
-def _fusion(rs: RootSystem, sub: RootSubsystem) -> rootsys.Fusion:
-    key = (rs.family, rs.rank, sub.members)
-    fus = _FUSION_CACHE.get(key)
-    if fus is None:
-        fus = fusion_of(sub)
-        _FUSION_CACHE[key] = fus
-    return fus
-
-
 def fission_tree(q: IrregularType) -> FissionTree:
-    """Decorated fission tree of an irregular type over a classical family.
+    """Decorated fission tree of an irregular type over a classical family."""
+    return tree_from_filtration(filtration(q))
+
+
+def tree_from_filtration(filt: Filtration) -> FissionTree:
+    """Decorated fission tree read off the levels of a filtration.
 
     One node per part of the level-l coordinate partition (type-A parts,
     singletons included) plus one blue node per level while the pinned
@@ -283,13 +271,12 @@ def fission_tree(q: IrregularType) -> FissionTree:
     A trees carry the degenerate all-green/all-large decoration; in the
     other families green nodes of singleton parts are small.
     """
-    rs = q.rs
+    rs = filt.rs
     if rs.family == "G2":
         raise UnsupportedFamilyError("no fission tree for G2; use the arrangement path")
-    filt = filtration(q)
     per_level: list[list[tuple[tuple[int, ...], str]]] = []
     for sub in filt.levels:
-        fus = _fusion(rs, sub)
+        fus = fusion_of(sub)
         entries = [(p, GREEN) for p in fus.parts]
         if fus.zero:
             entries.append((fus.zero, BLUE))
@@ -514,42 +501,40 @@ def _factor_of_arrangement(arr: ArrangementType, family: str) -> Factor | None:
     return _canonical_factor("G2BRAID")
 
 
-_ORACLE_CACHE: dict[tuple, tuple[ArrangementType, ...]] = {}
-
-
-def _oracle_level(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem
-) -> tuple[ArrangementType, ...]:
-    key = (rs.family, rs.rank, inner.members, outer.members)
-    got = _ORACLE_CACHE.get(key)
-    if got is None:
-        got = tuple(rootsys.restricted_arrangement_blocks(rs, inner, outer))
-        _ORACLE_CACHE[key] = got
-    return got
-
-
 def level_factors(q: IrregularType) -> list[tuple[int, tuple[Factor, ...]]]:
     """Canonical factors contributed by each filtration level (oracle path)."""
-    filt = filtration(q)
+    return factors_by_level(filtration(q))
+
+
+def factors_by_level(filt: Filtration) -> list[tuple[int, tuple[Factor, ...]]]:
+    """level_factors read off the levels of a filtration.
+
+    Every level is Levi in the whole system, so each consecutive pair is a
+    Levi pair and the arrangement is classified without re-checking it.
+    """
+    rs = filt.rs
     out = []
-    for i in range(q.p):
+    for i in range(filt.p):
         inner, outer = filt.levels[i], filt.levels[i + 1]
         factors: list[Factor] = []
         if inner.members != outer.members:
-            for arr in _oracle_level(q.rs, inner, outer):
-                f = _factor_of_arrangement(arr, q.rs.family)
+            for arr in rootsys._arrangement_blocks(rs, inner, outer):
+                f = _factor_of_arrangement(arr, rs.family)
                 if f is not None:
                     factors.append(f)
         out.append((i + 1, tuple(sorted(factors, key=Factor.sort_key))))
     return out
 
 
+def _oracle_decomposition(filt: Filtration) -> GroupDecomposition:
+    return GroupDecomposition.from_factors(
+        [f for _, fs in factors_by_level(filt) for f in fs]
+    )
+
+
 def decomposition_via_arrangements(q: IrregularType) -> GroupDecomposition:
     """Oracle path: classify the restricted arrangement of every level."""
-    factors: list[Factor] = []
-    for _, fs in level_factors(q):
-        factors.extend(fs)
-    return GroupDecomposition.from_factors(factors)
+    return _oracle_decomposition(filtration(q))
 
 
 def decompose(q: IrregularType, method: str = "tree") -> GroupDecomposition:
@@ -563,10 +548,11 @@ def decompose(q: IrregularType, method: str = "tree") -> GroupDecomposition:
         raise ValueError(f"unknown method {method!r}")
     if q.rs.family == "G2" or method == "oracle":
         return decomposition_via_arrangements(q)
+    filt = filtration(q)
+    via_tree = decomposition_from_tree(tree_from_filtration(filt))
     if method == "tree":
-        return decomposition_from_tree(fission_tree(q))
-    via_tree = decomposition_from_tree(fission_tree(q))
-    via_arr = decomposition_via_arrangements(q)
+        return via_tree
+    via_arr = _oracle_decomposition(filt)
     if via_tree != via_arr:
         raise DecompositionMismatchError(
             f"tree path gave [{via_tree}] but arrangement oracle gave [{via_arr}]"

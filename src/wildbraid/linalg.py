@@ -1,97 +1,93 @@
 """Small exact linear algebra over the rationals.
 
-Everything here works on tuples of ``fractions.Fraction`` (or ints), sized
-for root-system computations: matrices have at most a few dozen rows and at
-most ~10 columns, so plain Gaussian elimination is more than enough.  No
-floating point anywhere; rank, span and kernel questions must be decided
-exactly because they encode discrete invariants.
+Everything here works on tuples of ints (or ``fractions.Fraction``), sized
+for root-system computations: matrices have at most a few hundred rows and
+a few dozen columns.  Rank, span and kernel questions must be decided
+exactly because they encode discrete invariants; they only ask whether a
+quantity is zero, so the elimination runs fraction-free on integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-Vec = tuple[Fraction, ...]
+from math import gcd, lcm
 
 
-def vec(values) -> Vec:
-    return tuple(Fraction(v) for v in values)
+def integer_vector(v) -> list[int]:
+    """v scaled by the lcm of its denominators (ints pass through unchanged)."""
+    if all(isinstance(x, int) for x in v):
+        return list(v)
+    fracs = [Fraction(x) for x in v]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs]
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+def _normalized(v: list[int], pivot: int) -> list[int]:
+    """v divided by the gcd of its entries, with v[pivot] > 0."""
+    g = gcd(*v)
+    if v[pivot] < 0:
+        g = -g
+    return [x // g for x in v]
 
 
-def scale(u, c) -> Vec:
-    return tuple(Fraction(c) * a for a in u)
+def _echelon(rows) -> list[tuple[int, list[int]]]:
+    """Fraction-free Gauss-Jordan elimination.
 
-
-def add(u, v) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def sub(u, v) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def is_zero(u) -> bool:
-    return all(a == 0 for a in u)
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in place on a copy); returns (rows, pivot columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
+    Returns (pivot column, row) pairs sorted by pivot column.  The rows are
+    primitive integer vectors with a positive pivot, every pivot column is
+    zero outside its own row, and the rows span the row space of ``rows``:
+    dividing each row by its pivot gives the reduced row echelon form.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    for r in rows:
+        v = integer_vector(r)
+        for p, b in basis:
+            if v[p]:
+                f, g = v[p], b[p]
+                v = [g * x - f * y for x, y in zip(v, b)]
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+        v = _normalized(v, pivot)
+        for k, (p, b) in enumerate(basis):
+            if b[pivot]:
+                f, g = b[pivot], v[pivot]
+                basis[k] = (p, _normalized([g * x - f * y for x, y in zip(b, v)], p))
+        basis.append((pivot, v))
+    basis.sort()
+    return basis
 
 
 def matrix_rank(rows) -> int:
-    reduced, _ = rref([list(r) for r in rows])
-    return len(reduced)
+    return len(_echelon(rows))
 
 
-def in_row_space(reduced: list[list[Fraction]], pivots: list[int], v) -> bool:
-    """Membership of v in the span of an rref basis."""
-    w = list(map(Fraction, v))
-    for row, p in zip(reduced, pivots):
-        if w[p] != 0:
-            f = w[p]
-            w = [x - f * y for x, y in zip(w, row)]
-    return all(x == 0 for x in w)
+def _kernel(rows, ncols: int) -> list[tuple[int, list[int]]]:
+    """(free column, integer kernel vector) pairs, one per free column."""
+    basis = _echelon(rows)
+    pivots = {p for p, _ in basis}
+    out = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        scale = lcm(*(b[p] for p, b in basis if b[fc]))
+        x = [0] * ncols
+        x[fc] = scale
+        for p, b in basis:
+            x[p] = -b[fc] * (scale // b[p])
+        out.append((fc, x))
+    return out
 
 
-def nullspace(rows, ncols: int) -> list[Vec]:
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    reduced, pivots = rref([list(r) for r in rows])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vec] = []
-    for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            x[p] = -row[fc]
-        basis.append(tuple(x))
-    return basis
+def integer_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Integer basis of {x : M x = 0}: the nullspace basis with denominators cleared."""
+    return [tuple(x) for _, x in _kernel(rows, ncols)]
+
+
+def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : M x = 0}: one vector per free column, that entry 1,
+    the other free entries 0."""
+    return [tuple(Fraction(a, x[fc]) for a in x) for fc, x in _kernel(rows, ncols)]
 
 
 def primitive(v) -> tuple[int, ...]:
@@ -100,18 +96,8 @@ def primitive(v) -> tuple[int, ...]:
     This is the canonical representative of a hyperplane: denominators are
     cleared, the gcd divided out, and the overall sign fixed.
     """
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    if g == 0:
+    ints = integer_vector(v)
+    lead = next((c for c, a in enumerate(ints) if a), None)
+    if lead is None:
         raise ValueError("primitive() called on the zero covector")
-    ints = [a // g for a in ints]
-    lead = next(a for a in ints if a != 0)
-    if lead < 0:
-        ints = [-a for a in ints]
-    return tuple(ints)
+    return tuple(_normalized(ints, lead))

@@ -248,16 +248,27 @@ class RootSubsystem:
                     raise SubsystemError("subsystem not closed under reflection")
 
     def is_levi(self) -> bool:
-        """Levi property: members = span(members) /\\ parent.roots."""
-        reduced, pivots = linalg.rref([list(v) for v in self.vectors])
+        """Levi property: members = span(members) /\\ parent.roots.
+
+        The parent root system is Weyl-stable, so a Levi set is also closed
+        under negation and under its own reflections: when is_levi() holds,
+        validate() passes.
+        """
+        in_span = _span_test(self)
         mset = self.member_set
-        for i, root in enumerate(self.parent.roots):
-            if linalg.in_row_space(reduced, pivots, root) != (i in mset):
-                return False
-        return True
+        return all(
+            in_span(root) == (i in mset) for i, root in enumerate(self.parent.roots)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSubsystem({self.parent!r}, {len(self.members)} roots)"
+
+
+def _span_test(sub: RootSubsystem):
+    """Predicate for membership in span(sub): every integer null vector of
+    the members kills the root."""
+    kernel = linalg.integer_nullspace(sub.vectors, sub.parent.ambient_dim)
+    return lambda root: all(dot(root, k) == 0 for k in kernel)
 
 
 def subsystem(rs: RootSystem, indices) -> RootSubsystem:
@@ -623,9 +634,9 @@ def _check_levi_pair(rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem)
     inner.validate()
     outer.validate()
     # Levi inside outer: span(inner) meets outer exactly in inner.
-    reduced, pivots = linalg.rref([list(v) for v in inner.vectors])
+    in_span = _span_test(inner)
     for i in outer.members:
-        if linalg.in_row_space(reduced, pivots, rs.roots[i]) and i not in inner.member_set:
+        if i not in inner.member_set and in_span(rs.roots[i]):
             raise SubsystemError("inner subsystem is not Levi inside the outer one")
 
 
@@ -763,6 +774,17 @@ def restricted_arrangement_blocks(
     complement is the product over blocks.
     """
     _check_levi_pair(rs, inner, outer)
+    return _arrangement_blocks(rs, inner, outer)
+
+
+def _arrangement_blocks(
+    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem
+) -> list[ArrangementType]:
+    """restricted_arrangement_blocks for a pair already known to be Levi.
+
+    Consecutive levels of a filtration qualify: each level is Levi in the
+    whole system, so span(inner) /\\ outer lies in span(inner) /\\ Phi = inner.
+    """
     covectors = _restricted_covectors(rs, inner, outer)
     if not covectors:
         return []

@@ -149,14 +149,15 @@ def _tree_shape(tree: fission.FissionTree) -> tuple:
 
 def _sweep_case(rs, q, result: SweepResult) -> None:
     result.cases += 1
-    per_level = fission.level_factors(q)
+    filt = fission.filtration(q)
+    per_level = fission.factors_by_level(filt)
     oracle = fission.GroupDecomposition.from_factors(
         [f for _, fs in per_level for f in fs]
     )
     if rs.family == "G2":
         dec = oracle
     else:
-        tree = fission.fission_tree(q)
+        tree = fission.tree_from_filtration(filt)
         dec = fission.decomposition_from_tree(tree)
         if dec != oracle:
             result.mismatches.append(
@@ -166,7 +167,6 @@ def _sweep_case(rs, q, result: SweepResult) -> None:
             result.a_trees.setdefault(_tree_shape(tree), tree)
     if len(dec.factors) > rs.rank:
         result.bound_violations.append(f"{rs.family}{rs.rank}: {dec}")
-    filt = fission.filtration(q)
     for level, factors in per_level:
         jump = filt.levels[level].rank - filt.levels[level - 1].rank
         if jump == 0 and factors:

@@ -336,6 +336,27 @@ def test_cmd_trace_warning_on_stderr(tmp_path, capsys):
     assert captured.out.strip() == "PB_2 x PB_2"
 
 
+@pytest.mark.parametrize("field", ["rank", "p"])
+def test_cmd_rejects_bool_rank_and_p(field, capsys):
+    doc = {"lie_type": "A", "rank": 1, "p": 1, "coefficients": [[1, -1]]}
+    doc[field] = True
+    assert main(["decompose", json.dumps(doc)]) == 2
+    captured = capsys.readouterr()
+    assert f"input.{field}:" in captured.err and captured.out == ""
+
+
+def test_cmd_inline_non_object_document(capsys):
+    assert main(["decompose", json.dumps([json.loads(SL3_DOC)])]) == 2
+    err = capsys.readouterr().err
+    assert "expected a JSON object" in err and "no such input file" not in err
+
+
+def test_cmd_stokes_verify_rejects_negative_count(capsys):
+    assert main(["stokes-verify", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "--count" in captured.err and captured.out == ""
+
+
 def test_cmd_stokes_verify(capsys):
     assert main(["stokes-verify", "--count", "5", "--seed", "3"]) == 0
     assert "0 failures" in capsys.readouterr().out

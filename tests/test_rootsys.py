@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wildbraid import rootsys
+from wildbraid.fission import enumerate_levi_subsystems
 from wildbraid.rootsys import (
     ClassificationError,
     SubsystemError,
@@ -157,6 +158,48 @@ def test_subsystem_validation_rejects_unclosed():
     )
     with pytest.raises(SubsystemError):
         bad.validate()
+    assert not bad.is_levi()
+
+
+def _rank_brute(vectors) -> int:
+    """Rank by Fraction elimination."""
+    basis = []  # (pivot, row) with the row scaled so its pivot entry is 1
+    for v in vectors:
+        w = [Fraction(x) for x in v]
+        for p, b in basis:
+            w = [x - w[p] * y for x, y in zip(w, b)]
+        pivot = next((c for c, x in enumerate(w) if x), None)
+        if pivot is not None:
+            basis.append((pivot, [x / w[pivot] for x in w]))
+    return len(basis)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("G2", 2), ("A", 3)])
+def test_is_levi_matches_brute_force_on_every_symmetric_subset(family, rank):
+    rs = build_root_system(family, rank)
+    pairs = [(i, rs.negation[i]) for i in rs.positive_indices]
+    levis = 0
+    for mask in range(1 << len(pairs)):
+        members = [i for k, pair in enumerate(pairs) if mask >> k & 1 for i in pair]
+        sub = subsystem(rs, members)
+        span_rank = _rank_brute(sub.vectors)
+        brute = all(
+            (_rank_brute(sub.vectors + (root,)) == span_rank) == (i in sub.member_set)
+            for i, root in enumerate(rs.roots)
+        )
+        assert sub.is_levi() == brute, members
+        if brute:
+            levis += 1
+            sub.validate()
+    # Every Levi subsystem annihilates some Cartan element, and vice versa.
+    assert levis == len(enumerate_levi_subsystems(rs))
+
+
+def test_long_roots_of_b2_are_closed_but_not_levi():
+    rs = build_root_system("B", 2)
+    long_roots = subsystem_from_vectors(rs, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    long_roots.validate()
+    assert not long_roots.is_levi()
 
 
 # ---------------------------------------------------------------------------
