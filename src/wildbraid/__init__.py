@@ -7,7 +7,6 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     cartan,
-    irreducible_components,
     kernel_basis,
     levi_of_element,
     restricted_arrangement,

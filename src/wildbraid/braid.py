@@ -141,32 +141,22 @@ class FreeWord:
                 raise ValueError("word is not freely reduced")
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
+        return FreeWord(self.rank, tuple(_inv(self.letters)))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return FreeWord(self.rank, _reduce_concat(self.letters, other.letters))
+        return FreeWord(self.rank, tuple(_mul(self.letters, other.letters)))
 
     def is_identity(self) -> bool:
         return not self.letters
 
 
-def _reduce_concat(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    stack = list(x)
-    for t in y:
-        if stack and stack[-1] == -t:
-            stack.pop()
-        else:
-            stack.append(t)
-    return tuple(stack)
-
-
-def _inv(x: list[int]) -> list[int]:
+def _inv(x) -> list[int]:
     return [-t for t in reversed(x)]
 
 
-def _mul(*words: list[int]) -> list[int]:
+def _mul(*words) -> list[int]:
     out: list[int] = []
     for w in words:
         for t in w:
@@ -213,11 +203,7 @@ def braids_equal(a: BraidWord, b: BraidWord) -> bool:
 
 
 def is_identity_braid(b: BraidWord) -> bool:
-    if not is_pure(b):
-        return False
-    if any(any(row) for row in linking_matrix(b)):
-        return False
-    return all(img == [j + 1] for j, img in enumerate(_artin_images(b)))
+    return braids_equal(b, identity(b.strands))
 
 
 # ---------------------------------------------------------------------------

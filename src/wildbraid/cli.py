@@ -6,10 +6,14 @@ Input format (JSON): a single block
      "coefficients": [["-1", "1", "0"], ["-1", "-1", "2"]]}
 
 with coefficient i the vector of the x^i coefficient, entries integers or
-exact rational strings "num/den"; or {"points": [block, ...]} for the
-many-point product.  Family A (and G2) vectors are given in eigenvalue
-coordinates and are projected onto trace zero with a warning whenever the
-input trace is nonzero.
+exact rational strings ("num/den" or a decimal such as "1.5"; exponent
+notation is rejected); or {"points": [block, ...]} for the many-point
+product.  A block accepts only the keys lie_type, rank, p and coefficients
+("p" is optional and pads with zero coefficients); a many-point document
+accepts only "points".  rank may be at most MAX_RANK and p at most MAX_P.
+Family A (and G2) vectors are given in eigenvalue coordinates and are
+projected onto trace zero with a warning whenever the input trace is
+nonzero.
 
 Subcommands: decompose (--oracle / --check), tree (--format json|dot),
 cable, stokes-verify, selftest.  Exit codes: 0 success, 1 check failure,
@@ -28,6 +32,14 @@ from pathlib import Path
 
 from . import braid, fission, rootsys, stokes
 from .fission import FissionTree, TreeNode
+
+
+# Input bounds: building the root system costs O(rank^2) roots and the
+# filtration has p + 1 levels, so both are capped to keep every call short.
+MAX_RANK = 32
+MAX_P = 16
+
+BLOCK_KEYS = ("lie_type", "rank", "p", "coefficients")
 
 
 class InputError(ValueError):
@@ -49,6 +61,8 @@ def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():
+            raise InputError(f"{where}: exponent notation {value!r} is not accepted")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -60,9 +74,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _reject_unknown_keys(doc: dict, accepted, where: str) -> None:
+    unknown = sorted(set(doc) - set(accepted))
+    if unknown:
+        raise InputError(
+            f"{where}: unknown key {unknown[0]!r} (accepted: {', '.join(accepted)})"
+        )
+
+
 def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.IrregularType]:
     if not isinstance(block, dict):
         raise InputError(f"{where}: expected an object")
+    _reject_unknown_keys(block, BLOCK_KEYS, where)
     for key in ("lie_type", "rank", "coefficients"):
         if key not in block:
             raise InputError(f"{where}: missing field {key!r}")
@@ -72,6 +95,8 @@ def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.I
     rank = block["rank"]
     if not _is_int(rank):
         raise InputError(f"{where}.rank: expected an integer")
+    if rank > MAX_RANK:
+        raise InputError(f"{where}.rank: {rank} exceeds the bound {MAX_RANK}")
     try:
         rs = rootsys.build_root_system(family, rank)
     except rootsys.UnsupportedRankError as exc:
@@ -82,6 +107,8 @@ def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.I
     p = block.get("p", len(vectors))
     if not _is_int(p) or p < 1:
         raise InputError(f"{where}.p: p >= 1 required")
+    if p > MAX_P:
+        raise InputError(f"{where}.p: {p} exceeds the bound {MAX_P}")
     if len(vectors) > p:
         raise InputError(f"{where}: {len(vectors)} coefficients exceed p = {p}")
     coeffs = []
@@ -127,6 +154,7 @@ def parse_input(source):
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
     if "points" in data:
+        _reject_unknown_keys(data, ("points",), "input")
         if not isinstance(data["points"], list) or not data["points"]:
             raise InputError("points: expected a nonempty list of blocks")
         return [

@@ -71,6 +71,20 @@ class IrregularType:
     def p(self) -> int:
         return len(self.coefficients)
 
+    @cached_property
+    def _filtration(self) -> Filtration:
+        """Built on first use and kept on the instance (see ``filtration``)."""
+        prof = degree_profile(self)
+        levels: list[RootSubsystem] = []
+        for i in range(1, self.p + 2):
+            sub = subsystem(self.rs, (j for j, d in enumerate(prof.by_root) if d < i))
+            if levels and levels[-1].members == sub.members:
+                sub = levels[-1]
+            elif not sub.is_levi():
+                raise rootsys.SubsystemError("filtration level is not a Levi subsystem")
+            levels.append(sub)
+        return Filtration(self.rs, tuple(levels))
+
 
 def irregular_type(rs: RootSystem, coefficient_vectors) -> IrregularType:
     return IrregularType(rs, tuple(cartan(rs, v) for v in coefficient_vectors))
@@ -84,9 +98,6 @@ class DegreeProfile:
 
     def d(self, root_index: int) -> int:
         return self.by_root[root_index]
-
-    def positive_items(self) -> list[tuple[int, int]]:
-        return [(i, self.by_root[i]) for i in self.rs.positive_indices]
 
 
 def degree_profile(q: IrregularType) -> DegreeProfile:
@@ -108,31 +119,16 @@ class Filtration:
     rs: RootSystem
     levels: tuple[RootSubsystem, ...]  # levels[i] = Phi_{i+1}, last = full system
 
-    @property
-    def p(self) -> int:
-        return len(self.levels) - 1
-
-    def level(self, i: int) -> RootSubsystem:
-        """Phi_i for i in 1..p+1."""
-        return self.levels[i - 1]
-
 
 def filtration(q: IrregularType) -> Filtration:
     """Phi_1 <= ... <= Phi_{p+1} with Phi_i = {alpha : d_alpha < i}, all Levi.
 
     Each distinct level gets one Levi test (which implies closure under
     negation and reflections); a repeated level reuses the previous one.
+    The filtration is built once per IrregularType instance and kept on it,
+    so the tree, the oracle and ``decompose`` share one analysis pass.
     """
-    prof = degree_profile(q)
-    levels: list[RootSubsystem] = []
-    for i in range(1, q.p + 2):
-        sub = subsystem(q.rs, (j for j, d in enumerate(prof.by_root) if d < i))
-        if levels and levels[-1].members == sub.members:
-            sub = levels[-1]
-        elif not sub.is_levi():
-            raise rootsys.SubsystemError("filtration level is not a Levi subsystem")
-        levels.append(sub)
-    return Filtration(q.rs, tuple(levels))
+    return q._filtration
 
 
 def admissible_equivalent(q: IrregularType, q2: IrregularType) -> bool:
@@ -258,12 +254,7 @@ def check_tree_invariants(tree: FissionTree) -> None:
 
 
 def fission_tree(q: IrregularType) -> FissionTree:
-    """Decorated fission tree of an irregular type over a classical family."""
-    return tree_from_filtration(filtration(q))
-
-
-def tree_from_filtration(filt: Filtration) -> FissionTree:
-    """Decorated fission tree read off the levels of a filtration.
+    """Decorated fission tree of an irregular type over a classical family.
 
     One node per part of the level-l coordinate partition (type-A parts,
     singletons included) plus one blue node per level while the pinned
@@ -271,11 +262,11 @@ def tree_from_filtration(filt: Filtration) -> FissionTree:
     A trees carry the degenerate all-green/all-large decoration; in the
     other families green nodes of singleton parts are small.
     """
-    rs = filt.rs
+    rs = q.rs
     if rs.family == "G2":
         raise UnsupportedFamilyError("no fission tree for G2; use the arrangement path")
     per_level: list[list[tuple[tuple[int, ...], str]]] = []
-    for sub in filt.levels:
+    for sub in filtration(q).levels:
         fus = fusion_of(sub)
         entries = [(p, GREEN) for p in fus.parts]
         if fus.zero:
@@ -391,10 +382,6 @@ class GroupDecomposition:
         factors = sorted((f for f in raw if f is not None), key=Factor.sort_key)
         return GroupDecomposition(tuple(factors))
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factors
-
     def canonical_string(self) -> str:
         """Sorted factors with exponents collected, e.g. ``PB_2 x PB_3^2 x PB_4``.
 
@@ -502,39 +489,30 @@ def _factor_of_arrangement(arr: ArrangementType, family: str) -> Factor | None:
 
 
 def level_factors(q: IrregularType) -> list[tuple[int, tuple[Factor, ...]]]:
-    """Canonical factors contributed by each filtration level (oracle path)."""
-    return factors_by_level(filtration(q))
-
-
-def factors_by_level(filt: Filtration) -> list[tuple[int, tuple[Factor, ...]]]:
-    """level_factors read off the levels of a filtration.
+    """Canonical factors contributed by each filtration level (oracle path).
 
     Every level is Levi in the whole system, so each consecutive pair is a
     Levi pair and the arrangement is classified without re-checking it.
     """
-    rs = filt.rs
+    rs = q.rs
+    levels = filtration(q).levels
     out = []
-    for i in range(filt.p):
-        inner, outer = filt.levels[i], filt.levels[i + 1]
+    for i, (inner, outer) in enumerate(zip(levels, levels[1:]), start=1):
         factors: list[Factor] = []
         if inner.members != outer.members:
             for arr in rootsys._arrangement_blocks(rs, inner, outer):
                 f = _factor_of_arrangement(arr, rs.family)
                 if f is not None:
                     factors.append(f)
-        out.append((i + 1, tuple(sorted(factors, key=Factor.sort_key))))
+        out.append((i, tuple(sorted(factors, key=Factor.sort_key))))
     return out
-
-
-def _oracle_decomposition(filt: Filtration) -> GroupDecomposition:
-    return GroupDecomposition.from_factors(
-        [f for _, fs in factors_by_level(filt) for f in fs]
-    )
 
 
 def decomposition_via_arrangements(q: IrregularType) -> GroupDecomposition:
     """Oracle path: classify the restricted arrangement of every level."""
-    return _oracle_decomposition(filtration(q))
+    return GroupDecomposition.from_factors(
+        [f for _, fs in level_factors(q) for f in fs]
+    )
 
 
 def decompose(q: IrregularType, method: str = "tree") -> GroupDecomposition:
@@ -548,11 +526,10 @@ def decompose(q: IrregularType, method: str = "tree") -> GroupDecomposition:
         raise ValueError(f"unknown method {method!r}")
     if q.rs.family == "G2" or method == "oracle":
         return decomposition_via_arrangements(q)
-    filt = filtration(q)
-    via_tree = decomposition_from_tree(tree_from_filtration(filt))
+    via_tree = decomposition_from_tree(fission_tree(q))
     if method == "tree":
         return via_tree
-    via_arr = _oracle_decomposition(filt)
+    via_arr = decomposition_via_arrangements(q)
     if via_tree != via_arr:
         raise DecompositionMismatchError(
             f"tree path gave [{via_tree}] but arrangement oracle gave [{via_arr}]"

@@ -63,9 +63,6 @@ class RootSystem:
     def index_of(self, root: tuple[int, ...]) -> int:
         return self._index[root]
 
-    def contains(self, vector: tuple[int, ...]) -> bool:
-        return vector in self._index
-
     @cached_property
     def positive_indices(self) -> tuple[int, ...]:
         """Indices of the lexicographically positive roots (one per +- pair)."""
@@ -225,10 +222,6 @@ class RootSubsystem:
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.parent.roots[i] for i in self.members)
-
-    @cached_property
-    def positive_members(self) -> tuple[int, ...]:
-        return tuple(i for i in self.members if _lex_positive(self.parent.roots[i]))
 
     @cached_property
     def rank(self) -> int:
@@ -430,138 +423,6 @@ def kernel_basis(rs: RootSystem, sub: RootSubsystem) -> list[CartanElement]:
             CartanElement(rs, tuple(np * a - nlast * b for a, b in zip(v, last)))
         )
     return basis
-
-
-# ---------------------------------------------------------------------------
-# Irreducible components
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Component:
-    support: tuple[int, ...]
-    cartan_type: str  # "A_k", "B_k", "C_k", "D_k", "G2", "A1_short", "A1_long"
-    members: tuple[int, ...]  # root indices (both signs)
-
-
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    components: tuple[Component, ...]
-    a_parts: tuple[tuple[int, ...], ...]  # type-A parts incl. singletons
-    zero_block: tuple[int, ...]  # the at-most-one B/C/D coordinate block
-
-    @property
-    def partition(self) -> tuple[tuple[int, ...], ...]:
-        parts = list(self.a_parts)
-        if self.zero_block:
-            parts.append(self.zero_block)
-        return tuple(sorted(parts))
-
-    def type_multiset(self) -> tuple[str, ...]:
-        return tuple(sorted(c.cartan_type for c in self.components))
-
-
-def _simple_roots(positive: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    pset = set(positive)
-    simples = []
-    for p in positive:
-        if not any(
-            tuple(a - b for a, b in zip(p, q)) in pset for q in positive if q != p
-        ):
-            simples.append(p)
-    return simples
-
-
-def _classify_component(roots: list[tuple[int, ...]], family: str) -> str:
-    positive = [r for r in roots if _lex_positive(r)]
-    simples = _simple_roots(positive)
-    k = len(simples)
-    if k == 1:
-        if family in ("B", "C", "G2"):
-            short_norm = {"B": 1, "C": 2, "G2": 2}[family]
-            return "A1_short" if dot(simples[0], simples[0]) == short_norm else "A1_long"
-        return "A_1"
-    bonds = {}
-    maxdeg = 0
-    bondmax = 1
-    for i in range(k):
-        deg = 0
-        for j in range(k):
-            if i == j:
-                continue
-            b = cartan_int(simples[i], simples[j]) * cartan_int(simples[j], simples[i])
-            if b:
-                deg += 1
-                bondmax = max(bondmax, b)
-                bonds[(i, j)] = b
-        maxdeg = max(maxdeg, deg)
-    if bondmax == 3:
-        return "G2"
-    if bondmax == 2:
-        norms = sorted(dot(s, s) for s in simples)
-        if k == 2:
-            return f"{'C' if family == 'C' else 'B'}_2"
-        # B_k has a unique short simple root, C_k a unique long one.
-        return f"B_{k}" if norms.count(norms[0]) == 1 else f"C_{k}"
-    if maxdeg >= 3:
-        return f"D_{k}"
-    return f"A_{k}"
-
-
-def irreducible_components(rs: RootSystem, sub: RootSubsystem) -> ComponentDecomposition:
-    """Connected components of the non-orthogonality graph, classified by Cartan type.
-
-    Classification looks at each component's own Cartan matrix (plus root
-    lengths relative to the ambient family), so Levis that are not in
-    standard Dynkin position are still typed correctly.  The coordinate
-    partition lists the type-A parts (with singletons) and the pinned
-    zero block; the reducible "D_2 pair" contributes two A_1 components but a
-    single two-coordinate zero block.
-    """
-    sub.validate()
-    pos = list(sub.positive_members)
-    adj: dict[int, list[int]] = {i: [] for i in pos}
-    for a in range(len(pos)):
-        for b in range(a + 1, len(pos)):
-            if dot(rs.roots[pos[a]], rs.roots[pos[b]]) != 0:
-                adj[pos[a]].append(pos[b])
-                adj[pos[b]].append(pos[a])
-    seen: set[int] = set()
-    components = []
-    for start in pos:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        members = sorted(comp + [rs.negation[i] for i in comp])
-        vectors = [rs.roots[i] for i in comp]
-        support = sorted({c for v in vectors for c, x in enumerate(v) if x})
-        ctype = _classify_component([rs.roots[i] for i in members], rs.family)
-        components.append(Component(tuple(support), ctype, tuple(members)))
-    components.sort(key=lambda c: (c.support, c.members))
-
-    if rs.family == "G2":
-        a_parts, zero = _g2_partition(components)
-    else:
-        fus = fusion_of(sub)
-        a_parts, zero = fus.parts, fus.zero
-    return ComponentDecomposition(tuple(components), a_parts, zero)
-
-
-def _g2_partition(components) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    # Support-fusion only; G2 has no fission tree so this is informational.
-    parts: list[set[int]] = [{0}, {1}, {2}]
-    for comp in components:
-        merged = {c for p in parts for c in p if p & set(comp.support)} | set(comp.support)
-        parts = [p for p in parts if not (p & merged)] + [merged]
-    return tuple(sorted(tuple(sorted(p)) for p in parts)), ()
 
 
 # ---------------------------------------------------------------------------

@@ -149,15 +149,14 @@ def _tree_shape(tree: fission.FissionTree) -> tuple:
 
 def _sweep_case(rs, q, result: SweepResult) -> None:
     result.cases += 1
-    filt = fission.filtration(q)
-    per_level = fission.factors_by_level(filt)
+    per_level = fission.level_factors(q)
     oracle = fission.GroupDecomposition.from_factors(
         [f for _, fs in per_level for f in fs]
     )
     if rs.family == "G2":
         dec = oracle
     else:
-        tree = fission.tree_from_filtration(filt)
+        tree = fission.fission_tree(q)
         dec = fission.decomposition_from_tree(tree)
         if dec != oracle:
             result.mismatches.append(
@@ -167,8 +166,9 @@ def _sweep_case(rs, q, result: SweepResult) -> None:
             result.a_trees.setdefault(_tree_shape(tree), tree)
     if len(dec.factors) > rs.rank:
         result.bound_violations.append(f"{rs.family}{rs.rank}: {dec}")
+    levels = fission.filtration(q).levels
     for level, factors in per_level:
-        jump = filt.levels[level].rank - filt.levels[level - 1].rank
+        jump = levels[level].rank - levels[level - 1].rank
         if jump == 0 and factors:
             result.jump_violations.append(f"{rs.family}{rs.rank} level {level}: {factors}")
         if jump == 1 and (len(factors) != 1 or not factors[0].is_infinite_cyclic):

@@ -266,6 +266,29 @@ def test_cmd_decompose_json_payload(tmp_path, capsys):
     assert len(payload["trees"]) == 1 and len(payload["trees"][0]["nodes"]) == 6
 
 
+def _break_tree_path(monkeypatch):
+    wrong = GroupDecomposition.from_factors([Factor("PBBC", 1)])
+    monkeypatch.setattr(fission, "decomposition_from_tree", lambda tree: wrong)
+
+
+def test_cmd_decompose_check_failure_exit_code(monkeypatch, capsys):
+    _break_tree_path(monkeypatch)
+    assert main(["decompose", "--check", SL3_DOC]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: tree path gave [PB_BC_1] but arrangement oracle gave [PB_2 x PB_2]\n"
+    )
+
+
+def test_cmd_decompose_check_failure_json(monkeypatch, capsys):
+    _break_tree_path(monkeypatch)
+    assert main(["decompose", "--check", "--json", SL3_DOC]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "check-failure"
+    assert "PB_BC_1" in payload["error"] and "PB_2 x PB_2" in payload["error"]
+
+
 def test_cmd_decompose_exotic_annotation(tmp_path, capsys):
     doc = json.dumps(
         {"lie_type": "D", "rank": 3, "p": 2,
@@ -349,6 +372,52 @@ def test_cmd_inline_non_object_document(capsys):
     assert main(["decompose", json.dumps([json.loads(SL3_DOC)])]) == 2
     err = capsys.readouterr().err
     assert "expected a JSON object" in err and "no such input file" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, where, key",
+    [
+        ({"lie_type": "A", "rank": 2, "coefficients": [[1, -1, 0]], "bogus": 7},
+         "input", "bogus"),
+        ({"points": [json.loads(SL3_DOC)], "lie_type": "A"}, "input", "lie_type"),
+        ({"points": [dict(json.loads(SL3_DOC), P=2)]}, "points[0]", "P"),
+    ],
+    ids=["block", "points-document", "block-in-points"],
+)
+def test_cmd_rejects_unknown_keys(doc, where, key, capsys):
+    assert main(["decompose", json.dumps(doc)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {where}: unknown key {key!r}" in captured.err
+    assert captured.out == ""
+
+
+def _a_type_doc(rank, p):
+    coeffs = [[rank - 2 * i for i in range(rank + 1)]]  # regular, trace-free
+    return json.dumps({"lie_type": "A", "rank": rank, "p": p, "coefficients": coeffs})
+
+
+@pytest.mark.parametrize(
+    "field, rank, p",
+    [("rank", cli.MAX_RANK, 1), ("p", 2, cli.MAX_P)],
+)
+def test_cmd_input_bounds(field, rank, p, capsys):
+    assert main(["decompose", _a_type_doc(rank, p)]) == 0
+    assert capsys.readouterr().out == f"PB_{rank + 1}\n"
+    over = {"rank": (rank + 1, p), "p": (rank, p + 1)}[field]
+    assert main(["decompose", _a_type_doc(*over)]) == 2
+    captured = capsys.readouterr()
+    bound = cli.MAX_RANK if field == "rank" else cli.MAX_P
+    assert f"input.{field}: {bound + 1} exceeds the bound {bound}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("entry", ["1e1000000", "1E2", "2.5e-1"])
+def test_cmd_rejects_exponent_notation(entry, capsys):
+    doc = {"lie_type": "A", "rank": 1, "coefficients": [[entry, "0"]]}
+    assert main(["decompose", json.dumps(doc)]) == 2
+    assert "exponent notation" in capsys.readouterr().err
+    doc["coefficients"] = [["1.5", "-3/2"]]
+    assert main(["decompose", json.dumps(doc)]) == 0
 
 
 def test_cmd_stokes_verify_rejects_negative_count(capsys):

@@ -107,6 +107,37 @@ def test_filtration_single_generic_level():
     assert [len(s.members) for s in filt.levels] == [0, 6]
 
 
+def test_filtration_is_built_once_per_instance():
+    q = a8_type(Q_I)
+    assert filtration(q) is filtration(q)
+    # An equal but separate instance gets its own, equal filtration.
+    q2 = a8_type(Q_I)
+    assert q2 == q and filtration(q2) is not filtration(q)
+    assert filtration(q2) == filtration(q)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [Q_I, [Q_I[0], (0,) * 9, Q_I[2], (0,) * 9]],
+    ids=["qi", "repeated-levels"],
+)
+def test_one_levi_test_per_distinct_level(vectors, monkeypatch):
+    calls = []
+    is_levi = rootsys.RootSubsystem.is_levi
+
+    def counting(self):
+        calls.append(self.members)
+        return is_levi(self)
+
+    monkeypatch.setattr(rootsys.RootSubsystem, "is_levi", counting)
+    q = a8_type(vectors)
+    decompose(q, method="check")
+    level_factors(q)
+    fission_tree(q)
+    distinct = {s.members for s in filtration(q).levels}
+    assert len(calls) == len(distinct) and set(calls) == distinct
+
+
 def test_irregular_type_requires_p_at_least_one():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
@@ -338,13 +369,16 @@ def test_factor_count_bounded_by_rank():
             assert len(decompose(q).factors) <= rank
 
 
-def test_mismatch_error_names_both_results():
-    a = GroupDecomposition.from_factors([Factor("PB", 2)])
-    b = GroupDecomposition.from_factors([Factor("PBBC", 1)])
-    err = DecompositionMismatchError(
-        f"tree path gave [{a}] but arrangement oracle gave [{b}]"
+def test_mismatch_error_names_both_results(monkeypatch):
+    wrong = GroupDecomposition.from_factors([Factor("PBBC", 1)])
+    monkeypatch.setattr(fission, "decomposition_from_tree", lambda tree: wrong)
+    _, q = sl3_example()
+    assert decompose(q, method="tree") == wrong
+    with pytest.raises(DecompositionMismatchError) as exc:
+        decompose(q, method="check")
+    assert str(exc.value) == (
+        "tree path gave [PB_BC_1] but arrangement oracle gave [PB_2 x PB_2]"
     )
-    assert "PB_2" in str(err) and "PB_BC_1" in str(err)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from wildbraid.rootsys import (
     UnsupportedRankError,
     build_root_system,
     cartan,
-    irreducible_components,
+    fusion_of,
     kernel_basis,
     levi_of_element,
     restricted_arrangement,
@@ -203,89 +203,89 @@ def test_long_roots_of_b2_are_closed_but_not_levi():
 
 
 # ---------------------------------------------------------------------------
-# Irreducible components
+# Coordinate components: the signed fusion of a subsystem
 # ---------------------------------------------------------------------------
 
 
 def test_components_qii_subsystem():
+    # The A_1 + A_2 + A_2 Levi of QII fuses coordinate blocks of sizes 2, 3, 3.
     rs = build_root_system("A", 8)
     elem = cartan(rs, rootsys.project_traceless([4, 1, 1, 0, 0, 0, -2, -2, -2]))
-    sub = levi_of_element(rs, elem)
-    dec = irreducible_components(rs, sub)
-    assert dec.type_multiset() == ("A_1", "A_2", "A_2")
+    fus = fusion_of(levi_of_element(rs, elem))
+    assert fus.parts == ((0,), (1, 2), (3, 4, 5), (6, 7, 8))
+    assert fus.signs == ((1,), (1, 1), (1, 1, 1), (1, 1, 1))
+    assert fus.zero == ()
 
 
 def test_components_full_b3():
     rs = build_root_system("B", 3)
-    dec = irreducible_components(rs, full_subsystem(rs))
-    assert dec.type_multiset() == ("B_3",)
-    assert dec.zero_block == (0, 1, 2)
+    fus = fusion_of(full_subsystem(rs))
+    assert fus.parts == ()
+    assert fus.zero == (0, 1, 2)
 
 
 def test_components_d2_pair_is_two_a1():
     rs = build_root_system("D", 4)
-    sub = subsystem_from_vectors(
-        rs, [(1, -1, 0, 0), (-1, 1, 0, 0), (1, 1, 0, 0), (-1, -1, 0, 0)]
-    )
-    dec = irreducible_components(rs, sub)
-    assert dec.type_multiset() == ("A_1", "A_1")
-    assert all(c.support == (0, 1) for c in dec.components)
-    # The pair pins both coordinates: one two-coordinate zero block.
-    assert dec.zero_block == (0, 1)
+    pair = [(1, -1, 0, 0), (1, 1, 0, 0)]
+    assert rootsys.dot(*pair) == 0  # two orthogonal A_1 components
+    sub = subsystem_from_vectors(rs, pair + [tuple(-x for x in v) for v in pair])
+    fus = fusion_of(sub)
+    # The sign conflict pins both coordinates: one two-coordinate zero block.
+    assert fus.zero == (0, 1)
+    assert fus.parts == ((2,), (3,))
 
 
 def test_components_plus_root_a1_in_d():
     rs = build_root_system("D", 4)
-    sub = subsystem_from_vectors(rs, [(1, 1, 0, 0), (-1, -1, 0, 0)])
-    dec = irreducible_components(rs, sub)
-    assert dec.type_multiset() == ("A_1",)
-    assert dec.zero_block == ()
-    assert (0, 1) in dec.a_parts
+    fus = fusion_of(subsystem_from_vectors(rs, [(1, 1, 0, 0), (-1, -1, 0, 0)]))
+    assert fus.zero == ()
+    assert fus.parts == ((0, 1), (2,), (3,))
+    assert fus.signs[0] == (1, -1)
 
 
 def test_components_short_long_flavours():
     b3 = build_root_system("B", 3)
-    dec = irreducible_components(b3, subsystem_from_vectors(b3, [(0, 0, 1), (0, 0, -1)]))
-    assert dec.type_multiset() == ("A1_short",)
+    fus = fusion_of(subsystem_from_vectors(b3, [(0, 0, 1), (0, 0, -1)]))
+    assert fus.zero == (2,) and fus.parts == ((0,), (1,))
     c3 = build_root_system("C", 3)
-    dec = irreducible_components(c3, subsystem_from_vectors(c3, [(0, 0, 2), (0, 0, -2)]))
-    assert dec.type_multiset() == ("A1_long",)
-    assert dec.zero_block == (2,)
+    fus = fusion_of(subsystem_from_vectors(c3, [(0, 0, 2), (0, 0, -2)]))
+    assert fus.zero == (2,) and fus.parts == ((0,), (1,))
 
 
 def test_components_c_family_block():
     rs = build_root_system("C", 4)
-    elem = cartan(rs, [1, 1, 0, 0])
-    dec = irreducible_components(rs, levi_of_element(rs, elem))
-    # e_1 - e_2 has the short C-norm, the pinned block is a genuine C_2.
-    assert dec.type_multiset() == ("A1_short", "C_2")
-    assert dec.zero_block == (2, 3)
+    fus = fusion_of(levi_of_element(rs, cartan(rs, [1, 1, 0, 0])))
+    # e_1 - e_2 fuses (0, 1); the pinned block is a C_2 on (2, 3).
+    assert fus.parts == ((0, 1),) and fus.signs == ((1, 1),)
+    assert fus.zero == (2, 3)
 
 
 def test_components_partition_covers_coordinates():
     rs = build_root_system("D", 5)
-    elem = cartan(rs, [1, 1, -1, 0, 0])
-    dec = irreducible_components(rs, levi_of_element(rs, elem))
-    coords = sorted(c for part in dec.partition for c in part)
+    fus = fusion_of(levi_of_element(rs, cartan(rs, [1, 1, -1, 0, 0])))
+    coords = sorted(c for part in fus.parts + (fus.zero,) for c in part)
     assert coords == list(range(5))
 
 
 def test_component_classification_weyl_invariant():
+    # A Weyl reflection acts on coordinates by a signed permutation, so it
+    # keeps the part sizes and the size of the pinned block.
     rng = random.Random(11)
-    for family, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)]:
+    for family, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4)]:
         rs = build_root_system(family, rank)
         pool = [0, 0, 1, -1]
         for _ in range(6):
             values = [rng.choice(pool) for _ in range(rs.ambient_dim)]
-            if family in ("A", "G2"):
+            if family == "A":
                 values = rootsys.project_traceless(values)
             sub = levi_of_element(rs, cartan(rs, values))
-            types = irreducible_components(rs, sub).type_multiset()
+            fus = fusion_of(sub)
+            shape = (sorted(len(p) for p in fus.parts), len(fus.zero))
             mirror = rs.roots[rng.choice(range(len(rs.roots)))]
-            reflected = subsystem_from_vectors(
-                rs, [rootsys.reflect(v, mirror) for v in sub.vectors]
+            reflected = fusion_of(
+                subsystem_from_vectors(rs, [rootsys.reflect(v, mirror) for v in sub.vectors])
             )
-            assert irreducible_components(rs, reflected).type_multiset() == types
+            assert (sorted(len(p) for p in reflected.parts), len(reflected.zero)) == shape
 
 
 # ---------------------------------------------------------------------------
