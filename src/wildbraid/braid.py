@@ -289,17 +289,6 @@ def pure_generator(n: int, j: int, k: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def _lift_through_tree(tree: FissionTree, node_id: int, label: BraidWord) -> BraidWord:
-    def rec(u: int) -> BraidWord:
-        kids = tree.children(u)
-        if not kids:
-            return identity(1)
-        top = label if u == node_id else identity(len(kids))
-        return gamma(top, [rec(c) for c in kids])
-
-    return rec(tree.root_id)
-
-
 def cabled_group_generators(
     tree: FissionTree,
 ) -> list[tuple[int, tuple[BraidWord, ...]]]:
@@ -309,16 +298,26 @@ def cabled_group_generators(
     pure braid group on its children are cabled through the lower levels
     (identity everywhere else), producing pure braids on one strand per leaf.
     Returns (node id, generators) pairs grouped by node.
+
+    Cabling identities below the node and beside its ancestors adds no
+    letters, so the lift is the node's block braid (one block per child, as
+    wide as that child's leaves) placed at the node's first leaf; leaf_order
+    visits children by id, so a node's leaves are one run of strands.
     """
     if tree.family != "A":
         raise ValueError("cabled generators are defined for family A trees")
+    strands = len(tree.leaf_order)
     out = []
     for node in tree.nodes:
-        k = tree.k(node.id)
+        kids = tree.children(node.id)
+        k = len(kids)
         if k < 2:
             continue
+        under = leaves_under(tree, node.id)
+        before, after = identity(under[0] - 1), identity(strands - under[-1])
+        widths = [len(leaves_under(tree, c)) for c in kids]
         gens = [
-            _lift_through_tree(tree, node.id, pure_generator(k, j, m))
+            direct_sum([before, block_braid(pure_generator(k, j, m), widths), after])
             for j in range(1, k + 1)
             for m in range(j + 1, k + 1)
         ]

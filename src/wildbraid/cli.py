@@ -273,20 +273,18 @@ def _collect_warnings(fn, *args):
 def _cmd_decompose(args) -> int:
     blocks, notes = _collect_warnings(parse_blocks, args.input)
     method = "oracle" if args.oracle else ("check" if args.check else "tree")
-    decs = [fission.decompose(q, method=method) for _, q in blocks]
+    trees = [
+        fission.fission_tree(q) if args.json and rs.family != "G2" else None
+        for rs, q in blocks
+    ]
+    decs = [fission.decompose(q, method, tree) for (_, q), tree in zip(blocks, trees)]
     merged = fission.merge_decompositions(decs)
     if args.json:
-        trees = [
-            json.loads(emit_tree(fission.fission_tree(q)))
-            if rs.family != "G2"
-            else None
-            for rs, q in blocks
-        ]
         payload = {
             "decomposition": merged.canonical_string(),
             "factors": [str(f) for f in merged.factors],
             "method": method,
-            "trees": trees,
+            "trees": [json.loads(emit_tree(t)) if t is not None else None for t in trees],
             "warnings": notes,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -515,18 +515,21 @@ def decomposition_via_arrangements(q: IrregularType) -> GroupDecomposition:
     )
 
 
-def decompose(q: IrregularType, method: str = "tree") -> GroupDecomposition:
+def decompose(
+    q: IrregularType, method: str = "tree", tree: FissionTree | None = None
+) -> GroupDecomposition:
     """Group decomposition of the pure local wild mapping class group of q.
 
     method="tree" uses the fission-tree fast path (arrangement oracle for
     G2); method="oracle" forces the arrangement path; method="check" runs
-    both and raises DecompositionMismatchError on disagreement.
+    both and raises DecompositionMismatchError on disagreement.  A caller
+    that already holds fission_tree(q) passes it as ``tree``.
     """
     if method not in ("tree", "oracle", "check"):
         raise ValueError(f"unknown method {method!r}")
     if q.rs.family == "G2" or method == "oracle":
         return decomposition_via_arrangements(q)
-    via_tree = decomposition_from_tree(fission_tree(q))
+    via_tree = decomposition_from_tree(tree if tree is not None else fission_tree(q))
     if method == "tree":
         return via_tree
     via_arr = decomposition_via_arrangements(q)

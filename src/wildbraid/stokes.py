@@ -16,6 +16,10 @@ Two commuting actions are verified entrywise:
 The matrices are arbitrary determinant-1 rationals (no unipotent shape is
 enforced): the relation and the commutation/equivariance properties do not
 depend on triangularity, so the verifier checks them in full generality.
+
+Matrices hold Fractions, but the arithmetic runs on integers: mmul, mdet and
+minv clear each matrix's denominators once, multiply ints, and divide once at
+the end.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -37,37 +42,60 @@ def mat(rows) -> Mat:
 IDENTITY: Mat = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
-def mmul(*ms: Mat) -> Mat:
-    out = ms[0]
-    for m in ms[1:]:
-        out = tuple(
-            tuple(sum(out[i][k] * m[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-    return out
+def _cleared(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(n, q) with m = n / q: n an integer matrix, q the lcm of m's denominators."""
+    ratios = [x.as_integer_ratio() for row in m for x in row]
+    # A list, not a generator: unpacking a generator builds an oversized
+    # tuple and shrinks it, which fills CPython's tuple free list (+0.2 MB).
+    q = lcm(*[d for _, d in ratios])
+    n = [a * (q // d) for a, d in ratios]
+    return (tuple(n[:3]), tuple(n[3:6]), tuple(n[6:])), q
 
 
-def mdet(m: Mat) -> Fraction:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+def _imul(a, b):
+    return tuple(
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3))
+        for i in range(3)
     )
 
 
+def _idet(n) -> int:
+    return (
+        n[0][0] * (n[1][1] * n[2][2] - n[1][2] * n[2][1])
+        - n[0][1] * (n[1][0] * n[2][2] - n[1][2] * n[2][0])
+        + n[0][2] * (n[1][0] * n[2][1] - n[1][1] * n[2][0])
+    )
+
+
+def mmul(*ms: Mat) -> Mat:
+    """Exact product: the integer matrices multiply, and one division ends it."""
+    out, q = _cleared(ms[0])
+    for m in ms[1:]:
+        n, r = _cleared(m)
+        out, q = _imul(out, n), q * r
+    return tuple(tuple(Fraction(x, q) for x in row) for row in out)
+
+
+def mdet(m: Mat) -> Fraction:
+    n, q = _cleared(m)
+    return Fraction(_idet(n), q**3)
+
+
 def minv(m: Mat) -> Mat:
-    d = mdet(m)
+    """Exact inverse q . adj(n) / det(n) of m = n / q."""
+    n, q = _cleared(m)
+    d = _idet(n)
     if d == 0:
         raise ZeroDivisionError("singular matrix")
     cof = [
         [
-            (m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3])
-            - (m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3])
+            (n[(i + 1) % 3][(j + 1) % 3] * n[(i + 2) % 3][(j + 2) % 3])
+            - (n[(i + 1) % 3][(j + 2) % 3] * n[(i + 2) % 3][(j + 1) % 3])
             for i in range(3)
         ]
         for j in range(3)
     ]
-    return tuple(tuple(c / d for c in row) for row in cof)
+    return tuple(tuple(Fraction(q * c, d) for c in row) for row in cof)
 
 
 def is_diagonal(m: Mat) -> bool:
@@ -97,7 +125,8 @@ class StokesTuple:
 
     def __post_init__(self):
         for name, m in self.entries():
-            if mdet(m) != 1:
+            n, q = _cleared(m)
+            if _idet(n) != q**3:
                 raise ValueError(f"determinant of {name} must be 1")
         if not is_diagonal(self.h):
             raise ValueError("h must be diagonal")
@@ -163,9 +192,16 @@ def act_tau1(t: StokesTuple) -> StokesTuple:
 
 
 def conjugate_tuple(d: Mat, t: StokesTuple) -> StokesTuple:
-    """Simultaneous conjugation of every entry by a diagonal d."""
-    di = minv(d)
-    conj = lambda m: mmul(d, m, di)
+    """Simultaneous conjugation of every entry by a diagonal d.
+
+    d m d^-1 is m scaled entrywise, (d m d^-1)_ij = m_ij d_i / d_j.
+    """
+    if not is_diagonal(d):
+        raise ValueError("d must be diagonal")
+    scale = [[d[i][i] / d[j][j] for j in range(3)] for i in range(3)]
+    conj = lambda m: tuple(
+        tuple(x * s for x, s in zip(row, srow)) for row, srow in zip(m, scale)
+    )
     return StokesTuple(*(conj(m) for _, m in t.entries()))
 
 
@@ -204,8 +240,9 @@ def verify_properties(t: StokesTuple, rng: random.Random | None = None) -> Verif
     for _ in range(3):
         a, b = _nonzero_rational(rng), _nonzero_rational(rng)
         d = diagonal(a, b, 1 / (a * b))
-        equi = conjugate_tuple(d, act_sigma(t)) == act_sigma(conjugate_tuple(d, t)) and (
-            conjugate_tuple(d, act_tau1(t)) == act_tau1(conjugate_tuple(d, t))
+        dt = conjugate_tuple(d, t)
+        equi = conjugate_tuple(d, st) == act_sigma(dt) and (
+            conjugate_tuple(d, tt) == act_tau1(dt)
         )
         if not equi:
             check("torus equivariance", False, f"fails for d = diag({a},{b},{1/(a*b)})")

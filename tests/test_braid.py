@@ -405,6 +405,33 @@ def test_cabled_generators_rejects_other_families():
         cabled_group_generators(tree)
 
 
+def gamma_lift(tree, node_id, label):
+    """Reference lift: gamma at every node, label at node_id, identities elsewhere."""
+
+    def rec(u):
+        kids = tree.children(u)
+        if not kids:
+            return identity(1)
+        top = label if u == node_id else identity(len(kids))
+        return gamma(top, [rec(c) for c in kids])
+
+    return rec(tree.root_id)
+
+
+def test_cabled_generators_match_gamma_recursion():
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(60):
+        rs = build_root_system("A", rng.randint(1, 7))
+        tree = fission.fission_tree(fission.random_irregular_type(rs, rng.randint(1, 4), rng))
+        for node_id, gens in cabled_group_generators(tree):
+            k = tree.k(node_id)
+            labels = [pure_generator(k, j, m) for j in range(1, k + 1) for m in range(j + 1, k + 1)]
+            assert list(gens) == [gamma_lift(tree, node_id, a) for a in labels]
+            checked += len(gens)
+    assert checked > 200
+
+
 def test_cabled_generator_linking_block_pattern():
     tree = sl3_tree()
     for node_id, gens in cabled_group_generators(tree):

@@ -266,6 +266,20 @@ def test_cmd_decompose_json_payload(tmp_path, capsys):
     assert len(payload["trees"]) == 1 and len(payload["trees"][0]["nodes"]) == 6
 
 
+@pytest.mark.parametrize("flag", ["--check", "--oracle", None])
+def test_cmd_decompose_json_builds_each_tree_once(flag, monkeypatch, capsys):
+    built = []
+    fission_tree = fission.fission_tree
+    monkeypatch.setattr(
+        fission, "fission_tree", lambda q: built.append(q) or fission_tree(q)
+    )
+    doc = json.dumps({"points": [json.loads(d) for d in (SL3_DOC, QI_DOC, G2_DOC)]})
+    assert main(["decompose", "--json", *([flag] if flag else []), doc]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [t is None for t in payload["trees"]] == [False, False, True]
+    assert len(built) == 2 and len({id(q) for q in built}) == 2
+
+
 def _break_tree_path(monkeypatch):
     wrong = GroupDecomposition.from_factors([Factor("PBBC", 1)])
     monkeypatch.setattr(fission, "decomposition_from_tree", lambda tree: wrong)

@@ -1,9 +1,12 @@
 """Exact verification of the SL_3 Stokes braiding actions."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildbraid import stokes
 from wildbraid.stokes import (
@@ -44,6 +47,59 @@ def test_minv_exact():
         m = stokes._shear_product(rng, 4)
         assert mmul(m, minv(m)) == IDENTITY
         assert mdet(m) == 1
+
+
+def ref_mmul(a, b):
+    """Plain Fraction product, the reference for the integer mmul."""
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(3)), Fraction(0)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def ref_mdet(m):
+    return sum(
+        (
+            (-1) ** (p[0] > p[1]) * (-1) ** (p[0] > p[2]) * (-1) ** (p[1] > p[2])
+            * m[0][p[0]] * m[1][p[1]] * m[2][p[2]]
+            for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+        ),
+        Fraction(0),
+    )
+
+
+rationals = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12])
+)
+matrices = st.lists(rationals, min_size=9, max_size=9).map(
+    lambda xs: (tuple(xs[:3]), tuple(xs[3:6]), tuple(xs[6:]))
+)
+
+
+def all_fractions(m):
+    return all(type(x) is Fraction for row in m for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices, matrices, matrices)
+def test_integer_arithmetic_matches_fraction_reference(a, b, c):
+    prod = mmul(a, b, c)
+    assert prod == ref_mmul(ref_mmul(a, b), c)
+    assert all_fractions(prod)
+    det = mdet(a)
+    assert type(det) is Fraction and det == ref_mdet(a)
+    if ref_mdet(a) == 0:
+        with pytest.raises(ZeroDivisionError):
+            minv(a)
+    else:
+        inv = minv(a)
+        assert all_fractions(inv)
+        assert ref_mmul(a, inv) == IDENTITY and ref_mmul(inv, a) == IDENTITY
+
+
+def test_minv_singular_raises():
+    with pytest.raises(ZeroDivisionError):
+        minv(mat([[1, Fraction(1, 2), 0], [2, 1, 0], [0, 0, Fraction(1, 3)]]))
 
 
 def test_mat_shape_checked():
@@ -184,6 +240,25 @@ def test_actions_commute_random():
         assert act_sigma(act_tau1(t)) == act_tau1(act_sigma(t))
 
 
+def test_conjugate_tuple_rejects_nondiagonal():
+    # A permutation keeps h diagonal, so only the check on d can refuse it.
+    t = random_tuple(random.Random(12))
+    swap = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="d must be diagonal"):
+        conjugate_tuple(swap, t)
+    with pytest.raises(ValueError, match="d must be diagonal"):
+        conjugate_tuple(shear(0, 1, 1), t)
+
+
+def test_conjugate_tuple_matches_matrix_conjugation():
+    rng = random.Random(13)
+    t = random_tuple(rng)
+    d = diagonal(Fraction(-2, 3), 3, Fraction(-1, 2))
+    di = minv(d)
+    expected = [ref_mmul(ref_mmul(d, m), di) for _, m in t.entries()]
+    assert [m for _, m in conjugate_tuple(d, t).entries()] == expected
+
+
 def test_torus_equivariance_random():
     rng = random.Random(8)
     for _ in range(25):
@@ -219,3 +294,26 @@ def test_verify_flags_corrupted_tuple():
     report = verify_properties(corrupted, rng)
     assert not report.passed
     assert any(name == "relation" for name, _ in report.failures())
+
+
+# Generated from the plain-Fraction verifier: the reprs of 50 random tuples,
+# 10 corrupted copies, and every report's checks must not change.
+PINNED_SHA256 = "4c13f340b0fd05bdc19f2f0c602da111338eed10d2c5795c450198aec20fdae9"
+
+
+def test_verifier_transcript_pinned():
+    rng = random.Random(4242)
+    tuples = [random_tuple(rng) for _ in range(50)]
+    tuples += [
+        StokesTuple(
+            t.h, t.b11, t.b31, t.b12, t.b22, t.b32,
+            ref_mmul(t.b42, shear(i % 3, (i + 1) % 3, i + 1)),
+        )
+        for i, t in enumerate(tuples[:10])
+    ]
+    lines = []
+    for i, t in enumerate(tuples):
+        lines.append(repr(t))
+        lines.append(repr(verify_properties(t, random.Random(i)).checks))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
