@@ -7,9 +7,7 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     cartan,
-    kernel_basis,
     levi_of_element,
-    restricted_arrangement,
     restricted_arrangement_blocks,
     subsystem,
     subsystem_from_vectors,
@@ -20,7 +18,6 @@ from .fission import (
     FissionTree,
     GroupDecomposition,
     IrregularType,
-    admissible_equivalent,
     decompose,
     decomposition_from_tree,
     decomposition_via_arrangements,
@@ -36,7 +33,6 @@ from .braid import (
     artin_action,
     block_braid,
     braids_equal,
-    cable_at,
     cabled_group_generators,
     direct_sum,
     gamma,

@@ -265,15 +265,6 @@ def gamma(sigma: BraidWord, taus: list[BraidWord]) -> BraidWord:
     return BraidWord(blocked.strands, summed.letters + blocked.letters)
 
 
-def cable_at(sigma: BraidWord, i: int, tau: BraidWord) -> BraidWord:
-    """Cable tau onto the i-th strand of sigma (both pure)."""
-    if not 1 <= i <= sigma.strands:
-        raise ValueError("strand index out of range")
-    taus = [identity(1)] * sigma.strands
-    taus[i - 1] = tau
-    return gamma(sigma, taus)
-
-
 # ---------------------------------------------------------------------------
 # Pure cabled braid groups from fission trees
 # ---------------------------------------------------------------------------

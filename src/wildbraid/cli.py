@@ -15,9 +15,9 @@ Family A (and G2) vectors are given in eigenvalue coordinates and are
 projected onto trace zero with a warning whenever the input trace is
 nonzero.
 
-Subcommands: decompose (--oracle / --check), tree (--format json|dot),
-cable, stokes-verify, selftest.  Exit codes: 0 success, 1 check failure,
-2 parse/validation error.
+Subcommands: decompose (--oracle or --check, not both), tree (--format
+json|dot), cable, stokes-verify, selftest.  Exit codes: 0 success, 1 check
+failure, 2 parse/validation error.
 """
 
 from __future__ import annotations
@@ -136,21 +136,23 @@ def parse_input(source):
     Returns a single (RootSystem, IrregularType) pair, or a list of pairs
     for a many-point document.
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and source.lstrip().startswith(("{", "[")):
+    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
-    elif isinstance(source, str):
-        path = Path(source)
-        if not path.exists():
-            raise InputError(f"no such input file: {source}")
-        text = path.read_text()
+    elif isinstance(source, (str, Path)):
+        try:
+            text = Path(source).read_text()
+        except FileNotFoundError as exc:
+            raise InputError(f"no such input file: {source}") from exc
+        except OSError as exc:
+            raise InputError(f"cannot read input file {source}: {exc.strerror}") from exc
     else:
         raise InputError("expected a path or a JSON text")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError("JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
     if "points" in data:
@@ -400,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decomposition of the local WMCG")
     p.add_argument("input", help="spec file path or inline JSON")
-    p.add_argument("--oracle", action="store_true", help="force the arrangement path")
-    p.add_argument("--check", action="store_true", help="run both paths and compare")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--oracle", action="store_true", help="force the arrangement path")
+    route.add_argument("--check", action="store_true", help="run both paths and compare")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_decompose)
 

@@ -131,13 +131,6 @@ def filtration(q: IrregularType) -> Filtration:
     return q._filtration
 
 
-def admissible_equivalent(q: IrregularType, q2: IrregularType) -> bool:
-    """Whether q2 lies in the universal deformation space of q (equal profiles)."""
-    if q.rs != q2.rs:
-        raise ValueError("mismatched root systems")
-    return degree_profile(q).by_root == degree_profile(q2).by_root
-
-
 # ---------------------------------------------------------------------------
 # Fission trees
 # ---------------------------------------------------------------------------
@@ -274,39 +267,22 @@ def fission_tree(q: IrregularType) -> FissionTree:
         entries.sort(key=lambda e: e[0][0])
         per_level.append(entries)
 
+    # Ids run level by level, so the level above starts after this one; its
+    # entries (parts and pinned block) cover every coordinate once.
     nodes: list[TreeNode] = []
-    ids_by_level: list[list[int]] = []
-    next_id = 0
     for level0, entries in enumerate(per_level):
-        ids = []
+        above = per_level[level0 + 1] if level0 + 1 < len(per_level) else []
+        first_above = len(nodes) + len(entries)
+        owner = {c: first_above + k for k, (coords, _) in enumerate(above) for c in coords}
         for coords, colour in entries:
-            if rs.family == "A":
-                diameter = LARGE
-            else:
-                diameter = LARGE if colour == BLUE or len(coords) >= 2 else SMALL
+            small = rs.family != "A" and colour == GREEN and len(coords) < 2
             nodes.append(
-                TreeNode(next_id, level0 + 1, None, colour, diameter, coords)
+                TreeNode(
+                    len(nodes), level0 + 1, owner.get(coords[0]), colour,
+                    SMALL if small else LARGE, coords,
+                )
             )
-            ids.append(next_id)
-            next_id += 1
-        ids_by_level.append(ids)
-    # Wire parents by coordinate containment.
-    finished: list[TreeNode] = []
-    for level0, ids in enumerate(ids_by_level):
-        for nid in ids:
-            node = nodes[nid]
-            parent = None
-            if level0 + 1 < len(ids_by_level):
-                for pid in ids_by_level[level0 + 1]:
-                    if node.coords[0] in nodes[pid].coords:
-                        parent = pid
-                        break
-                if parent is None:
-                    raise AssertionError("partition refinement broke containment")
-            finished.append(
-                TreeNode(nid, node.level, parent, node.colour, node.diameter, node.coords)
-            )
-    tree = FissionTree(rs.family, tuple(sorted(finished, key=lambda n: n.id)))
+    tree = FissionTree(rs.family, tuple(nodes))
     check_tree_invariants(tree)
     return tree
 
@@ -472,8 +448,6 @@ def decomposition_from_tree(tree: FissionTree) -> GroupDecomposition:
 
 
 def _factor_of_arrangement(arr: ArrangementType, family: str) -> Factor | None:
-    if arr.kind == "Empty":
-        return None
     if arr.kind == "TypeA":
         if family == "G2":
             # Rank-1 kernels in G2: the factor is infinite cyclic.
@@ -565,8 +539,7 @@ def enumerate_levi_subsystems(
         record(project_traceless([1, 2, 4]))
         record([0, 0, 0])
         for i in rs.positive_indices:
-            rows = [list(map(Fraction, rs.roots[i])), [Fraction(1)] * 3]
-            (v,) = rootsys.linalg.nullspace(rows, 3)
+            (v,) = linalg.integer_nullspace([rs.roots[i], (1, 1, 1)], 3)
             record(v)
         return sorted(seen.values(), key=lambda t: t[0].members)
     if rs.family == "A":

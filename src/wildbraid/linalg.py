@@ -62,8 +62,13 @@ def matrix_rank(rows) -> int:
     return len(_echelon(rows))
 
 
-def _kernel(rows, ncols: int) -> list[tuple[int, list[int]]]:
-    """(free column, integer kernel vector) pairs, one per free column."""
+def integer_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Integer basis of {x : M x = 0}, one vector per free column.
+
+    Each vector is positive on its own free column and 0 on the other free
+    columns: a positive multiple of the rational basis vector that is 1
+    there.
+    """
     basis = _echelon(rows)
     pivots = {p for p, _ in basis}
     out = []
@@ -75,19 +80,8 @@ def _kernel(rows, ncols: int) -> list[tuple[int, list[int]]]:
         x[fc] = scale
         for p, b in basis:
             x[p] = -b[fc] * (scale // b[p])
-        out.append((fc, x))
+        out.append(tuple(x))
     return out
-
-
-def integer_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
-    """Integer basis of {x : M x = 0}: the nullspace basis with denominators cleared."""
-    return [tuple(x) for _, x in _kernel(rows, ncols)]
-
-
-def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : M x = 0}: one vector per free column, that entry 1,
-    the other free entries 0."""
-    return [tuple(Fraction(a, x[fc]) for a in x) for fc, x in _kernel(rows, ncols)]
 
 
 def primitive(v) -> tuple[int, ...]:

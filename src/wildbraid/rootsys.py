@@ -14,9 +14,9 @@ A Levi subsystem (annihilator of a Cartan element) of a classical system is
 described by a *signed fusion* of the coordinate set: coordinates are glued
 in pairs ``x_i = +-x_j`` by the two-entry roots, and pinned to zero by the
 one-entry roots of B/C or by a sign conflict (the reducible "D_2 pair"
-``e_i - e_j, e_i + e_j``).  That fusion drives the kernel bases, the induced
-coordinate partitions, and the classification of restricted hyperplane
-arrangements against the model families A / BC / D / exotic (B_r/C_r)D_s.
+``e_i - e_j, e_i + e_j``).  That fusion drives the induced coordinate
+partitions and the classification of restricted hyperplane arrangements
+against the model families A / BC / D / exotic (B_r/C_r)D_s.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import linalg
 
 FAMILIES = ("A", "B", "C", "D", "G2")
 
-ARRANGEMENT_KINDS = ("Empty", "TypeA", "TypeBC", "TypeD", "Exotic", "G2Full")
+ARRANGEMENT_KINDS = ("TypeA", "TypeBC", "TypeD", "Exotic", "G2Full")
 
 
 class UnsupportedRankError(ValueError):
@@ -314,15 +314,6 @@ class Fusion:
     def zero_set(self) -> frozenset[int]:
         return frozenset(self.zero)
 
-    def part_vectors(self, dim: int) -> list[tuple[int, ...]]:
-        vecs = []
-        for part, sgns in zip(self.parts, self.signs):
-            v = [0] * dim
-            for c, s in zip(part, sgns):
-                v[c] = s
-            vecs.append(tuple(v))
-        return vecs
-
     def restrict(self, root: tuple[int, ...]) -> tuple[int, ...]:
         """Value vector of a covector on the part basis (zero coords drop out)."""
         out = [0] * len(self.parts)
@@ -392,40 +383,6 @@ def fusion_of(sub: RootSubsystem) -> Fusion:
 
 
 # ---------------------------------------------------------------------------
-# Kernels
-# ---------------------------------------------------------------------------
-
-
-def kernel_basis(rs: RootSystem, sub: RootSubsystem) -> list[CartanElement]:
-    """Exact basis of the common kernel of the subsystem inside the Cartan.
-
-    For family A the basis consists of differences of normalized fused
-    vectors e_I/|I| (so each basis vector is trace-free); for B/C/D it is the
-    fused vectors themselves; for G2 a generic nullspace computation inside
-    the sum-zero subspace.
-    """
-    if rs.family == "G2":
-        rows = [list(map(Fraction, v)) for v in sub.vectors]
-        rows.append([Fraction(1)] * 3)
-        return [CartanElement(rs, b) for b in linalg.nullspace(rows, 3)]
-    fus = fusion_of(sub)
-    vecs = fus.part_vectors(rs.ambient_dim)
-    if rs.family != "A":
-        return [cartan(rs, v) for v in vecs]
-    if len(vecs) <= 1:
-        return []
-    last = vecs[-1]
-    nlast = Fraction(1, len(fus.parts[-1]))
-    basis = []
-    for part, v in zip(fus.parts[:-1], vecs[:-1]):
-        np = Fraction(1, len(part))
-        basis.append(
-            CartanElement(rs, tuple(np * a - nlast * b for a, b in zip(v, last)))
-        )
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # Restricted arrangements
 # ---------------------------------------------------------------------------
 
@@ -435,8 +392,9 @@ class ArrangementType:
     """Classification of a restricted hyperplane arrangement.
 
     ``raw_hyperplanes`` are the deduplicated restricted covectors written on
-    the canonical kernel coordinates (fused parts for A-D, kernel basis for
-    G2); they are the authoritative data, the kind is the pattern match.
+    the canonical kernel coordinates (fused parts for A-D, the integer
+    kernel basis for G2); they are the authoritative data, the kind is the
+    pattern match.
     """
 
     kind: str
@@ -456,8 +414,6 @@ class ArrangementType:
             )
 
     def expected_count(self) -> int | None:
-        if self.kind == "Empty":
-            return 0
         if self.kind == "TypeA":
             return self.d * (self.d + 1) // 2
         if self.kind == "TypeBC":
@@ -506,33 +462,23 @@ def _restricted_covectors(
 ) -> list[tuple[int, ...]]:
     """Deduplicated restrictions of outer \\ inner to Ker(inner), on fused coordinates.
 
-    For family A the fused value vectors are differences of two unit entries;
-    such covectors are never proportional modulo the trace relation, so
-    deduplication on the value vectors equals deduplication on the trace-free
-    kernel.
+    G2 has no fusion: there the covector is the root's values on an integer
+    basis of the trace-free kernel.  For family A the fused value vectors are
+    differences of two unit entries; such covectors are never proportional
+    modulo the trace relation, so deduplication on the value vectors equals
+    deduplication on the trace-free kernel.
     """
     if rs.family == "G2":
-        basis = kernel_basis(rs, inner)
-        seen = []
-        for i in outer.members:
-            if i in inner.member_set or not _lex_positive(rs.roots[i]):
-                continue
-            vals = [b.root_value(rs.roots[i]) for b in basis]
-            if all(v == 0 for v in vals):
-                raise SubsystemError(
-                    "root restricts to zero on the kernel (inner is not Levi)"
-                )
-            cov = linalg.primitive(vals)
-            if cov not in seen:
-                seen.append(cov)
-        return seen
-    fus = fusion_of(inner)
+        kernel = linalg.integer_nullspace(inner.vectors + ((1, 1, 1),), 3)
+        restrict = lambda root: [dot(root, k) for k in kernel]
+    else:
+        restrict = fusion_of(inner).restrict
     seen = []
     for i in outer.members:
         if i in inner.member_set or not _lex_positive(rs.roots[i]):
             continue
-        w = fus.restrict(rs.roots[i])
-        if all(x == 0 for x in w):
+        w = restrict(rs.roots[i])
+        if not any(w):
             raise SubsystemError(
                 "root restricts to zero on the kernel (inner is not Levi)"
             )
@@ -660,23 +606,3 @@ def _classify_g2(covectors: list[tuple[int, ...]]) -> ArrangementType:
     if len(covectors) == 6:
         return ArrangementType("G2Full", raw_hyperplanes=tuple(covectors))
     raise ClassificationError(f"unexpected G2 restriction with {len(covectors)} classes")
-
-
-def restricted_arrangement(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem
-) -> ArrangementType:
-    """Classify the arrangement cut on Ker(inner) by the roots of outer \\ inner.
-
-    Requires the restriction to form a single model block (always the case
-    when outer is irreducible relative to inner, e.g. outer = full system);
-    use restricted_arrangement_blocks for arbitrary filtration levels.
-    """
-    blocks = restricted_arrangement_blocks(rs, inner, outer)
-    if not blocks:
-        return ArrangementType("Empty")
-    if len(blocks) > 1:
-        raise ClassificationError(
-            f"arrangement splits into {len(blocks)} orthogonal blocks; "
-            "use restricted_arrangement_blocks"
-        )
-    return blocks[0]

@@ -283,7 +283,7 @@ def criterion_cabled_groups(result: SweepResult) -> tuple[bool, str]:
 def criterion_exotic_d() -> tuple[bool, str]:
     d3 = build_root_system("D", 3)
     inner = rootsys.subsystem_from_vectors(d3, [(1, -1, 0), (-1, 1, 0)])
-    arr = rootsys.restricted_arrangement(d3, inner, subsystem(d3, range(12)))
+    (arr,) = rootsys.restricted_arrangement_blocks(d3, inner, subsystem(d3, range(12)))
     ok = (
         (arr.kind, arr.r, arr.s) == ("Exotic", 1, 1)
         and arr.hyperplane_count == 3
@@ -297,7 +297,7 @@ def criterion_exotic_d() -> tuple[bool, str]:
     inner4 = rootsys.subsystem_from_vectors(
         d4, [(1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1)]
     )
-    arr4 = rootsys.restricted_arrangement(d4, inner4, subsystem(d4, range(24)))
+    (arr4,) = rootsys.restricted_arrangement_blocks(d4, inner4, subsystem(d4, range(24)))
     # Regression fixture confirmed by the raw-hyperplane oracle.
     ok = ok and (arr4.kind, arr4.d) == ("TypeBC", 2)
     ok = ok and sorted(arr4.raw_hyperplanes) == [(0, 1), (1, -1), (1, 0), (1, 1)]

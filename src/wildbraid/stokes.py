@@ -17,6 +17,13 @@ The matrices are arbitrary determinant-1 rationals (no unipotent shape is
 enforced): the relation and the commutation/equivariance properties do not
 depend on triangularity, so the verifier checks them in full generality.
 
+Validation: the StokesTuple constructor checks every determinant and a
+diagonal h, so act_sigma, act_tau1, conjugate_tuple and solve_relation only
+return valid tuples.  verify_properties runs the same actions on the seven
+raw entries (_sigma, _tau1, _conj), which build no StokesTuple, and checks
+every image's determinant itself: a broken determinant is a failed check
+in the report, not an exception.
+
 Matrices hold Fractions, but the arithmetic runs on integers: mmul, mdet and
 minv clear each matrix's denominators once, multiply ints, and divide once at
 the end.
@@ -106,6 +113,9 @@ def diagonal(a, b, c) -> Mat:
     return mat([[a, 0, 0], [0, b, 0], [0, 0, c]])
 
 
+_NAMES = ("h", "B1^1", "B3^1", "B1^2", "B2^2", "B3^2", "B4^2")
+
+
 @dataclass(frozen=True)
 class StokesTuple:
     """(h, B^1_1, B^1_3, B^2_1, B^2_2, B^2_3, B^2_4), dets 1, h diagonal.
@@ -131,26 +141,45 @@ class StokesTuple:
         if not is_diagonal(self.h):
             raise ValueError("h must be diagonal")
 
+    def matrices(self) -> tuple[Mat, ...]:
+        return (self.h, self.b11, self.b31, self.b12, self.b22, self.b32, self.b42)
+
     def entries(self) -> list[tuple[str, Mat]]:
-        return [
-            ("h", self.h),
-            ("B1^1", self.b11),
-            ("B3^1", self.b31),
-            ("B1^2", self.b12),
-            ("B2^2", self.b22),
-            ("B3^2", self.b32),
-            ("B4^2", self.b42),
-        ]
+        return list(zip(_NAMES, self.matrices()))
 
     def relation_holds(self) -> bool:
-        return (
-            mmul(self.h, self.b31, self.b11, self.b42, self.b32, self.b22, self.b12)
-            == IDENTITY
-        )
+        return _relation_holds(self.matrices())
 
     def validate(self) -> None:
         if not self.relation_holds():
             raise ValueError("quasi moment-map relation violated")
+
+
+def _relation_holds(e: tuple[Mat, ...]) -> bool:
+    h, b11, b31, b12, b22, b32, b42 = e
+    return mmul(h, b31, b11, b42, b32, b22, b12) == IDENTITY
+
+
+def _sigma(e: tuple[Mat, ...]) -> tuple[Mat, ...]:
+    h, b11, b31, b12, b22, b32, b42 = e
+    h1 = mmul(h, b31, b11)
+    h1i = minv(h1)
+    return (h, b11, b31, b32, b42, mmul(h1i, b12, h1), mmul(h1i, b22, h1))
+
+
+def _tau1(e: tuple[Mat, ...]) -> tuple[Mat, ...]:
+    h, b1, b31, *level2 = e
+    b1i = minv(b1)
+    return (h, b31, mmul(minv(h), b1, h), *(mmul(b1, m, b1i) for m in level2))
+
+
+def _conj(d: Mat, e: tuple[Mat, ...]) -> tuple[Mat, ...]:
+    """d m d^-1 for every entry m, as m_ij d_i / d_j (d diagonal)."""
+    scale = [[d[i][i] / d[j][j] for j in range(3)] for i in range(3)]
+    return tuple(
+        tuple(tuple(x * s for x, s in zip(row, srow)) for row, srow in zip(m, scale))
+        for m in e
+    )
 
 
 def solve_relation(h: Mat, b11: Mat, b31: Mat, b12: Mat, b22: Mat, b32: Mat) -> StokesTuple:
@@ -163,46 +192,19 @@ def solve_relation(h: Mat, b11: Mat, b31: Mat, b12: Mat, b22: Mat, b32: Mat) -> 
 
 def act_sigma(t: StokesTuple) -> StokesTuple:
     """Level-2 generator: (B^2_*) -> (B^2_3, B^2_4, h1^-1 B^2_1 h1, h1^-1 B^2_2 h1)."""
-    h1 = mmul(t.h, t.b31, t.b11)
-    h1i = minv(h1)
-    return StokesTuple(
-        t.h,
-        t.b11,
-        t.b31,
-        t.b32,
-        t.b42,
-        mmul(h1i, t.b12, h1),
-        mmul(h1i, t.b22, h1),
-    )
+    return StokesTuple(*_sigma(t.matrices()))
 
 
 def act_tau1(t: StokesTuple) -> StokesTuple:
     """Level-1 generator: (B^1_1, B^1_3) -> (B^1_3, h^-1 b1 h), level 2 conjugated by b1."""
-    b1 = t.b11
-    b1i = minv(b1)
-    return StokesTuple(
-        t.h,
-        t.b31,
-        mmul(minv(t.h), b1, t.h),
-        mmul(b1, t.b12, b1i),
-        mmul(b1, t.b22, b1i),
-        mmul(b1, t.b32, b1i),
-        mmul(b1, t.b42, b1i),
-    )
+    return StokesTuple(*_tau1(t.matrices()))
 
 
 def conjugate_tuple(d: Mat, t: StokesTuple) -> StokesTuple:
-    """Simultaneous conjugation of every entry by a diagonal d.
-
-    d m d^-1 is m scaled entrywise, (d m d^-1)_ij = m_ij d_i / d_j.
-    """
+    """Simultaneous conjugation of every entry by a diagonal d."""
     if not is_diagonal(d):
         raise ValueError("d must be diagonal")
-    scale = [[d[i][i] / d[j][j] for j in range(3)] for i in range(3)]
-    conj = lambda m: tuple(
-        tuple(x * s for x, s in zip(row, srow)) for row, srow in zip(m, scale)
-    )
-    return StokesTuple(*(conj(m) for _, m in t.entries()))
+    return StokesTuple(*_conj(d, t.matrices()))
 
 
 @dataclass(frozen=True)
@@ -227,23 +229,23 @@ def verify_properties(t: StokesTuple, rng: random.Random | None = None) -> Verif
 
     ok0 = t.relation_holds()
     check("relation", ok0, "" if ok0 else f"violated by {t}")
-    st, tt = act_sigma(t), act_tau1(t)
-    check("sigma preserves relation", st.relation_holds())
-    check("tau1 preserves relation", tt.relation_holds())
-    check("actions commute", act_tau1(st) == act_sigma(tt))
-    for name, m in st.entries() + tt.entries():
-        if mdet(m) != 1:
-            check("determinants preserved", False, f"{name} has det {mdet(m)}")
+    e = t.matrices()
+    st, tt = _sigma(e), _tau1(e)
+    check("sigma preserves relation", _relation_holds(st))
+    check("tau1 preserves relation", _relation_holds(tt))
+    check("actions commute", _tau1(st) == _sigma(tt))
+    for name, m in zip(_NAMES * 2, st + tt):
+        det = mdet(m)
+        if det != 1:
+            check("determinants preserved", False, f"{name} has det {det}")
             break
     else:
         check("determinants preserved", True)
     for _ in range(3):
         a, b = _nonzero_rational(rng), _nonzero_rational(rng)
         d = diagonal(a, b, 1 / (a * b))
-        dt = conjugate_tuple(d, t)
-        equi = conjugate_tuple(d, st) == act_sigma(dt) and (
-            conjugate_tuple(d, tt) == act_tau1(dt)
-        )
+        dt = _conj(d, e)
+        equi = _conj(d, st) == _sigma(dt) and _conj(d, tt) == _tau1(dt)
         if not equi:
             check("torus equivariance", False, f"fails for d = diag({a},{b},{1/(a*b)})")
             break

@@ -12,7 +12,6 @@ from wildbraid.braid import (
     artin_action,
     block_braid,
     braids_equal,
-    cable_at,
     cabled_group_generators,
     direct_sum,
     format_word,
@@ -209,24 +208,24 @@ def test_block_braid_width_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# cable_at and gamma
+# gamma: cabling one strand is gamma with identity(1) on the others
 # ---------------------------------------------------------------------------
 
 
 def test_cable_into_single_strand_is_tau():
     tau = random_pure_word(random.Random(0), 3, 6)
-    assert cable_at(identity(1), 1, tau) == tau
+    assert gamma(identity(1), [tau]) == tau
 
 
 def test_cable_unit_strand_is_sigma():
     sigma = random_pure_word(random.Random(1), 3, 6)
-    assert cable_at(sigma, 2, identity(1)) == sigma
+    assert gamma(sigma, [identity(1), identity(1), identity(1)]) == sigma
 
 
 def test_cable_reproduces_figure_word():
     sigma = word(2, (1, 1), (1, 1))
     tau = word(2, (1, -1), (1, -1))
-    assert cable_at(sigma, 1, tau) == FIG2_WORD
+    assert gamma(sigma, [tau, identity(1)]) == FIG2_WORD
 
 
 def test_gamma_unity():
@@ -308,7 +307,7 @@ def test_purity_preserved_by_operad_ops():
         taus = [random_pure_word(rng, rng.randint(1, 2), 4) for _ in range(n)]
         assert is_pure(direct_sum(taus))
         assert is_pure(gamma(sigma, taus))
-        assert is_pure(cable_at(sigma, 1, taus[0]))
+        assert is_pure(gamma(sigma, [taus[0]] + [identity(1)] * (n - 1)))
 
 
 # ---------------------------------------------------------------------------

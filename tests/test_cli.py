@@ -1,9 +1,13 @@
 """Input parsing, serialization, and the command-line pipeline."""
 
+import contextlib
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wildbraid import cli, fission
 from wildbraid.cli import (
@@ -303,6 +307,26 @@ def test_cmd_decompose_check_failure_json(monkeypatch, capsys):
     assert "PB_BC_1" in payload["error"] and "PB_2 x PB_2" in payload["error"]
 
 
+def test_cmd_decompose_oracle_and_check_are_exclusive(capsys):
+    # Both flags used to run the oracle alone and exit 0, skipping the check.
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--oracle", "--check", SL3_DOC])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_cmd_unreadable_input_exits_2(tmp_path, capsys):
+    assert main(["decompose", str(tmp_path)]) == 2
+    assert main(["decompose", "x" * 300]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: cannot read input file") == 2
+
+
+def test_cmd_deeply_nested_json_exits_2(capsys):
+    assert main(["decompose", "[" * 100_000]) == 2
+    assert "error: JSON nested too deeply" in capsys.readouterr().err
+
+
 def test_cmd_decompose_exotic_annotation(tmp_path, capsys):
     doc = json.dumps(
         {"lie_type": "D", "rank": 3, "p": 2,
@@ -455,3 +479,73 @@ def test_cmd_selftest_fast(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 9 and "FAIL" not in out
+
+
+# ---------------------------------------------------------------------------
+# Every document ends in exit 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+COMMANDS = (
+    ["decompose"],
+    ["decompose", "--check"],
+    ["decompose", "--oracle"],
+    ["decompose", "--json"],
+    ["tree"],
+    ["tree", "--format", "dot"],
+    ["cable"],
+)
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-40, 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["1/2", "-3", "1e2", "1/0", "0.5", "A", "G2"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(cli.BLOCK_KEYS + ("points", "x")), kids, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def valid_blocks(draw):
+    family = draw(st.sampled_from(["A", "B", "C", "D", "G2"]))
+    rank = 2 if family == "G2" else draw(st.integers(2 if family == "D" else 1, 6))
+    dim = {"A": rank + 1, "G2": 3}.get(family, rank)
+    p = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3", "1.5"])
+    row = st.lists(entry, min_size=dim, max_size=dim)
+    coefficients = draw(st.lists(row, min_size=1, max_size=p))
+    return {"lie_type": family, "rank": rank, "p": p, "coefficients": coefficients}
+
+
+@st.composite
+def mutated_blocks(draw):
+    block = draw(valid_blocks())
+    key = draw(st.sampled_from(cli.BLOCK_KEYS))
+    how = draw(st.sampled_from(["keep", "drop", "replace", "extra", "points", "row"]))
+    if how == "drop":
+        block.pop(key)
+    elif how == "replace":
+        block[key] = draw(json_values)
+    elif how == "extra":
+        block[draw(st.text(min_size=1, max_size=4))] = draw(json_values)
+    elif how == "points":
+        block = {"points": [block, draw(valid_blocks() | json_values)]}
+    elif how == "row":
+        block["coefficients"][0].append(draw(json_values))
+    return block
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(COMMANDS), mutated_blocks() | json_values)
+@example(["decompose"], "x" * 300)
+def test_cli_exit_codes_on_arbitrary_documents(command, doc):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(command + [json.dumps(doc)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)

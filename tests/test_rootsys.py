@@ -1,4 +1,4 @@
-"""Root systems, Levi subsystems, kernels, and restricted arrangements."""
+"""Root systems, Levi subsystems, fusions, kernels, and restricted arrangements."""
 
 import random
 from fractions import Fraction
@@ -8,15 +8,12 @@ import pytest
 from wildbraid import rootsys
 from wildbraid.fission import enumerate_levi_subsystems
 from wildbraid.rootsys import (
-    ClassificationError,
     SubsystemError,
     UnsupportedRankError,
     build_root_system,
     cartan,
     fusion_of,
-    kernel_basis,
     levi_of_element,
-    restricted_arrangement,
     restricted_arrangement_blocks,
     subsystem,
     subsystem_from_vectors,
@@ -293,25 +290,35 @@ def test_component_classification_weyl_invariant():
 # ---------------------------------------------------------------------------
 
 
+def cartan_kernel(rs, sub):
+    """Integer basis of the common kernel of sub inside the Cartan subalgebra
+    (the trace-free subspace for families A and G2)."""
+    rows = list(sub.vectors)
+    if rs.family in ("A", "G2"):
+        rows.append((1,) * rs.ambient_dim)
+    return rootsys.linalg.integer_nullspace(rows, rs.ambient_dim)
+
+
 def test_kernel_a3_fused():
     rs = build_root_system("A", 3)
     sub = subsystem_from_vectors(rs, [(1, -1, 0, 0), (-1, 1, 0, 0)])
-    basis = kernel_basis(rs, sub)
+    basis = cartan_kernel(rs, sub)
     assert len(basis) == 2
     for b in basis:
-        assert b.coords[0] == b.coords[1]  # fused pair
-        assert sum(b.coords) == 0
+        assert b[0] == b[1]  # fused pair
+        assert sum(b) == 0
+    assert fusion_of(sub).parts == ((0, 1), (2,), (3,))
 
 
 def test_kernel_full_spanning_system_is_zero():
     for family, rank in [("B", 3), ("C", 2), ("A", 4), ("D", 4), ("G2", 2)]:
         rs = build_root_system(family, rank)
-        assert kernel_basis(rs, full_subsystem(rs)) == []
+        assert cartan_kernel(rs, full_subsystem(rs)) == []
 
 
 def test_kernel_empty_subsystem_full_cartan():
     rs = build_root_system("D", 3)
-    assert len(kernel_basis(rs, empty_subsystem(rs))) == 3
+    assert len(cartan_kernel(rs, empty_subsystem(rs))) == 3
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -324,10 +331,25 @@ def test_kernel_dimension_formula(family, rank):
         if family in ("A", "G2"):
             values = rootsys.project_traceless(values)
         sub = levi_of_element(rs, cartan(rs, values))
-        basis = kernel_basis(rs, sub)
+        basis = cartan_kernel(rs, sub)
         assert len(basis) == rs.rank - sub.rank
         for b in basis:
-            assert all(b.root_value(v) == 0 for v in sub.vectors)
+            assert all(rootsys.dot(v, b) == 0 for v in sub.vectors)
+
+
+LEVI_SYSTEMS = (
+    [("A", r) for r in range(1, 5)]
+    + [(f, r) for f in "BC" for r in range(1, 4)]
+    + [("D", r) for r in range(2, 5)]
+)
+
+
+@pytest.mark.parametrize("family,rank", LEVI_SYSTEMS)
+def test_levi_rank_is_dimension_minus_fused_parts(family, rank):
+    # The pinned zero block is not a part: it contributes rank, not kernel.
+    rs = build_root_system(family, rank)
+    for sub, _ in enumerate_levi_subsystems(rs):
+        assert sub.rank == rs.ambient_dim - len(fusion_of(sub).parts)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +360,15 @@ def test_kernel_dimension_formula(family, rank):
 def test_arrangement_a3_levi_pair():
     rs = build_root_system("A", 3)
     inner = subsystem_from_vectors(rs, [(1, -1, 0, 0), (-1, 1, 0, 0)])
-    arr = restricted_arrangement(rs, inner, full_subsystem(rs))
+    (arr,) = restricted_arrangement_blocks(rs, inner, full_subsystem(rs))
     assert (arr.kind, arr.d) == ("TypeA", 2)
     assert arr.hyperplane_count == 3
     # Independent oracle: restrict all remaining roots to the kernel basis
     # directly and dedupe up to scalar.
-    basis = kernel_basis(rs, inner)
+    basis = cartan_kernel(rs, inner)
     classes = set()
     for root in rs.roots:
-        values = tuple(b.root_value(root) for b in basis)
+        values = tuple(rootsys.dot(root, b) for b in basis)
         if any(values):
             classes.add(rootsys.linalg.primitive(values))
     assert len(classes) == 3
@@ -355,7 +377,7 @@ def test_arrangement_a3_levi_pair():
 def test_arrangement_d3_exotic():
     rs = build_root_system("D", 3)
     inner = subsystem_from_vectors(rs, [(1, -1, 0), (-1, 1, 0)])
-    arr = restricted_arrangement(rs, inner, full_subsystem(rs))
+    (arr,) = restricted_arrangement_blocks(rs, inner, full_subsystem(rs))
     assert (arr.kind, arr.r, arr.s) == ("Exotic", 1, 1)
     assert arr.hyperplane_count == 3
     assert arr.annotation and "A_2" in arr.annotation
@@ -363,7 +385,7 @@ def test_arrangement_d3_exotic():
 
 def test_arrangement_b2_full():
     rs = build_root_system("B", 2)
-    arr = restricted_arrangement(rs, empty_subsystem(rs), full_subsystem(rs))
+    (arr,) = restricted_arrangement_blocks(rs, empty_subsystem(rs), full_subsystem(rs))
     assert (arr.kind, arr.d) == ("TypeBC", 2)
     assert arr.hyperplane_count == 4
 
@@ -376,7 +398,7 @@ def test_arrangement_d4_two_a1_regression():
     inner = subsystem_from_vectors(
         rs, [(1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1)]
     )
-    arr = restricted_arrangement(rs, inner, full_subsystem(rs))
+    (arr,) = restricted_arrangement_blocks(rs, inner, full_subsystem(rs))
     assert (arr.kind, arr.d) == ("TypeBC", 2)
     assert sorted(arr.raw_hyperplanes) == [(0, 1), (1, -1), (1, 0), (1, 1)]
 
@@ -386,14 +408,12 @@ def test_arrangement_d2_pair_block_is_type_d():
     outer = subsystem_from_vectors(
         rs, [(0, 0, 1, -1), (0, 0, -1, 1), (0, 0, 1, 1), (0, 0, -1, -1)]
     )
-    arr = restricted_arrangement(rs, empty_subsystem(rs), outer)
+    (arr,) = restricted_arrangement_blocks(rs, empty_subsystem(rs), outer)
     assert (arr.kind, arr.d) == ("TypeD", 2)
 
 
 def test_arrangement_family_a_always_type_a():
     # Exhaustive over every Levi of A_1..A_4 against the full system.
-    from wildbraid.fission import enumerate_levi_subsystems
-
     for rank in range(1, 5):
         rs = build_root_system("A", rank)
         for sub, _ in enumerate_levi_subsystems(rs):
@@ -403,18 +423,16 @@ def test_arrangement_family_a_always_type_a():
                 continue
             (arr,) = blocks
             assert arr.kind == "TypeA"
-            assert arr.d == len(kernel_basis(rs, sub))
+            assert arr.d == len(cartan_kernel(rs, sub))
 
 
-def test_arrangement_multi_block_requires_blocks_api():
+def test_arrangement_splits_into_orthogonal_blocks():
     rs = build_root_system("A", 8)
     outer = levi_of_element(
         rs, cartan(rs, rootsys.project_traceless([4, 1, 1, 0, 0, 0, -2, -2, -2]))
     )
     blocks = restricted_arrangement_blocks(rs, empty_subsystem(rs), outer)
     assert sorted(b.describe() for b in blocks) == ["TypeA(1)", "TypeA(2)", "TypeA(2)"]
-    with pytest.raises(ClassificationError):
-        restricted_arrangement(rs, empty_subsystem(rs), outer)
 
 
 def test_arrangement_inclusion_violation_rejected():
@@ -422,7 +440,7 @@ def test_arrangement_inclusion_violation_rejected():
     inner = levi_of_element(rs, cartan(rs, [-1, -1, 2]))
     other = subsystem_from_vectors(rs, [(0, 1, -1), (0, -1, 1)])
     with pytest.raises(SubsystemError):
-        restricted_arrangement(rs, inner, other)
+        restricted_arrangement_blocks(rs, inner, other)
 
 
 def test_arrangement_counts_verified_on_samples():
@@ -441,6 +459,6 @@ def test_arrangement_counts_verified_on_samples():
 
 def test_g2_full_arrangement():
     rs = build_root_system("G2", 2)
-    arr = restricted_arrangement(rs, empty_subsystem(rs), full_subsystem(rs))
+    (arr,) = restricted_arrangement_blocks(rs, empty_subsystem(rs), full_subsystem(rs))
     assert arr.kind == "G2Full"
     assert arr.hyperplane_count == 6

@@ -317,3 +317,72 @@ def test_verifier_transcript_pinned():
         lines.append(repr(verify_properties(t, random.Random(i)).checks))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: every check of verify_properties can fail
+# ---------------------------------------------------------------------------
+
+
+# The unpatched raw-entry actions, which the patched ones below wrap.
+SIGMA, TAU1 = stokes._sigma, stokes._tau1
+
+
+def _replace(e, k, m):
+    return e[:k] + (m,) + e[k + 1 :]
+
+
+def _broken_determinant(e):
+    # tau1 with B4^2 multiplied by diag(2, 1, 1).
+    out = TAU1(e)
+    return _replace(out, 6, mmul(out[6], diagonal(2, 1, 1)))
+
+
+def _broken_sigma_relation(e):
+    out = SIGMA(e)
+    return _replace(out, 3, mmul(out[3], shear(0, 1, 1)))
+
+
+def _broken_tau1_relation(e):
+    out = TAU1(e)
+    return _replace(out, 3, mmul(out[3], shear(0, 1, 1)))
+
+
+def _non_commuting_sigma(e):
+    # Conjugating every entry by B^1_1 keeps the relation, the determinants
+    # and torus equivariance, but not commutation with tau1.
+    b, bi = e[1], minv(e[1])
+    return tuple(mmul(b, m, bi) for m in SIGMA(e))
+
+
+def _non_equivariant_sigma(e):
+    # A fixed non-diagonal conjugation commutes with both actions but not
+    # with the torus.
+    g, gi = shear(0, 1, 1), minv(shear(0, 1, 1))
+    return tuple(mmul(g, m, gi) for m in SIGMA(e))
+
+
+NEGATIVE_CONTROLS = {
+    "determinant": ("_tau1", _broken_determinant, "determinants preserved"),
+    "sigma-relation": ("_sigma", _broken_sigma_relation, "sigma preserves relation"),
+    "tau1-relation": ("_tau1", _broken_tau1_relation, "tau1 preserves relation"),
+    "non-commuting": ("_sigma", _non_commuting_sigma, "actions commute"),
+    "non-equivariant": ("_sigma", _non_equivariant_sigma, "torus equivariance"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_CONTROLS))
+def test_every_check_can_fail(monkeypatch, case):
+    action, patched, expected = NEGATIVE_CONTROLS[case]
+    monkeypatch.setattr(stokes, action, patched)
+    rng = random.Random(14)
+    for _ in range(5):
+        t = random_tuple(rng)
+        report = verify_properties(t, rng)
+        failed = dict(report.failures())
+        assert expected in failed
+        assert "relation" not in failed
+        if case == "determinant":
+            assert failed[expected] == "B4^2 has det 2"
+            with pytest.raises(ValueError, match="determinant of B4\\^2 must be 1"):
+                act_tau1(t)
