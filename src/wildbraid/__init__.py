@@ -18,6 +18,7 @@ from .fission import (
     FissionTree,
     GroupDecomposition,
     IrregularType,
+    coordinate_fusions,
     decompose,
     decomposition_from_tree,
     decomposition_via_arrangements,

@@ -10,19 +10,25 @@ exact rational strings ("num/den" or a decimal such as "1.5"; exponent
 notation is rejected); or {"points": [block, ...]} for the many-point
 product.  A block accepts only the keys lie_type, rank, p and coefficients
 ("p" is optional and pads with zero coefficients); a many-point document
-accepts only "points".  rank may be at most MAX_RANK and p at most MAX_P.
+accepts only "points".  p may be at most MAX_P.  rank may be at most
+MAX_TREE_RANK on the routes that read only coordinates (decompose without
+--oracle/--check, tree) and at most MAX_RANK on the routes that enumerate
+roots (decompose --oracle/--check) or whose output grows with the tree
+(cable).
 Family A (and G2) vectors are given in eigenvalue coordinates and are
 projected onto trace zero with a warning whenever the input trace is
 nonzero.
 
 Subcommands: decompose (--oracle or --check, not both), tree (--format
 json|dot), cable, stokes-verify, selftest.  Exit codes: 0 success, 1 check
-failure, 2 parse/validation error.
+failure, 2 parse/validation error.  Error messages echo at most
+ECHO_LIMIT characters of an offending value.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -34,10 +40,15 @@ from . import braid, fission, rootsys, stokes
 from .fission import FissionTree, TreeNode
 
 
-# Input bounds: building the root system costs O(rank^2) roots and the
-# filtration has p + 1 levels, so both are capped to keep every call short.
+# Input bounds.  Enumerating the roots costs O(rank^2) roots of rank + 1
+# entries each, and the filtration has p + 1 levels, so the routes that
+# enumerate roots (and cable, whose output grows with the tree) take rank up
+# to MAX_RANK.  The tree path reads coordinates only, in O(p * rank), and
+# takes rank up to MAX_TREE_RANK.
 MAX_RANK = 32
+MAX_TREE_RANK = 1000
 MAX_P = 16
+ECHO_LIMIT = 40
 
 BLOCK_KEYS = ("lie_type", "rank", "p", "coefficients")
 
@@ -55,19 +66,25 @@ class TraceProjectionWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
+def _echo(value) -> str:
+    """repr(value), cut to ECHO_LIMIT characters with an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."
+
+
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(f"{where}: entry {value!r} is not an exact rational")
+        raise InputError(f"{where}: entry {_echo(value)} is not an exact rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         if "e" in value.lower():
-            raise InputError(f"{where}: exponent notation {value!r} is not accepted")
+            raise InputError(f"{where}: exponent notation {_echo(value)} is not accepted")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: invalid rational {value!r}") from exc
-    raise InputError(f"{where}: entry {value!r} is not an exact rational")
+            raise InputError(f"{where}: invalid rational {_echo(value)}") from exc
+    raise InputError(f"{where}: entry {_echo(value)} is not an exact rational")
 
 
 def _is_int(value) -> bool:
@@ -78,11 +95,13 @@ def _reject_unknown_keys(doc: dict, accepted, where: str) -> None:
     unknown = sorted(set(doc) - set(accepted))
     if unknown:
         raise InputError(
-            f"{where}: unknown key {unknown[0]!r} (accepted: {', '.join(accepted)})"
+            f"{where}: unknown key {_echo(unknown[0])} (accepted: {', '.join(accepted)})"
         )
 
 
-def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.IrregularType]:
+def _parse_block(
+    block: dict, where: str, max_rank: int
+) -> tuple[rootsys.RootSystem, fission.IrregularType]:
     if not isinstance(block, dict):
         raise InputError(f"{where}: expected an object")
     _reject_unknown_keys(block, BLOCK_KEYS, where)
@@ -91,12 +110,12 @@ def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.I
             raise InputError(f"{where}: missing field {key!r}")
     family = block["lie_type"]
     if family not in rootsys.FAMILIES:
-        raise InputError(f"{where}.lie_type: unknown family {family!r}")
+        raise InputError(f"{where}.lie_type: unknown family {_echo(family)}")
     rank = block["rank"]
     if not _is_int(rank):
         raise InputError(f"{where}.rank: expected an integer")
-    if rank > MAX_RANK:
-        raise InputError(f"{where}.rank: {rank} exceeds the bound {MAX_RANK}")
+    if rank > max_rank:
+        raise InputError(f"{where}.rank: {_echo(rank)} exceeds the bound {max_rank}")
     try:
         rs = rootsys.build_root_system(family, rank)
     except rootsys.UnsupportedRankError as exc:
@@ -108,7 +127,7 @@ def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.I
     if not _is_int(p) or p < 1:
         raise InputError(f"{where}.p: p >= 1 required")
     if p > MAX_P:
-        raise InputError(f"{where}.p: {p} exceeds the bound {MAX_P}")
+        raise InputError(f"{where}.p: {_echo(p)} exceeds the bound {MAX_P}")
     if len(vectors) > p:
         raise InputError(f"{where}: {len(vectors)} coefficients exceed p = {p}")
     coeffs = []
@@ -130,11 +149,12 @@ def _parse_block(block: dict, where: str) -> tuple[rootsys.RootSystem, fission.I
     return rs, fission.IrregularType(rs, tuple(coeffs))
 
 
-def parse_input(source):
+def parse_input(source, max_rank: int = MAX_RANK):
     """Parse a spec document from a path or a JSON text.
 
     Returns a single (RootSystem, IrregularType) pair, or a list of pairs
-    for a many-point document.
+    for a many-point document.  A rank above ``max_rank`` is an input error,
+    raised before any root is built.
     """
     if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
@@ -160,13 +180,15 @@ def parse_input(source):
         if not isinstance(data["points"], list) or not data["points"]:
             raise InputError("points: expected a nonempty list of blocks")
         return [
-            _parse_block(b, f"points[{i}]") for i, b in enumerate(data["points"])
+            _parse_block(b, f"points[{i}]", max_rank) for i, b in enumerate(data["points"])
         ]
-    return _parse_block(data, "input")
+    return _parse_block(data, "input", max_rank)
 
 
-def parse_blocks(source) -> list[tuple[rootsys.RootSystem, fission.IrregularType]]:
-    parsed = parse_input(source)
+def parse_blocks(
+    source, max_rank: int = MAX_RANK
+) -> list[tuple[rootsys.RootSystem, fission.IrregularType]]:
+    parsed = parse_input(source, max_rank)
     return parsed if isinstance(parsed, list) else [parsed]
 
 
@@ -273,8 +295,9 @@ def _collect_warnings(fn, *args):
 
 
 def _cmd_decompose(args) -> int:
-    blocks, notes = _collect_warnings(parse_blocks, args.input)
     method = "oracle" if args.oracle else ("check" if args.check else "tree")
+    max_rank = MAX_TREE_RANK if method == "tree" else MAX_RANK
+    blocks, notes = _collect_warnings(parse_blocks, args.input, max_rank)
     trees = [
         fission.fission_tree(q) if args.json and rs.family != "G2" else None
         for rs, q in blocks
@@ -298,7 +321,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    blocks, notes = _collect_warnings(parse_blocks, args.input)
+    blocks, notes = _collect_warnings(parse_blocks, args.input, MAX_TREE_RANK)
     if len(blocks) != 1:
         raise InputError("tree requires a single-point spec")
     for note in notes:
@@ -393,7 +416,10 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it keeps no state
+    between calls (each parse_args returns a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="wildbraid",
         description="fission trees, wild mapping class group decompositions, cabled braids",

@@ -8,15 +8,20 @@ admissible deformations of Q splits as a product of one factor per
 filtration level.  Two independent computations of that product are
 implemented:
 
-* the tree fast path: build the decorated fission tree from the coordinate
-  partitions of the filtration levels and read the factors off the nodes;
-* the arrangement oracle: restrict each level's new roots to the kernel of
-  the previous level and classify the resulting hyperplane arrangement
-  block by block.
+* the tree fast path: Phi_i is the centraliser of (A_i, ..., A_p), so its
+  signed coordinate fusion is the grouping of coordinates by their suffix
+  column (A_i, ..., A_p)_c.  ``coordinate_fusions`` reads every level's
+  fusion off the coefficients, ``fission_tree`` builds the decorated tree
+  from them and the factors are read off the nodes; no root is enumerated;
+* the arrangement oracle: enumerate the roots, build the filtration with one
+  Levi test per level, restrict each level's new roots to the kernel of the
+  previous level and classify the resulting hyperplane arrangement block by
+  block.
 
 The two must agree on families A-D; ``decompose(..., method="check")``
-raises if they ever differ.  G2 is handled by the oracle only (there is no
-fission tree for G2).
+raises if they ever differ, level by level (tree nodes against the fusion
+of the root-enumerated level) and in the product.  G2 is handled by the
+oracle only (there is no fission tree for G2).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from . import linalg, rootsys
 from .rootsys import (
     ArrangementType,
     CartanElement,
+    Fusion,
     RootSubsystem,
     RootSystem,
     cartan,
@@ -41,7 +47,8 @@ from .rootsys import (
 
 
 class DecompositionMismatchError(AssertionError):
-    """Tree fast path and arrangement oracle disagreed; both results included."""
+    """Tree fast path and root-enumerating side disagreed; the message names
+    the first differing tree level, or both products."""
 
 
 class UnsupportedFamilyError(ValueError):
@@ -104,12 +111,16 @@ def degree_profile(q: IrregularType) -> DegreeProfile:
     """d_alpha = max{ i : alpha(A_i) != 0 }, with 0 for the zero polynomial.
 
     Only zero/non-zero matters, so each coefficient is cleared of
-    denominators once and the root values are integer dot products.
+    denominators once and the root values are integer sums over the root's
+    nonzero entries.
     """
     top_down = [linalg.integer_vector(c.coords) for c in reversed(q.coefficients)]
     degrees = tuple(
-        next((q.p - k for k, coeff in enumerate(top_down) if rootsys.dot(root, coeff)), 0)
-        for root in q.rs.roots
+        next(
+            (q.p - k for k, coeff in enumerate(top_down) if sum(coeff[c] * x for c, x in support)),
+            0,
+        )
+        for support in q.rs.supports
     )
     return DegreeProfile(q.rs, q.p, degrees)
 
@@ -126,9 +137,74 @@ def filtration(q: IrregularType) -> Filtration:
     Each distinct level gets one Levi test (which implies closure under
     negation and reflections); a repeated level reuses the previous one.
     The filtration is built once per IrregularType instance and kept on it,
-    so the tree, the oracle and ``decompose`` share one analysis pass.
+    so the oracle, ``level_factors`` and the check share one analysis pass.
+    The tree path does not use it (see ``coordinate_fusions``).
     """
     return q._filtration
+
+
+def coordinate_fusions(q: IrregularType) -> tuple[Fusion, ...]:
+    """``fusion_of`` of every level Phi_1..Phi_{p+1}, read off the coefficients.
+
+    Phi_i is the centraliser of (A_i, ..., A_p): e_a - e_b lies in it when
+    the suffix columns (A_i..A_p)_a and (A_i..A_p)_b agree, e_a + e_b when
+    they are opposite, and a one-entry root of B/C when column a is zero.
+    So the fusion groups coordinates by suffix column, up to sign in B/C/D,
+    where an all-zero column is pinned; D has no one-entry roots, so a lone
+    zero coordinate is a singleton part there.  The classes are refined from
+    level p+1 down to level 1, keyed by (class, entry * sign) per
+    coordinate; no root is enumerated.
+    """
+    family = q.rs.family
+    if family == "G2":
+        raise UnsupportedFamilyError("fusion is defined for classical families only")
+    n = q.rs.ambient_dim
+    # Per coordinate: its class at the current level, or None while its
+    # suffix column is all zero (never in family A), and its sign relative
+    # to the first coordinate of the class.
+    cls: list[int | None] = [0 if family == "A" else None] * n
+    sign = [1] * n
+    fusions = [_level_fusion(cls, sign, family)]
+    for coeff in reversed(q.coefficients):
+        col = linalg.integer_vector(coeff.coords)
+        ids: dict[tuple, int] = {}
+        flips: list[int] = []
+        for c in range(n):
+            x = col[c] * sign[c]
+            if cls[c] is not None:
+                key = (cls[c], x)
+            elif x:
+                sign[c] = 1 if x > 0 else -1
+                key = (None, abs(x))
+            else:
+                continue
+            j = ids.get(key)
+            if j is None:
+                j = ids[key] = len(flips)
+                flips.append(sign[c])
+            cls[c] = j
+            sign[c] *= flips[j]
+        fusions.append(_level_fusion(cls, sign, family))
+    return tuple(reversed(fusions))
+
+
+def _level_fusion(cls: list[int | None], sign: list[int], family: str) -> Fusion:
+    """The Fusion of one level from the class and sign of each coordinate."""
+    parts: dict[int, list[int]] = {}
+    zero = []
+    for c, k in enumerate(cls):
+        if k is None:
+            zero.append(c)
+        else:
+            parts.setdefault(k, []).append(c)
+    # Class ids are numbered by first coordinate, so parts come sorted.
+    ordered = [tuple(p) for p in parts.values()]
+    if family == "D" and len(zero) == 1:
+        ordered = sorted(ordered + [tuple(zero)])
+        zero = []
+    return Fusion(
+        tuple(ordered), tuple(tuple(sign[c] for c in p) for p in ordered), tuple(zero)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +325,10 @@ def check_tree_invariants(tree: FissionTree) -> None:
 def fission_tree(q: IrregularType) -> FissionTree:
     """Decorated fission tree of an irregular type over a classical family.
 
-    One node per part of the level-l coordinate partition (type-A parts,
+    One node per part of the level-l coordinate fusion (type-A parts,
     singletons included) plus one blue node per level while the pinned
-    B/C/D block is nonempty; parents are given by part containment.  Family
+    B/C/D block is nonempty; parents are given by part containment.  The
+    fusions come from ``coordinate_fusions``, so no root is enumerated.  Family
     A trees carry the degenerate all-green/all-large decoration; in the
     other families green nodes of singleton parts are small.
     """
@@ -259,8 +336,7 @@ def fission_tree(q: IrregularType) -> FissionTree:
     if rs.family == "G2":
         raise UnsupportedFamilyError("no fission tree for G2; use the arrangement path")
     per_level: list[list[tuple[tuple[int, ...], str]]] = []
-    for sub in filtration(q).levels:
-        fus = fusion_of(sub)
+    for fus in coordinate_fusions(q):
         entries = [(p, GREEN) for p in fus.parts]
         if fus.zero:
             entries.append((fus.zero, BLUE))
@@ -462,11 +538,15 @@ def _factor_of_arrangement(arr: ArrangementType, family: str) -> Factor | None:
     return _canonical_factor("G2BRAID")
 
 
-def level_factors(q: IrregularType) -> list[tuple[int, tuple[Factor, ...]]]:
+def level_factors(
+    q: IrregularType, fusions: list[Fusion] | None = None
+) -> list[tuple[int, tuple[Factor, ...]]]:
     """Canonical factors contributed by each filtration level (oracle path).
 
     Every level is Levi in the whole system, so each consecutive pair is a
-    Levi pair and the arrangement is classified without re-checking it.
+    Levi pair and the arrangement is classified without re-checking it.  A
+    caller that already holds ``fusion_of`` of every level passes them as
+    ``fusions``.
     """
     rs = q.rs
     levels = filtration(q).levels
@@ -474,7 +554,8 @@ def level_factors(q: IrregularType) -> list[tuple[int, tuple[Factor, ...]]]:
     for i, (inner, outer) in enumerate(zip(levels, levels[1:]), start=1):
         factors: list[Factor] = []
         if inner.members != outer.members:
-            for arr in rootsys._arrangement_blocks(rs, inner, outer):
+            fus = fusions[i - 1] if fusions else None
+            for arr in rootsys._arrangement_blocks(rs, inner, outer, fus):
                 f = _factor_of_arrangement(arr, rs.family)
                 if f is not None:
                     factors.append(f)
@@ -496,22 +577,51 @@ def decompose(
 
     method="tree" uses the fission-tree fast path (arrangement oracle for
     G2); method="oracle" forces the arrangement path; method="check" runs
-    both and raises DecompositionMismatchError on disagreement.  A caller
-    that already holds fission_tree(q) passes it as ``tree``.
+    both and raises DecompositionMismatchError on disagreement: first
+    level by level, the tree's nodes against ``fusion_of`` of the
+    root-enumerated level, then the two products.  A caller that already
+    holds fission_tree(q) passes it as ``tree``.
     """
     if method not in ("tree", "oracle", "check"):
         raise ValueError(f"unknown method {method!r}")
     if q.rs.family == "G2" or method == "oracle":
         return decomposition_via_arrangements(q)
-    via_tree = decomposition_from_tree(tree if tree is not None else fission_tree(q))
+    if tree is None:
+        tree = fission_tree(q)
+    via_tree = decomposition_from_tree(tree)
     if method == "tree":
         return via_tree
-    via_arr = decomposition_via_arrangements(q)
+    levels = filtration(q).levels
+    fusions: list[Fusion] = []
+    for k, sub in enumerate(levels):
+        fusions.append(fusions[-1] if k and sub is levels[k - 1] else fusion_of(sub))
+    _check_tree_levels(tree, fusions)
+    via_arr = GroupDecomposition.from_factors(
+        [f for _, fs in level_factors(q, fusions) for f in fs]
+    )
     if via_tree != via_arr:
         raise DecompositionMismatchError(
             f"tree path gave [{via_tree}] but arrangement oracle gave [{via_arr}]"
         )
     return via_tree
+
+
+def _check_tree_levels(tree: FissionTree, fusions: list[Fusion]) -> None:
+    """Raise unless each tree level's (coords, colour) nodes are the parts
+    (green) and the pinned block (blue) of that level's root fusion."""
+    nodes: dict[int, set] = {}
+    for n in tree.nodes:
+        nodes.setdefault(n.level, set()).add((n.coords, n.colour))
+    for level, fus in enumerate(fusions, start=1):
+        expected = {(part, GREEN) for part in fus.parts}
+        if fus.zero:
+            expected.add((fus.zero, BLUE))
+        got = nodes.get(level, set())
+        if got != expected:
+            raise DecompositionMismatchError(
+                f"fission tree level {level} has nodes {sorted(got)} but the "
+                f"root-enumerated level fuses {sorted(expected)}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,25 @@ class ClassificationError(ValueError):
 
 @dataclass(frozen=True)
 class RootSystem:
+    """A root system by family and rank; its roots are enumerated on first use.
+
+    Routes that only read coordinates (the fission tree) never touch
+    ``roots``, so a large-rank system costs nothing until a route asks for
+    its roots.
+    """
+
     family: str
     rank: int
     ambient_dim: int
-    roots: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def roots(self) -> tuple[tuple[int, ...], ...]:
+        return _enumerate_roots(self.family, self.ambient_dim)
+
+    @cached_property
+    def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero (coordinate, entry) pairs of each root, aligned with roots."""
+        return tuple(tuple((c, x) for c, x in enumerate(r) if x) for r in self.roots)
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -105,17 +120,28 @@ def reflect(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the root system in its standard coordinate realization.
+    """The root system in its standard coordinate realization.
 
-    Roots are lex-sorted for a deterministic ordering.  D needs rank >= 2
-    (D_1 is empty and rejected); G2 forces rank 2.
+    D needs rank >= 2 (D_1 is empty and rejected); G2 forces rank 2.  No
+    root is enumerated here (see ``RootSystem.roots``).
     """
     if family not in FAMILIES:
         raise UnsupportedRankError(f"unknown family {family!r}")
     if family == "G2":
         if rank != 2:
             raise UnsupportedRankError("unsupported rank: G2 requires rank 2")
-        roots = []
+        return RootSystem("G2", 2, 3)
+    if rank < 1:
+        raise UnsupportedRankError(f"unsupported rank {rank} for {family}")
+    if family == "D" and rank < 2:
+        raise UnsupportedRankError("unsupported rank: D requires rank >= 2")
+    return RootSystem(family, rank, rank + 1 if family == "A" else rank)
+
+
+def _enumerate_roots(family: str, dim: int) -> tuple[tuple[int, ...], ...]:
+    """All roots in ``dim`` ambient coordinates, lex-sorted for a deterministic order."""
+    roots = []
+    if family == "G2":
         for i in range(3):
             for j in range(3):
                 if i == j:
@@ -127,22 +153,15 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             lng[i] = 2
             roots.append(tuple(lng))
             roots.append(tuple(-c for c in lng))
-        return RootSystem("G2", 2, 3, tuple(sorted(set(roots))))
-    if rank < 1:
-        raise UnsupportedRankError(f"unsupported rank {rank} for {family}")
-    if family == "D" and rank < 2:
-        raise UnsupportedRankError("unsupported rank: D requires rank >= 2")
-    roots = []
+        return tuple(sorted(set(roots)))
     if family == "A":
-        dim = rank + 1
         for i in range(dim):
             for j in range(dim):
                 if i != j:
                     v = [0] * dim
                     v[i], v[j] = 1, -1
                     roots.append(tuple(v))
-        return RootSystem("A", rank, dim, tuple(sorted(roots)))
-    dim = rank
+        return tuple(sorted(roots))
     for i in range(dim):
         for j in range(i + 1, dim):
             for si in (1, -1):
@@ -150,19 +169,14 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                     v = [0] * dim
                     v[i], v[j] = si, sj
                     roots.append(tuple(v))
-    if family == "B":
+    if family in ("B", "C"):
+        unit = 1 if family == "B" else 2
         for i in range(dim):
-            for s in (1, -1):
+            for s in (unit, -unit):
                 v = [0] * dim
                 v[i] = s
                 roots.append(tuple(v))
-    elif family == "C":
-        for i in range(dim):
-            for s in (2, -2):
-                v = [0] * dim
-                v[i] = s
-                roots.append(tuple(v))
-    return RootSystem(family, rank, dim, tuple(sorted(roots)))
+    return tuple(sorted(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +263,18 @@ class RootSubsystem:
         """
         in_span = _span_test(self)
         mset = self.member_set
-        return all(
-            in_span(root) == (i in mset) for i, root in enumerate(self.parent.roots)
-        )
+        return all(in_span(i) == (i in mset) for i in range(len(self.parent.roots)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSubsystem({self.parent!r}, {len(self.members)} roots)"
 
 
 def _span_test(sub: RootSubsystem):
-    """Predicate for membership in span(sub): every integer null vector of
-    the members kills the root."""
+    """Predicate on root indices for membership in span(sub): every integer
+    null vector of the members kills the root (read on its nonzero entries)."""
     kernel = linalg.integer_nullspace(sub.vectors, sub.parent.ambient_dim)
-    return lambda root: all(dot(root, k) == 0 for k in kernel)
+    supports = sub.parent.supports
+    return lambda i: all(sum(k[c] * x for c, x in supports[i]) == 0 for k in kernel)
 
 
 def subsystem(rs: RootSystem, indices) -> RootSubsystem:
@@ -352,14 +365,14 @@ def fusion_of(sub: RootSubsystem) -> Fusion:
         rel[rj] = si * s * sj
         pinned[ri] = pinned[ri] or pinned[rj]
 
-    for v in sub.vectors:
-        support = [c for c, x in enumerate(v) if x]
+    for k in sub.members:
+        support = rs.supports[k]
         if len(support) == 1:
-            r, _ = find(support[0])
+            r, _ = find(support[0][0])
             pinned[r] = True
         else:
-            i, j = support
-            union(i, j, -1 if v[i] * v[j] > 0 else 1)
+            (i, x), (j, y) = support
+            union(i, j, -1 if x * y > 0 else 1)
 
     classes: dict[int, list[int]] = {}
     for c in range(n):
@@ -453,12 +466,12 @@ def _check_levi_pair(rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem)
     # Levi inside outer: span(inner) meets outer exactly in inner.
     in_span = _span_test(inner)
     for i in outer.members:
-        if i not in inner.member_set and in_span(rs.roots[i]):
+        if i not in inner.member_set and in_span(i):
             raise SubsystemError("inner subsystem is not Levi inside the outer one")
 
 
 def _restricted_covectors(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem
+    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fusion: Fusion | None = None
 ) -> list[tuple[int, ...]]:
     """Deduplicated restrictions of outer \\ inner to Ker(inner), on fused coordinates.
 
@@ -466,13 +479,14 @@ def _restricted_covectors(
     basis of the trace-free kernel.  For family A the fused value vectors are
     differences of two unit entries; such covectors are never proportional
     modulo the trace relation, so deduplication on the value vectors equals
-    deduplication on the trace-free kernel.
+    deduplication on the trace-free kernel.  A caller that already holds
+    ``fusion_of(inner)`` passes it as ``fusion``.
     """
     if rs.family == "G2":
         kernel = linalg.integer_nullspace(inner.vectors + ((1, 1, 1),), 3)
         restrict = lambda root: [dot(root, k) for k in kernel]
     else:
-        restrict = fusion_of(inner).restrict
+        restrict = (fusion or fusion_of(inner)).restrict
     seen = []
     for i in outer.members:
         if i in inner.member_set or not _lex_positive(rs.roots[i]):
@@ -585,14 +599,14 @@ def restricted_arrangement_blocks(
 
 
 def _arrangement_blocks(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem
+    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fusion: Fusion | None = None
 ) -> list[ArrangementType]:
     """restricted_arrangement_blocks for a pair already known to be Levi.
 
     Consecutive levels of a filtration qualify: each level is Levi in the
     whole system, so span(inner) /\\ outer lies in span(inner) /\\ Phi = inner.
     """
-    covectors = _restricted_covectors(rs, inner, outer)
+    covectors = _restricted_covectors(rs, inner, outer, fusion)
     if not covectors:
         return []
     if rs.family == "G2":

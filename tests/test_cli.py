@@ -1,5 +1,6 @@
 """Input parsing, serialization, and the command-line pipeline."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wildbraid import cli, fission
+from wildbraid import cli, fission, rootsys
 from wildbraid.cli import (
     InputError,
     TraceProjectionWarning,
@@ -439,14 +440,99 @@ def _a_type_doc(rank, p):
     [("rank", cli.MAX_RANK, 1), ("p", 2, cli.MAX_P)],
 )
 def test_cmd_input_bounds(field, rank, p, capsys):
-    assert main(["decompose", _a_type_doc(rank, p)]) == 0
+    # --check enumerates roots, so it keeps the smaller rank bound.
+    assert main(["decompose", "--check", _a_type_doc(rank, p)]) == 0
     assert capsys.readouterr().out == f"PB_{rank + 1}\n"
     over = {"rank": (rank + 1, p), "p": (rank, p + 1)}[field]
-    assert main(["decompose", _a_type_doc(*over)]) == 2
+    assert main(["decompose", "--check", _a_type_doc(*over)]) == 2
     captured = capsys.readouterr()
     bound = cli.MAX_RANK if field == "rank" else cli.MAX_P
     assert f"input.{field}: {bound + 1} exceeds the bound {bound}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["decompose"], cli.MAX_TREE_RANK),
+        (["decompose", "--json"], cli.MAX_TREE_RANK),
+        (["tree"], cli.MAX_TREE_RANK),
+        (["decompose", "--check"], cli.MAX_RANK),
+        (["decompose", "--oracle"], cli.MAX_RANK),
+        (["cable"], cli.MAX_RANK),
+    ],
+)
+def test_cmd_rank_bound_per_route(argv, bound, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("roots enumerated")
+
+    # The bound is checked before any root would be built.
+    monkeypatch.setattr(rootsys, "_enumerate_roots", refuse)
+    assert main([*argv, _a_type_doc(bound + 1, 1)]) == 2
+    captured = capsys.readouterr()
+    expected = f"input.rank: {bound + 1} exceeds the bound {bound}"
+    if "--json" in argv:
+        assert json.loads(captured.out)["error"] == expected
+    else:
+        assert captured.err == f"error: {expected}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["decompose", "tree"])
+def test_cmd_tree_routes_take_rank_up_to_max_tree_rank(command, capsys):
+    assert main([command, _a_type_doc(cli.MAX_TREE_RANK, 1)]) == 0
+    out = capsys.readouterr().out
+    if command == "decompose":
+        assert out == f"PB_{cli.MAX_TREE_RANK + 1}\n"
+    else:
+        assert len(json.loads(out)["leaf_order"]) == cli.MAX_TREE_RANK + 1
+
+
+def test_main_builds_the_parser_once_and_keeps_no_flags(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    methods = []
+    decompose = fission.decompose
+
+    def spy(q, method="tree", tree=None):
+        methods.append(method)
+        return decompose(q, method, tree)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(fission, "decompose", spy)
+    assert main(["decompose", "--check", "--json", SL3_DOC]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "check"
+    assert main(["decompose", SL3_DOC]) == 0
+    assert capsys.readouterr().out == "PB_2 x PB_2\n"
+    assert methods == ["check", "tree"]
+    assert built.count("wildbraid") == 1
+
+
+def _long_entry_doc():
+    return {"lie_type": "A", "rank": 2, "coefficients": [[1, -1, "9" * 5000]]}
+
+
+def _long_key_doc():
+    doc = {"lie_type": "A", "rank": 2, "coefficients": [[1, -1, 0]]}
+    doc["k" * 3000] = 1
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [_long_entry_doc, _long_key_doc], ids=["entry", "key"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_cmd_error_echo_is_capped(make_doc, as_json, capsys):
+    argv = ["decompose", *(["--json"] if as_json else []), json.dumps(make_doc())]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    message = json.loads(captured.out)["error"] if as_json else captured.err
+    assert len(message) < 150
+    assert "..." in message
+    assert ("unknown key 'kkk" if make_doc is _long_key_doc else "invalid rational '999") in message
 
 
 @pytest.mark.parametrize("entry", ["1e1000000", "1E2", "2.5e-1"])

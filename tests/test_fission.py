@@ -1,10 +1,13 @@
 """Degree profiles, filtrations, fission trees, and group decompositions."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wildbraid import fission, rootsys
+from wildbraid import cli, fission, rootsys
 from wildbraid.fission import (
     BLUE,
     GREEN,
@@ -16,6 +19,7 @@ from wildbraid.fission import (
     IrregularType,
     UnsupportedFamilyError,
     check_tree_invariants,
+    coordinate_fusions,
     decompose,
     decomposition_from_tree,
     decomposition_via_arrangements,
@@ -30,7 +34,7 @@ from wildbraid.fission import (
     merge_decompositions,
     random_irregular_type,
 )
-from wildbraid.rootsys import build_root_system, cartan, project_traceless
+from wildbraid.rootsys import Fusion, build_root_system, cartan, fusion_of, project_traceless
 
 
 def sl3_example():
@@ -135,6 +139,99 @@ def test_one_levi_test_per_distinct_level(vectors, monkeypatch):
     fission_tree(q)
     distinct = {s.members for s in filtration(q).levels}
     assert len(calls) == len(distinct) and set(calls) == distinct
+
+
+# ---------------------------------------------------------------------------
+# Coordinate fusions: the tree path's analysis, with no roots
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def classical_types(draw):
+    family = draw(st.sampled_from("ABCD"))
+    rank = draw(st.integers(2 if family == "D" else 1, 7))
+    p = draw(st.integers(1, 4))
+    rs = build_root_system(family, rank)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_irregular_type(rs, p, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classical_types())
+def test_coordinate_fusions_equal_root_fusions(q):
+    # Parts, signs and the pinned block of every level, Phi_1..Phi_{p+1}.
+    want = tuple(fusion_of(level) for level in filtration(q).levels)
+    assert coordinate_fusions(q) == want
+
+
+def test_coordinate_fusions_d_lone_zero_is_a_part():
+    rs = build_root_system("D", 3)
+    q = IrregularType(rs, (cartan(rs, [0, 1, -1]), cartan(rs, [0, 1, -1])))
+    phi1, phi2, phi3 = coordinate_fusions(q)
+    assert phi1 == phi2 == Fusion(((0,), (1, 2)), ((1,), (1, -1)), ())
+    assert phi3 == Fusion((), (), (0, 1, 2))
+    assert (phi1, phi2, phi3) == tuple(fusion_of(level) for level in filtration(q).levels)
+
+
+def test_tree_level_mismatch_names_the_level(monkeypatch):
+    # The planted level-2 fusion gives a valid tree with the right product
+    # (PB_2 x PB_2), so only the level-by-level check can catch it.
+    _, q = sl3_example()
+    real = coordinate_fusions(q)
+    wrong = (real[0], Fusion(((0,), (1, 2)), ((1,), (1, 1)), ()), real[2])
+    monkeypatch.setattr(fission, "coordinate_fusions", lambda q: wrong)
+    assert decompose(q, method="tree").canonical_string() == "PB_2 x PB_2"
+    with pytest.raises(DecompositionMismatchError, match="fission tree level 2 "):
+        decompose(q, method="check")
+
+
+def _rank_1000_doc(family):
+    """A nested type on rank 1000 with repeated, opposite and zero columns."""
+    n = 1001 if family == "A" else 1000
+    coeffs = []
+    for k, modulus in enumerate((7, 5, 3)):
+        v = [(c * (k + 1)) % modulus - modulus // 2 for c in range(n)]
+        if family == "A":
+            v[-1] -= sum(v)
+        coeffs.append(v)
+    return {"lie_type": family, "rank": 1000, "coefficients": coeffs}
+
+
+@pytest.fixture
+def no_root_analysis(monkeypatch):
+    """Count the root-side calls and make any root enumeration raise."""
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    def refuse(*args):
+        raise AssertionError("roots enumerated")
+
+    monkeypatch.setattr(rootsys, "_enumerate_roots", refuse)
+    monkeypatch.setattr(fission, "degree_profile", counted("degree_profile", degree_profile))
+    monkeypatch.setattr(fission, "fusion_of", counted("fusion_of", fusion_of))
+    monkeypatch.setattr(rootsys, "fusion_of", counted("fusion_of", fusion_of))
+    is_levi = rootsys.RootSubsystem.is_levi
+    monkeypatch.setattr(rootsys.RootSubsystem, "is_levi", counted("is_levi", is_levi))
+    return calls
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_tree_route_enumerates_no_roots_at_rank_1000(family, no_root_analysis, capsys):
+    doc = _rank_1000_doc(family)
+    rs = build_root_system(family, 1000)
+    q = fission.irregular_type(rs, doc["coefficients"])
+    tree = fission_tree(q)
+    assert tree.level_sizes()[-1] == 1 and len(tree.level_sizes()) == q.p + 1
+    assert decompose(q) == decomposition_from_tree(tree)
+    text = json.dumps(doc)
+    assert cli.main(["decompose", "--json", text]) == 0
+    assert json.loads(capsys.readouterr().out)["trees"][0]["family"] == family
+    assert cli.main(["tree", text]) == 0
+    assert json.loads(capsys.readouterr().out)["family"] == family
+    assert no_root_analysis == []
+    assert "roots" not in vars(rs)
 
 
 def test_irregular_type_requires_p_at_least_one():
