@@ -19,9 +19,15 @@ Family A (and G2) vectors are given in eigenvalue coordinates and are
 projected onto trace zero with a warning whenever the input trace is
 nonzero.
 
+parse_blocks is the one parse entry point: a path or a JSON text in, one
+(RootSystem, IrregularType) pair per point out.
+
 Subcommands: decompose (--oracle or --check, not both), tree (--format
-json|dot), cable, stokes-verify, selftest.  Exit codes: 0 success, 1 check
-failure, 2 parse/validation error.  Error messages echo at most
+json|dot), cable, stokes-verify, selftest.  Each fission tree has one JSON
+document (_tree_doc): tree --format json prints it, and decompose --json
+puts the same document in its "trees" list.  Trees are checked once, when
+they are built.  Exit codes: 0 success, 1 check failure, 2
+parse/validation error.  Error messages, input paths included, echo at most
 ECHO_LIMIT characters of an offending value.
 """
 
@@ -37,7 +43,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import braid, fission, rootsys, stokes
-from .fission import FissionTree, TreeNode
+from .fission import FissionTree
 
 
 # Input bounds.  Enumerating the roots costs O(rank^2) roots of rank + 1
@@ -149,11 +155,13 @@ def _parse_block(
     return rs, fission.IrregularType(rs, tuple(coeffs))
 
 
-def parse_input(source, max_rank: int = MAX_RANK):
+def parse_blocks(
+    source, max_rank: int = MAX_RANK
+) -> list[tuple[rootsys.RootSystem, fission.IrregularType]]:
     """Parse a spec document from a path or a JSON text.
 
-    Returns a single (RootSystem, IrregularType) pair, or a list of pairs
-    for a many-point document.  A rank above ``max_rank`` is an input error,
+    Returns one (RootSystem, IrregularType) pair per point: a list of one
+    for a single block.  A rank above ``max_rank`` is an input error,
     raised before any root is built.
     """
     if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
@@ -162,9 +170,11 @@ def parse_input(source, max_rank: int = MAX_RANK):
         try:
             text = Path(source).read_text()
         except FileNotFoundError as exc:
-            raise InputError(f"no such input file: {source}") from exc
+            raise InputError(f"no such input file: {_echo(str(source))}") from exc
         except OSError as exc:
-            raise InputError(f"cannot read input file {source}: {exc.strerror}") from exc
+            raise InputError(
+                f"cannot read input file {_echo(str(source))}: {exc.strerror}"
+            ) from exc
     else:
         raise InputError("expected a path or a JSON text")
     try:
@@ -175,25 +185,16 @@ def parse_input(source, max_rank: int = MAX_RANK):
         raise InputError("JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
-    if "points" in data:
-        _reject_unknown_keys(data, ("points",), "input")
-        if not isinstance(data["points"], list) or not data["points"]:
-            raise InputError("points: expected a nonempty list of blocks")
-        return [
-            _parse_block(b, f"points[{i}]", max_rank) for i, b in enumerate(data["points"])
-        ]
-    return _parse_block(data, "input", max_rank)
-
-
-def parse_blocks(
-    source, max_rank: int = MAX_RANK
-) -> list[tuple[rootsys.RootSystem, fission.IrregularType]]:
-    parsed = parse_input(source, max_rank)
-    return parsed if isinstance(parsed, list) else [parsed]
+    if "points" not in data:
+        return [_parse_block(data, "input", max_rank)]
+    _reject_unknown_keys(data, ("points",), "input")
+    if not isinstance(data["points"], list) or not data["points"]:
+        raise InputError("points: expected a nonempty list of blocks")
+    return [_parse_block(b, f"points[{i}]", max_rank) for i, b in enumerate(data["points"])]
 
 
 def emit_input(rs: rootsys.RootSystem, q: fission.IrregularType) -> str:
-    """Canonical JSON for a parsed spec (round-trip companion of parse_input)."""
+    """Canonical JSON for a parsed spec (round-trip companion of parse_blocks)."""
     doc = {
         "lie_type": rs.family,
         "rank": rs.rank,
@@ -210,24 +211,28 @@ def emit_input(rs: rootsys.RootSystem, q: fission.IrregularType) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _tree_doc(tree: FissionTree) -> dict:
+    """The JSON document of a fission tree: its nodes and planar leaf order."""
+    return {
+        "family": tree.family,
+        "nodes": [
+            {
+                "id": n.id,
+                "level": n.level,
+                "parent": n.parent,
+                "colour": n.colour,
+                "diameter": n.diameter,
+            }
+            for n in tree.nodes
+        ],
+        "leaf_order": list(tree.leaf_order),
+    }
+
+
 def emit_tree(tree: FissionTree, format: str = "json") -> str:
     """Serialize a fission tree; byte-deterministic for a fixed input."""
     if format == "json":
-        doc = {
-            "family": tree.family,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "level": n.level,
-                    "parent": n.parent,
-                    "colour": n.colour,
-                    "diameter": n.diameter,
-                }
-                for n in tree.nodes
-            ],
-            "leaf_order": list(tree.leaf_order),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_tree_doc(tree), indent=2, sort_keys=True) + "\n"
     if format == "dot":
         return _emit_dot(tree)
     raise ValueError(f"unknown tree format {format!r}")
@@ -262,22 +267,6 @@ def _emit_dot(tree: FissionTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_from_json(text: str) -> FissionTree:
-    """Inverse of emit_tree(..., "json"); coordinates are not round-tripped."""
-    data = json.loads(text)
-    nodes = tuple(
-        TreeNode(
-            n["id"], n["level"], n["parent"], n["colour"], n["diameter"], None
-        )
-        for n in sorted(data["nodes"], key=lambda n: n["id"])
-    )
-    tree = FissionTree(data["family"], nodes)
-    fission.check_tree_invariants(tree)
-    if tuple(data["leaf_order"]) != tree.leaf_order:
-        raise InputError("leaf_order does not match the level-1 nodes")
-    return tree
-
-
 def emit_decomposition(d: fission.GroupDecomposition) -> str:
     return d.canonical_string()
 
@@ -287,17 +276,31 @@ def emit_decomposition(d: fission.GroupDecomposition) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _collect_warnings(fn, *args):
+def _parse(source, max_rank: int):
+    """parse_blocks, with the warnings it raised collected as strings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = fn(*args)
-    return result, [str(w.message) for w in caught]
+        blocks = parse_blocks(source, max_rank)
+    return blocks, [str(w.message) for w in caught]
+
+
+def _print_warnings(notes) -> None:
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+
+
+def _single_block(args, max_rank: int):
+    """The one (RootSystem, IrregularType) of a single-point spec."""
+    blocks, notes = _parse(args.input, max_rank)
+    if len(blocks) != 1:
+        raise InputError(f"{args.command} requires a single-point spec")
+    _print_warnings(notes)
+    return blocks[0]
 
 
 def _cmd_decompose(args) -> int:
     method = "oracle" if args.oracle else ("check" if args.check else "tree")
-    max_rank = MAX_TREE_RANK if method == "tree" else MAX_RANK
-    blocks, notes = _collect_warnings(parse_blocks, args.input, max_rank)
+    blocks, notes = _parse(args.input, MAX_TREE_RANK if method == "tree" else MAX_RANK)
     trees = [
         fission.fission_tree(q) if args.json and rs.family != "G2" else None
         for rs, q in blocks
@@ -309,36 +312,24 @@ def _cmd_decompose(args) -> int:
             "decomposition": merged.canonical_string(),
             "factors": [str(f) for f in merged.factors],
             "method": method,
-            "trees": [json.loads(emit_tree(t)) if t is not None else None for t in trees],
+            "trees": [_tree_doc(t) if t is not None else None for t in trees],
             "warnings": notes,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for note in notes:
-            print(f"warning: {note}", file=sys.stderr)
+        _print_warnings(notes)
         print(merged.canonical_string())
     return 0
 
 
 def _cmd_tree(args) -> int:
-    blocks, notes = _collect_warnings(parse_blocks, args.input, MAX_TREE_RANK)
-    if len(blocks) != 1:
-        raise InputError("tree requires a single-point spec")
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
-    _, q = blocks[0]
-    tree = fission.fission_tree(q)
-    sys.stdout.write(emit_tree(tree, args.format))
+    _, q = _single_block(args, MAX_TREE_RANK)
+    sys.stdout.write(emit_tree(fission.fission_tree(q), args.format))
     return 0
 
 
 def _cmd_cable(args) -> int:
-    blocks, notes = _collect_warnings(parse_blocks, args.input)
-    if len(blocks) != 1:
-        raise InputError("cable requires a single-point spec")
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
-    rs, q = blocks[0]
+    rs, q = _single_block(args, MAX_RANK)
     if rs.family != "A":
         raise InputError("cable is defined for family A only")
     tree = fission.fission_tree(q)

@@ -227,8 +227,13 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class FissionTree:
+    """A decorated fission tree, valid by construction (check_tree_invariants)."""
+
     family: str
     nodes: tuple[TreeNode, ...]
+
+    def __post_init__(self):
+        check_tree_invariants(self)
 
     @cached_property
     def by_id(self) -> dict[int, TreeNode]:
@@ -284,27 +289,37 @@ class FissionTree:
 
 
 def check_tree_invariants(tree: FissionTree) -> None:
-    """Structural and decoration invariants of (generalised) fission trees."""
+    """Structural and decoration invariants of (generalised) fission trees.
+
+    Raises ValueError naming the first rule the tree breaks.  Every
+    FissionTree runs this once, on construction.
+    """
     nodes = tree.nodes
+    if tree.family not in ("A", "B", "C", "D"):
+        raise ValueError("family must be one of A, B, C, D")
+    if len(tree.by_id) != len(nodes):
+        raise ValueError("node ids must be unique")
+    for n in nodes:
+        if n.colour not in (GREEN, BLUE):
+            raise ValueError(f"colour must be {GREEN} or {BLUE}")
+        if n.diameter not in (SMALL, LARGE):
+            raise ValueError(f"diameter must be {SMALL} or {LARGE}")
+        if n.parent is not None and n.parent not in tree.by_id:
+            raise ValueError("parent must be the id of a node")
     roots = [n for n in nodes if n.parent is None]
     if len(roots) != 1:
         raise ValueError("tree must have a unique root")
-    top = max(n.level for n in nodes)
-    if roots[0].level != top:
+    if roots[0].level != max(n.level for n in nodes):
         raise ValueError("root must sit at the top level")
-    order = {GREEN: 0, BLUE: 1}
-    dorder = {SMALL: 0, LARGE: 1}
     for n in nodes:
         if n.parent is not None:
             par = tree.by_id[n.parent]
             if par.level != n.level + 1:
                 raise ValueError("parent must sit one level above its child")
-            if order[par.colour] < order[n.colour]:
+            if par.colour == GREEN and n.colour == BLUE:
                 raise ValueError("parent colour must dominate child colour")
-            if dorder[par.diameter] < dorder[n.diameter]:
+            if par.diameter == SMALL and n.diameter == LARGE:
                 raise ValueError("parent diameter must dominate child diameter")
-        elif n.level != top:
-            raise ValueError("only the root may lack a parent")
         if n.colour == BLUE and n.diameter != LARGE:
             raise ValueError("blue nodes must be large")
         kids = tree.children(n.id)
@@ -312,10 +327,8 @@ def check_tree_invariants(tree: FissionTree) -> None:
             raise ValueError("at most one blue child per node")
         if n.diameter == SMALL and len(kids) > 1:
             raise ValueError("small nodes have at most one child")
-        if n.level > 1 and not kids:
-            raise ValueError("non-leaf levels must not contain childless nodes")
-    if not tree.leaf_order:
-        raise ValueError("tree must have at least one leaf at level 1")
+        if (n.level == 1) != (not kids):
+            raise ValueError("exactly the level-1 nodes must be leaves")
     if tree.family == "A" and any(
         n.colour != GREEN or n.diameter != LARGE for n in nodes
     ):
@@ -358,9 +371,7 @@ def fission_tree(q: IrregularType) -> FissionTree:
                     SMALL if small else LARGE, coords,
                 )
             )
-    tree = FissionTree(rs.family, tuple(nodes))
-    check_tree_invariants(tree)
-    return tree
+    return FissionTree(rs.family, tuple(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +503,6 @@ def merge_decompositions(parts) -> GroupDecomposition:
 
 def decomposition_from_tree(tree: FissionTree) -> GroupDecomposition:
     """Read the factor multiset off a decorated fission tree."""
-    check_tree_invariants(tree)
     factors: list[Factor | None] = []
     if tree.family == "A":
         for n in tree.nodes:

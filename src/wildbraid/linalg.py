@@ -9,17 +9,14 @@ quantity is zero, so the elimination runs fraction-free on integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
 def integer_vector(v) -> list[int]:
-    """v scaled by the lcm of its denominators (ints pass through unchanged)."""
-    if all(isinstance(x, int) for x in v):
-        return list(v)
-    fracs = [Fraction(x) for x in v]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs]
+    """v (ints or Fractions) scaled by the lcm of its denominators."""
+    ratios = [x.as_integer_ratio() for x in v]
+    den = lcm(*[d for _, d in ratios])
+    return [a * (den // d) for a, d in ratios]
 
 
 def _normalized(v: list[int], pivot: int) -> list[int]:

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,8 +20,6 @@ from wildbraid.cli import (
     emit_tree,
     main,
     parse_blocks,
-    parse_input,
-    tree_from_json,
 )
 from wildbraid.fission import Factor, GroupDecomposition
 
@@ -71,7 +70,7 @@ G2_DOC = json.dumps(
 
 
 def test_parse_sl3_document():
-    rs, q = parse_input(SL3_DOC)
+    [(rs, q)] = parse_blocks(SL3_DOC)
     assert (rs.family, rs.rank) == ("A", 2)
     assert q.p == 2
     assert [tuple(map(int, c.coords)) for c in q.coefficients] == [
@@ -83,23 +82,23 @@ def test_parse_sl3_document():
 def test_parse_from_file(tmp_path):
     path = tmp_path / "sl3.json"
     path.write_text(SL3_DOC)
-    rs, q = parse_input(str(path))
+    [(rs, q)] = parse_blocks(str(path))
     assert rs.family == "A" and q.p == 2
 
 
 def test_parse_missing_file():
     with pytest.raises(InputError, match="no such input file"):
-        parse_input("does/not/exist.json")
+        parse_blocks("does/not/exist.json")
 
 
 def test_parse_empty_coefficients_rejected():
     doc = json.dumps({"lie_type": "A", "rank": 2, "coefficients": []})
     with pytest.raises(InputError, match="p >= 1 required"):
-        parse_input(doc)
+        parse_blocks(doc)
 
 
 def test_parse_qi_rank8():
-    rs, q = parse_input(QI_DOC)
+    [(rs, q)] = parse_blocks(QI_DOC)
     assert rs.rank == 8
     assert q.p == 3
 
@@ -107,26 +106,26 @@ def test_parse_qi_rank8():
 def test_parse_dimension_mismatch():
     doc = json.dumps({"lie_type": "B", "rank": 3, "coefficients": [["1", "2"]]})
     with pytest.raises(InputError, match="expected 3 entries"):
-        parse_input(doc)
+        parse_blocks(doc)
 
 
 def test_parse_invalid_rational():
     doc = json.dumps({"lie_type": "B", "rank": 2, "coefficients": [["1", "x/y"]]})
     with pytest.raises(InputError, match="invalid rational"):
-        parse_input(doc)
+        parse_blocks(doc)
 
 
 def test_parse_float_rejected():
     doc = json.dumps({"lie_type": "B", "rank": 2, "coefficients": [[0.5, 1]]})
     with pytest.raises(InputError, match="not an exact rational"):
-        parse_input(doc)
+        parse_blocks(doc)
 
 
 def test_parse_bad_family_and_rank():
     with pytest.raises(InputError, match="unknown family"):
-        parse_input(json.dumps({"lie_type": "E", "rank": 6, "coefficients": [[]]}))
+        parse_blocks(json.dumps({"lie_type": "E", "rank": 6, "coefficients": [[]]}))
     with pytest.raises(InputError, match="unsupported rank"):
-        parse_input(json.dumps({"lie_type": "D", "rank": 1, "coefficients": [["1"]]}))
+        parse_blocks(json.dumps({"lie_type": "D", "rank": 1, "coefficients": [["1"]]}))
 
 
 def test_parse_trace_projection_warns():
@@ -135,7 +134,7 @@ def test_parse_trace_projection_warns():
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, q = parse_input(doc)
+        [(_, q)] = parse_blocks(doc)
     assert any(issubclass(w.category, TraceProjectionWarning) for w in caught)
     assert all(sum(c.coords) == 0 for c in q.coefficients)
     # Root values (differences) are untouched by the projection.
@@ -146,20 +145,20 @@ def test_parse_zero_pads_to_p():
     doc = json.dumps(
         {"lie_type": "B", "rank": 2, "p": 3, "coefficients": [["1", "2"]]}
     )
-    _, q = parse_input(doc)
+    [(_, q)] = parse_blocks(doc)
     assert q.p == 3
     assert q.coefficients[1].is_zero() and q.coefficients[2].is_zero()
 
 
 def test_parse_many_point():
     doc = json.dumps({"points": [json.loads(SL3_DOC), json.loads(G2_DOC)]})
-    blocks = parse_input(doc)
+    blocks = parse_blocks(doc)
     assert [rs.family for rs, _ in blocks] == ["A", "G2"]
 
 
 def test_parse_roundtrip():
-    rs, q = parse_input(SL3_DOC)
-    again_rs, again_q = parse_input(emit_input(rs, q))
+    [(rs, q)] = parse_blocks(SL3_DOC)
+    [(again_rs, again_q)] = parse_blocks(emit_input(rs, q))
     assert again_rs == rs and again_q == q
     assert emit_input(again_rs, again_q) == emit_input(rs, q)
 
@@ -170,16 +169,19 @@ def test_parse_roundtrip():
 
 
 def sl3_tree():
-    _, q = parse_input(SL3_DOC)
+    [(_, q)] = parse_blocks(SL3_DOC)
     return fission.fission_tree(q)
 
 
-def test_emit_tree_json_roundtrip():
+def test_emit_tree_json_lists_every_node():
     tree = sl3_tree()
-    text = emit_tree(tree, "json")
-    parsed = tree_from_json(text)
-    assert emit_tree(parsed, "json") == text
-    assert parsed.level_sizes() == (3, 2, 1)
+    doc = json.loads(emit_tree(tree, "json"))
+    assert doc["family"] == "A"
+    assert [
+        (n["id"], n["level"], n["parent"], n["colour"], n["diameter"]) for n in doc["nodes"]
+    ] == [(n.id, n.level, n.parent, n.colour, n.diameter) for n in tree.nodes]
+    assert doc["leaf_order"] == list(tree.leaf_order) == [0, 1, 2]
+    assert tree.level_sizes() == (3, 2, 1)
 
 
 def test_emit_tree_json_deterministic():
@@ -201,14 +203,14 @@ def test_emit_tree_dot_fig3():
 
 def test_emit_tree_dot_star_graph():
     doc = json.dumps({"lie_type": "A", "rank": 3, "coefficients": [["1", "2", "4", "-7"]]})
-    _, q = parse_input(doc)
+    [(_, q)] = parse_blocks(doc)
     text = emit_tree(fission.fission_tree(q), "dot")
     assert text.count("rank=same") == 2
     assert text.count(" -> ") == 4
 
 
 def test_emit_tree_qiii_rank_count():
-    _, q = parse_input(QIII_DOC)
+    [(_, q)] = parse_blocks(QIII_DOC)
     tree = fission.fission_tree(q)
     assert tree.level_sizes() == (9, 8, 6, 4, 1)
     assert emit_tree(tree, "dot").count("rank=same") == 5
@@ -216,14 +218,14 @@ def test_emit_tree_qiii_rank_count():
 
 def test_emit_tree_dot_marks_decorations():
     doc = json.dumps({"lie_type": "D", "rank": 4, "coefficients": [["1", "2", "4", "8"]]})
-    _, q = parse_input(doc)
+    [(_, q)] = parse_blocks(doc)
     text = emit_tree(fission.fission_tree(q), "dot")
     assert "fillcolor=lightblue" in text
     assert "shape=point" in text
 
 
 def test_emit_decomposition_strings():
-    _, q = parse_input(QI_DOC)
+    [(_, q)] = parse_blocks(QI_DOC)
     assert emit_decomposition(fission.decompose(q)) == "PB_2 x PB_3^2 x PB_4"
     assert emit_decomposition(GroupDecomposition(())) == "1"
     exotic = GroupDecomposition.from_factors([Factor("PBBCD", 1, 1)])
@@ -285,6 +287,36 @@ def test_cmd_decompose_json_builds_each_tree_once(flag, monkeypatch, capsys):
     assert len(built) == 2 and len({id(q) for q in built}) == 2
 
 
+def test_cmd_decompose_json_checks_each_tree_once(monkeypatch, capsys):
+    checked = []
+    check = fission.check_tree_invariants
+    monkeypatch.setattr(
+        fission, "check_tree_invariants", lambda tree: checked.append(tree) or check(tree)
+    )
+    doc = json.dumps({"points": [json.loads(d) for d in (SL3_DOC, QI_DOC, G2_DOC)]})
+    assert main(["decompose", "--json", doc]) == 0
+    assert [t is None for t in json.loads(capsys.readouterr().out)["trees"]] == [
+        False, False, True
+    ]
+    assert [len(t.nodes) for t in checked] == [6, 22]
+
+
+def _corpus_single_point_trees():
+    corpus = Path(__file__).with_name("golden") / "cli_corpus.json"
+    docs = [entry["input"] for entry in json.loads(corpus.read_text())]
+    return [d for d in docs if json.loads(d).get("lie_type") not in (None, "G2")]
+
+
+def test_cmd_decompose_json_tree_is_the_tree_document(capsys):
+    docs = _corpus_single_point_trees()
+    assert len(docs) > 100
+    for doc in docs:
+        assert main(["decompose", "--json", doc]) == 0
+        (tree,) = json.loads(capsys.readouterr().out)["trees"]
+        assert main(["tree", "--format", "json", doc]) == 0
+        assert tree == json.loads(capsys.readouterr().out), doc
+
+
 def _break_tree_path(monkeypatch):
     wrong = GroupDecomposition.from_factors([Factor("PBBC", 1)])
     monkeypatch.setattr(fission, "decomposition_from_tree", lambda tree: wrong)
@@ -321,6 +353,20 @@ def test_cmd_unreadable_input_exits_2(tmp_path, capsys):
     assert main(["decompose", "x" * 300]) == 2
     err = capsys.readouterr().err
     assert err.count("error: cannot read input file") == 2
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "source, expected",
+    [("x" * 5000, "cannot read input file 'xxx"), ("no/such/dir/" * 100, "no such input file: 'no/")],
+    ids=["unreadable", "missing"],
+)
+def test_cmd_input_path_echo_is_capped(source, expected, as_json, capsys):
+    assert main(["decompose", *(["--json"] if as_json else []), source]) == 2
+    captured = capsys.readouterr()
+    message = json.loads(captured.out)["error"] if as_json else captured.err
+    assert len(message) < 150
+    assert expected in message and "..." in message
 
 
 def test_cmd_deeply_nested_json_exits_2(capsys):

@@ -15,8 +15,10 @@ from wildbraid.fission import (
     SMALL,
     DecompositionMismatchError,
     Factor,
+    FissionTree,
     GroupDecomposition,
     IrregularType,
+    TreeNode,
     UnsupportedFamilyError,
     check_tree_invariants,
     coordinate_fusions,
@@ -353,6 +355,73 @@ def test_tree_invariants_on_random_inputs():
             check_tree_invariants(tree)  # raises on violation
             if family == "A":
                 assert len(tree.leaf_order) <= rs.rank + 1
+
+
+# One hand-built tree per rule of check_tree_invariants: (family, rows of
+# (id, level, parent, colour, diameter), the rule's message).
+BAD_TREES = {
+    "family": ("G2", [(0, 1, None, GREEN, LARGE)], "family must be one of"),
+    "duplicate-ids": (
+        "A",
+        [(1, 2, None, GREEN, LARGE), (0, 1, 1, GREEN, LARGE), (0, 1, 1, GREEN, LARGE)],
+        "node ids must be unique",
+    ),
+    "colour": ("B", [(0, 1, None, "purple", LARGE)], "colour must be green or blue"),
+    "diameter": ("B", [(0, 1, None, GREEN, "huge")], "diameter must be small or large"),
+    "missing-parent": (
+        "A", [(0, 2, None, GREEN, LARGE), (1, 1, 7, GREEN, LARGE)], "parent must be the id"
+    ),
+    "empty": ("A", [], "unique root"),
+    "two-roots": ("A", [(0, 1, None, GREEN, LARGE), (1, 1, None, GREEN, LARGE)], "unique root"),
+    "root-below-top": (
+        "A", [(0, 1, None, GREEN, LARGE), (1, 2, 0, GREEN, LARGE)], "root must sit at the top"
+    ),
+    "parent-level": (
+        "A", [(0, 3, None, GREEN, LARGE), (1, 1, 0, GREEN, LARGE)], "one level above"
+    ),
+    "colour-dominance": (
+        "B", [(0, 2, None, GREEN, LARGE), (1, 1, 0, BLUE, LARGE)], "parent colour must dominate"
+    ),
+    "diameter-dominance": (
+        "B",
+        [(0, 2, None, GREEN, SMALL), (1, 1, 0, GREEN, LARGE)],
+        "parent diameter must dominate",
+    ),
+    "small-blue": ("C", [(0, 1, None, BLUE, SMALL)], "blue nodes must be large"),
+    "two-blue-children": (
+        "D",
+        [(0, 2, None, BLUE, LARGE), (1, 1, 0, BLUE, LARGE), (2, 1, 0, BLUE, LARGE)],
+        "at most one blue child",
+    ),
+    "small-two-children": (
+        "B",
+        [(0, 2, None, GREEN, SMALL), (1, 1, 0, GREEN, SMALL), (2, 1, 0, GREEN, SMALL)],
+        "small nodes have at most one child",
+    ),
+    "childless-above-level-1": (
+        "A",
+        [
+            (0, 3, None, GREEN, LARGE),
+            (1, 2, 0, GREEN, LARGE),
+            (2, 2, 0, GREEN, LARGE),
+            (3, 1, 1, GREEN, LARGE),
+        ],
+        "exactly the level-1 nodes must be leaves",
+    ),
+    "leaf-below-level-1": (
+        "A",
+        [(0, 2, None, GREEN, LARGE), (1, 1, 0, GREEN, LARGE), (2, 0, 1, GREEN, LARGE)],
+        "exactly the level-1 nodes must be leaves",
+    ),
+    "family-a-decoration": ("A", [(0, 1, None, GREEN, SMALL)], "family A trees are all"),
+}
+
+
+@pytest.mark.parametrize("family, rows, rule", BAD_TREES.values(), ids=BAD_TREES.keys())
+def test_invalid_tree_is_rejected_at_construction(family, rows, rule):
+    nodes = tuple(TreeNode(*row) for row in rows)
+    with pytest.raises(ValueError, match=rule):
+        FissionTree(family, nodes)
 
 
 # ---------------------------------------------------------------------------
