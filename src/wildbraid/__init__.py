@@ -30,8 +30,6 @@ from .fission import (
 )
 from .braid import (
     BraidWord,
-    FreeWord,
-    artin_action,
     block_braid,
     braids_equal,
     cabled_group_generators,
@@ -39,6 +37,7 @@ from .braid import (
     gamma,
     is_pure,
     linking_matrix,
+    normal_form,
     permutation,
 )
 from .stokes import StokesTuple, act_sigma, act_tau1, solve_relation, verify_properties

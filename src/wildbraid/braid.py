@@ -1,9 +1,9 @@
 """Exact pure-braid-word algebra: Artin generators, cabling, linking numbers.
 
 Words in the Artin generators s_1..s_{n-1} compose left to right.  Equality
-of braids is decided by the faithful Artin action on the free group F_n
-(s_i: x_i -> x_i x_{i+1} x_i^{-1}, x_{i+1} -> x_i), with the permutation and
-the linking matrix as fast pre-filters.
+is decided by the Garside left normal form Delta^k A_1 ... A_r over simple
+(permutation) braids, after the permutation and linking-matrix pre-filters;
+a word of l letters on n strands costs O(l^2 n).
 
 The operad composition gamma(sigma; tau_1..tau_n) is the block braid of
 sigma (each strand fattened to the width of its tau) preceded in word order
@@ -16,7 +16,6 @@ depends on the order cites this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .fission import FissionTree
 
@@ -53,10 +52,6 @@ class BraidWord:
 
 def identity(n: int) -> BraidWord:
     return BraidWord(n, ())
-
-
-def generator(n: int, i: int, sign: int = 1) -> BraidWord:
-    return BraidWord(n, ((i, sign),))
 
 
 def word(n: int, *letters: tuple[int, int]) -> BraidWord:
@@ -115,91 +110,97 @@ def linking_matrix(b: BraidWord) -> tuple[tuple[int, ...], ...]:
         current[g - 1], current[g] = v, u
     if current != list(range(n)):
         raise ValueError("linking matrix is only defined for pure braids")
-    for i in range(n):
-        for j in range(n):
-            if counts[i][j] % 2:
-                raise AssertionError("odd signed crossing count on a pure braid")
-            counts[i][j] //= 2
-    return tuple(tuple(row) for row in counts)
+    return tuple(tuple(c // 2 for c in row) for row in counts)
 
 
 # ---------------------------------------------------------------------------
-# Artin action on the free group (the word-problem oracle)
+# Garside left normal form (the word-problem engine)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeWord:
-    """Freely reduced word; letters are signed 1-based generator indices."""
+def _left_weight(ca, pa, cb, pb) -> bool:
+    """Make the simple pair (A, B) left-weighted, S(B) in F(A); True if it moved.
 
-    rank: int
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a == -b:
-                raise ValueError("word is not freely reduced")
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(_inv(self.letters)))
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeWord(self.rank, tuple(_mul(self.letters, other.letters)))
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
-
-def _inv(x) -> list[int]:
-    return [-t for t in reversed(x)]
-
-
-def _mul(*words) -> list[int]:
-    out: list[int] = []
-    for w in words:
-        for t in w:
-            if out and out[-1] == -t:
-                out.pop()
-            else:
-                out.append(t)
-    return out
-
-
-def _artin_images(b: BraidWord) -> list[list[int]]:
-    imgs: list[list[int]] = [[j] for j in range(1, b.strands + 1)]
-    for g, s in b.letters:
-        i = g - 1
-        a, c = imgs[i], imgs[i + 1]
-        if s > 0:
-            imgs[i], imgs[i + 1] = _mul(a, c, _inv(a)), a
-        else:
-            imgs[i], imgs[i + 1] = c, _mul(_inv(c), a, c)
-    return imgs
-
-
-def artin_action(b: BraidWord) -> tuple[FreeWord, ...]:
-    """Images of the free generators x_1..x_n under the braid automorphism.
-
-    The assignment is a homomorphism into Aut(F_n) with composition
-    (f o g)(x) = f(g(x)): artin_action(a * b) composes the two actions.
+    c[p] is the start of the strand ending at p, p[s] the end of the one
+    starting at s.  While s_i starts B but does not finish A, A <- A s_i and
+    B <- s_i^-1 B, a swap in each list; the scan then steps back one place.
     """
-    return tuple(FreeWord(b.strands, tuple(w)) for w in _artin_images(b))
+    moved = False
+    i, last = 0, len(ca) - 1
+    while i < last:
+        if pb[i] > pb[i + 1] and ca[i] < ca[i + 1]:
+            x, y = ca[i], ca[i + 1]
+            ca[i], ca[i + 1] = y, x
+            pa[x], pa[y] = pa[y], pa[x]
+            x, y = pb[i], pb[i + 1]
+            pb[i], pb[i + 1] = y, x
+            cb[x], cb[y] = cb[y], cb[x]
+            moved = True
+            i = i - 1 if i else 0
+        else:
+            i += 1
+    return moved
+
+
+def normal_form(b: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Garside left normal form Delta^k A_1 ... A_r as (k, (A_1, ..., A_r)).
+
+    Each A_j is simple, neither Delta nor the identity, given by its p list
+    (entry s: 0-based end position of the strand starting at s); each pair
+    (A_j, A_j+1) is left-weighted.  Equal braids have equal forms.
+
+    s_i^-1 = Delta^-1 (Delta s_i^-1), and Delta^-1 moves to the front by
+    tau: s_j -> s_(n-j), flipping a letter when an odd number of inverse
+    letters follow it.  Letters fill a simple factor while it stays simple;
+    a full one is appended and the pairs left-weighted walking left, up to
+    the first pair that does not change.
+    """
+    n = b.strands
+    ident, delta = list(range(n)), list(range(n - 1, -1, -1))
+    inverses = sum(1 for _, s in b.letters if s < 0)
+    cs, ps = [], []  # the factors so far, each as its c and p lists
+
+    def push(c):
+        p = [0] * n
+        for at, strand in enumerate(c):
+            p[strand] = at
+        cs.append(c)
+        ps.append(p)
+        j = len(cs) - 1
+        while j and _left_weight(cs[j - 1], ps[j - 1], cs[j], ps[j]):
+            j -= 1
+        while cs and cs[-1] == ident:
+            cs.pop()
+            ps.pop()
+
+    k, c = -inverses, ident[:]
+    for g, s in b.letters:
+        if s < 0:
+            inverses -= 1  # now the inverse letters after this one
+        i = n - 1 - g if inverses & 1 else g - 1
+        if s > 0 and c[i] < c[i + 1]:
+            c[i], c[i + 1] = c[i + 1], c[i]
+            continue
+        if c != ident:
+            push(c)
+        c = ident[:] if s > 0 else delta[:]  # s_i, or Delta s_i^-1
+        c[i], c[i + 1] = c[i + 1], c[i]
+    if c != ident:
+        push(c)
+    lead = cs.count(delta)  # in a left-weighted form every Delta leads
+    return k + lead, tuple(tuple(p) for p in ps[lead:])
 
 
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Exact word-problem decision via the Artin action, with fast pre-filters."""
+    """Word problem: equal normal forms, after permutation and linking pre-filters."""
     if a.strands != b.strands:
         raise ValueError("strand-count mismatch")
     pa, pb = permutation(a), permutation(b)
     if pa != pb:
         return False
-    ident = tuple(range(1, a.strands + 1))
-    if pa == ident and linking_matrix(a) != linking_matrix(b):
+    if pa == tuple(range(1, a.strands + 1)) and linking_matrix(a) != linking_matrix(b):
         return False
-    ia, ib = _artin_images(a), _artin_images(b)
-    return all(x == y for x, y in zip(ia, ib))
+    return normal_form(a) == normal_form(b)
 
 
 def is_identity_braid(b: BraidWord) -> bool:
@@ -283,17 +284,13 @@ def pure_generator(n: int, j: int, k: int) -> BraidWord:
 def cabled_group_generators(
     tree: FissionTree,
 ) -> list[tuple[int, tuple[BraidWord, ...]]]:
-    """Standard pure generators of each tree node, lifted to the leaf strands.
+    """(node id, generators) for each node with k >= 2 children: the k(k-1)/2
+    generators A_jm of PB_k on its children, cabled through the tree to pure
+    braids on one strand per leaf.
 
-    For each node with k >= 2 children the k(k-1)/2 generators A_{jk} of the
-    pure braid group on its children are cabled through the lower levels
-    (identity everywhere else), producing pure braids on one strand per leaf.
-    Returns (node id, generators) pairs grouped by node.
-
-    Cabling identities below the node and beside its ancestors adds no
-    letters, so the lift is the node's block braid (one block per child, as
-    wide as that child's leaves) placed at the node's first leaf; leaf_order
-    visits children by id, so a node's leaves are one run of strands.
+    Cabling identities adds no letters, so a lift is the node's block braid
+    (one block per child, as wide as its leaves) at the node's first leaf;
+    leaf_order visits children by id, so a node's leaves are one run.
     """
     if tree.family != "A":
         raise ValueError("cabled generators are defined for family A trees")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from . import braid, fission, rootsys, stokes
 from .fission import Factor
@@ -222,57 +223,61 @@ def criterion_structural_bounds(result: SweepResult) -> tuple[bool, str]:
     return (not bad, bad[0] if bad else f"bounds hold on {result.cases} cases")
 
 
+def _pure_braid_relations(gens: dict):
+    """(name, lhs, rhs) of Artin's PB_k relations on gens[i, j] = A_ij, in
+    Birman's form (Lemma 1.8.2): A_rs^-1 A_ij A_rs = C A_ij C^-1, where C = 1
+    for disjoint or nested pairs, A_rj for s = i, A_rj A_sj for i = r < s < j
+    and A_rj A_sj A_rj^-1 A_sj^-1 for r < i < s < j.
+    """
+    for r, s in gens:
+        for i, j in gens:
+            if s < i or j < r or i < r < s < j:
+                factors = []
+            elif s == i:
+                factors = [gens[r, j]]
+            elif i == r < s < j:
+                factors = [gens[r, j], gens[s, j]]
+            elif r < i < s < j:
+                factors = [gens[r, j], gens[s, j], gens[r, j].inverse(), gens[s, j].inverse()]
+            else:
+                continue
+            c = braid.BraidWord(gens[i, j].strands, sum((f.letters for f in factors), ()))
+            lhs = gens[r, s].inverse() * gens[i, j] * gens[r, s]
+            yield f"A_{r}{s}^-1 A_{i}{j} A_{r}{s}", lhs, c * gens[i, j] * c.inverse()
+
+
 def criterion_cabled_groups(result: SweepResult) -> tuple[bool, str]:
+    """Per node: lifts pure with their pair's linking, PB_k relations, commuting."""
     failures = []
-    checked = 0
+    checked = relations = 0
     for tree in result.a_trees.values():
         groups = braid.cabled_group_generators(tree)
-        expected = sum(
-            tree.k(n.id) * (tree.k(n.id) - 1) // 2
-            for n in tree.nodes
-            if tree.k(n.id) >= 2
-        )
-        got = sum(len(words) for _, words in groups)
-        if got != expected:
-            failures.append(f"generator count {got} != {expected}")
-            continue
+        if [n for n, _ in groups] != [n.id for n in tree.nodes if tree.k(n.id) >= 2]:
+            failures.append("generators missing for a node with two or more children")
         for node_id, words in groups:
             kids = tree.children(node_id)
-            pairs = [
-                (j, m)
-                for j in range(1, len(kids) + 1)
-                for m in range(j + 1, len(kids) + 1)
-            ]
-            for (j, m), g in zip(pairs, words):
-                if not braid.is_pure(g):
-                    failures.append("non-pure generator")
-                    continue
-                left = set(braid.leaves_under(tree, kids[j - 1]))
-                right = set(braid.leaves_under(tree, kids[m - 1]))
-                lk = braid.linking_matrix(g)
-                for a in range(g.strands):
-                    for b in range(g.strands):
-                        expect = int(
-                            (a + 1 in left and b + 1 in right)
-                            or (a + 1 in right and b + 1 in left)
-                        )
-                        if lk[a][b] != expect:
-                            failures.append(f"linking block pattern broken at node {node_id}")
-        for (n1, ws1) in groups:
-            for (n2, ws2) in groups:
-                if n1 >= n2:
-                    continue
-                for g1 in ws1:
-                    for g2 in ws2:
-                        checked += 1
-                        if not braid.braids_equal(g1 * g2, g2 * g1):
-                            failures.append(f"nodes {n1},{n2} do not commute")
-    detail = (
-        failures[0]
-        if failures
-        else f"{len(result.a_trees)} tree shapes, {checked} commutation checks"
-    )
-    return (not failures, detail)
+            gens = dict(zip(combinations(range(1, len(kids) + 1), 2), words))
+            if len(words) != len(kids) * (len(kids) - 1) // 2:
+                failures.append(f"node {node_id}: {len(words)} generators, {len(kids)} children")
+                continue
+            for (j, m), g in gens.items():
+                expect = [[0] * g.strands for _ in range(g.strands)]
+                for a, b in product(*(braid.leaves_under(tree, kids[x - 1]) for x in (j, m))):
+                    expect[a - 1][b - 1] = expect[b - 1][a - 1] = 1
+                if not braid.is_pure(g) or braid.linking_matrix(g) != tuple(map(tuple, expect)):
+                    failures.append(f"node {node_id}: A_{j}{m} breaks purity or linking")
+            for name, lhs, rhs in _pure_braid_relations(gens):
+                relations += 1
+                if not braid.braids_equal(lhs, rhs):
+                    failures.append(f"node {node_id}: relation {name} fails")
+        for (n1, ws1), (n2, ws2) in combinations(groups, 2):
+            for g1, g2 in product(ws1, ws2):
+                checked += 1
+                if not braid.braids_equal(g1 * g2, g2 * g1):
+                    failures.append(f"nodes {n1},{n2} do not commute")
+    shapes = len(result.a_trees)
+    detail = f"{shapes} tree shapes, {relations} PB_k relations, {checked} commutation checks"
+    return (not failures, failures[0] if failures else detail)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +360,7 @@ def criterion_braid_operad(
         sigma = _random_pure(rng, n, rng.randint(0, 4))
         taus = [_random_pure(rng, rng.randint(1, 3), rng.randint(0, 4)) for _ in range(n)]
         if braid.is_identity_braid(braid.gamma(sigma, taus)):
-            if not braid.is_identity_braid(sigma) or not all(
-                braid.is_identity_braid(t) for t in taus
-            ):
+            if not all(braid.is_identity_braid(x) for x in [sigma, *taus]):
                 return False, "injectivity counterexample found"
     elapsed = time.monotonic() - start
     ok = elapsed < 120.0

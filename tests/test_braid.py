@@ -1,27 +1,28 @@
-"""Braid words, the Artin action oracle, the cabling operad, linking numbers."""
+"""Braid words, the Garside normal form against an Artin-action reference, the
+cabling operad, linking numbers, and Artin's relations on cabled generators."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildbraid import braid, fission
+from wildbraid import braid, fission, selfcheck
 from wildbraid.braid import (
     BraidWord,
-    artin_action,
     block_braid,
     braids_equal,
     cabled_group_generators,
     direct_sum,
     format_word,
     gamma,
-    generator,
     identity,
     is_identity_braid,
     is_pure,
     leaves_under,
     linking_matrix,
+    normal_form,
     parse_word,
     permutation,
     pure_generator,
@@ -57,7 +58,7 @@ def random_pure_word(rng, n, length):
 
 
 def test_permutation_single_crossing():
-    b = generator(2, 1)
+    b = word(2, (1, 1))
     assert permutation(b) == (2, 1)
     assert not is_pure(b)
 
@@ -74,8 +75,71 @@ def test_permutation_s1s2s1():
 
 
 # ---------------------------------------------------------------------------
-# Artin action
+# Artin action on the free group: the short-word reference
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FreeWord:
+    """Freely reduced word; letters are signed 1-based generator indices."""
+
+    rank: int
+    letters: tuple[int, ...]
+
+    def __post_init__(self):
+        for a, b in zip(self.letters, self.letters[1:]):
+            if a == -b:
+                raise ValueError("word is not freely reduced")
+
+    def inverse(self) -> "FreeWord":
+        return FreeWord(self.rank, tuple(_inv(self.letters)))
+
+    def __mul__(self, other: "FreeWord") -> "FreeWord":
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch")
+        return FreeWord(self.rank, tuple(_mul(self.letters, other.letters)))
+
+
+def _inv(x) -> list[int]:
+    return [-t for t in reversed(x)]
+
+
+def _mul(*words) -> list[int]:
+    out: list[int] = []
+    for w in words:
+        for t in w:
+            if out and out[-1] == -t:
+                out.pop()
+            else:
+                out.append(t)
+    return out
+
+
+def _artin_images(b: BraidWord) -> list[list[int]]:
+    imgs: list[list[int]] = [[j] for j in range(1, b.strands + 1)]
+    for g, s in b.letters:
+        i = g - 1
+        a, c = imgs[i], imgs[i + 1]
+        if s > 0:
+            imgs[i], imgs[i + 1] = _mul(a, c, _inv(a)), a
+        else:
+            imgs[i], imgs[i + 1] = c, _mul(_inv(c), a, c)
+    return imgs
+
+
+def artin_action(b: BraidWord) -> tuple[FreeWord, ...]:
+    """Images of the free generators x_1..x_n under the braid automorphism
+    (s_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i).
+
+    The action is faithful and a homomorphism into Aut(F_n) with composition
+    (f o g)(x) = f(g(x)), so equal images decide equality; the image words
+    grow exponentially with the braid word, so it serves short words only.
+    """
+    return tuple(FreeWord(b.strands, tuple(w)) for w in _artin_images(b))
+
+
+def artin_equal(a: BraidWord, b: BraidWord) -> bool:
+    return _artin_images(a) == _artin_images(b)
 
 
 def test_artin_identity_word():
@@ -84,7 +148,7 @@ def test_artin_identity_word():
 
 
 def test_artin_single_generator():
-    imgs = artin_action(generator(2, 1))
+    imgs = artin_action(word(2, (1, 1)))
     assert imgs[0].letters == (1, 2, -1)  # x1 x2 x1^-1
     assert imgs[1].letters == (1,)
 
@@ -132,7 +196,7 @@ def test_braid_relation():
 
 
 def test_opposite_crossings_differ():
-    assert not braids_equal(generator(2, 1), generator(2, 1, -1))
+    assert not braids_equal(word(2, (1, 1)), word(2, (1, -1)))
 
 
 def test_strand_count_mismatch_rejected():
@@ -161,6 +225,130 @@ def test_equality_invariant_under_insertion(a):
 
 
 # ---------------------------------------------------------------------------
+# Garside normal form
+# ---------------------------------------------------------------------------
+
+
+def rewrite(letters, n, rng, moves):
+    """Apply `moves` braid-relation rewrites at random places: the braid
+    relation s_i s_j s_i = s_j s_i s_j (|i-j| = 1, same signs) or the far
+    commutation s_i s_j = s_j s_i (|i-j| >= 2) where one applies, else a
+    free insertion of s s^-1."""
+    w = list(letters)
+    for _ in range(moves):
+        pos = rng.randint(0, len(w))
+        (a, sa), (b, sb), (c, sc) = (w[pos:pos + 3] + [(0, 0)] * 3)[:3]
+        if a and c and a == c and abs(a - b) == 1 and sa == sb == sc:
+            w[pos:pos + 3] = [(b, sa), (a, sa), (b, sa)]
+        elif a and b and abs(a - b) >= 2:
+            w[pos], w[pos + 1] = w[pos + 1], w[pos]
+        else:
+            g, sign = rng.randint(1, n - 1), rng.choice((1, -1))
+            w[pos:pos] = [(g, sign), (g, -sign)]
+    return w
+
+
+def random_letters(rng, n, length):
+    return [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)]
+
+
+def half_twist(n):
+    """Delta = s_1 (s_2 s_1) ... (s_{n-1} .. s_1), positive."""
+    return BraidWord(n, tuple((g, 1) for top in range(1, n) for g in range(top, 0, -1)))
+
+
+@st.composite
+def word_pairs(draw):
+    """(a, b, kind) on n <= 5 strands from a word of at most 10 letters.
+
+    Equal kinds: a relation rewrite; s s^-1 inserted; a conjugate x = c a c^-1
+    against Delta tau(x) Delta^-1 (tau: s_i -> s_(n-i)).  Unequal kinds: one
+    letter's sign flipped (the exponent sum moves by 2); unrelated words.
+    """
+    n = draw(st.integers(2, 5))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    a = draw(st.lists(letter, max_size=10))
+    kinds = ("relations", "insertion", "conjugate", "flipped", "other")
+    kind = draw(st.sampled_from(kinds if a else kinds[:3] + kinds[4:]))
+    if kind == "relations":
+        b = rewrite(a, n, random.Random(draw(st.integers(0, 2**32))), draw(st.integers(1, 4)))
+    elif kind == "insertion":
+        pos, (g, sign) = draw(st.integers(0, len(a))), draw(letter)
+        b = a[:pos] + [(g, sign), (g, -sign)] + a[pos:]
+    elif kind == "conjugate":
+        c = BraidWord(n, tuple(draw(st.lists(letter, max_size=3))))
+        x = c * BraidWord(n, tuple(a)) * c.inverse()
+        delta = half_twist(n)
+        a = list(x.letters)
+        b = list((delta * BraidWord(n, tuple((n - g, s) for g, s in a)) * delta.inverse()).letters)
+    elif kind == "flipped":
+        pos = draw(st.integers(0, len(a) - 1))
+        b = a[:pos] + [(a[pos][0], -a[pos][1])] + a[pos + 1:]
+    else:
+        b = draw(st.lists(letter, max_size=10))
+    return BraidWord(n, tuple(a)), BraidWord(n, tuple(b)), kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_pairs())
+def test_normal_form_agrees_with_artin_reference(pair):
+    a, b, kind = pair
+    same = artin_equal(a, b)
+    if kind != "other":
+        assert same == (kind != "flipped")
+    assert (normal_form(a) == normal_form(b)) == same
+    assert braids_equal(a, b) == same
+    assert is_identity_braid(a * b.inverse()) == same
+
+
+def starts(p):
+    return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
+
+
+def finishes(p):
+    c = [0] * len(p)
+    for s, at in enumerate(p):
+        c[at] = s
+    return starts(c)
+
+
+def test_normal_form_shape_and_bounds():
+    # Delta^k A_1..A_r: every A_j simple and neither 1 nor Delta, each pair
+    # left-weighted, k >= -(#inverse letters) and k + r <= #positive letters.
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        b = BraidWord(n, tuple(random_letters(rng, n, rng.randint(0, 40))))
+        k, factors = normal_form(b)
+        negative = sum(1 for _, s in b.letters if s < 0)
+        assert k >= -negative
+        assert k + len(factors) <= len(b) - negative
+        for p in factors:
+            assert sorted(p) == list(range(n))
+            assert p not in (tuple(range(n)), tuple(range(n - 1, -1, -1)))
+        for a, c in zip(factors, factors[1:]):
+            assert starts(c) <= finishes(a)
+
+
+def test_normal_form_of_delta_powers():
+    delta = parse_word("s1 s2 s1", 3)
+    assert normal_form(delta) == (1, ())
+    assert normal_form(delta.inverse() * delta.inverse()) == (-2, ())
+    assert normal_form(identity(3)) == (0, ())
+    assert normal_form(word(3, (1, 1))) == (0, ((1, 0, 2),))
+
+
+def test_equality_on_1000_letter_words():
+    # The Artin images of such words run to astronomically many letters; the
+    # normal form is polynomial in the word length.
+    rng = random.Random(1000)
+    letters = random_letters(rng, 4, 1000)
+    rewritten = rewrite(letters, 4, rng, 200)
+    assert rewritten != letters
+    assert braids_equal(BraidWord(4, tuple(letters)), BraidWord(4, tuple(rewritten)))
+
+
+# ---------------------------------------------------------------------------
 # direct_sum and block_braid
 # ---------------------------------------------------------------------------
 
@@ -170,7 +358,7 @@ def test_direct_sum_identities():
 
 
 def test_direct_sum_shifts_indices():
-    out = direct_sum([generator(2, 1), generator(2, 1)])
+    out = direct_sum([word(2, (1, 1)), word(2, (1, 1))])
     assert out == word(4, (1, 1), (3, 1))
 
 
@@ -247,9 +435,9 @@ def test_gamma_figure_word_bit_exact():
 
 def test_gamma_rejects_non_pure():
     with pytest.raises(ValueError):
-        gamma(generator(2, 1), [identity(1), identity(1)])
+        gamma(word(2, (1, 1)), [identity(1), identity(1)])
     with pytest.raises(ValueError):
-        gamma(identity(2), [generator(2, 1), identity(1)])
+        gamma(identity(2), [word(2, (1, 1)), identity(1)])
     with pytest.raises(ValueError):
         gamma(identity(2), [identity(1)])
 
@@ -333,7 +521,7 @@ def test_linking_figure_word():
 
 def test_linking_requires_pure():
     with pytest.raises(ValueError):
-        linking_matrix(generator(2, 1))
+        linking_matrix(word(2, (1, 1)))
 
 
 def test_linking_invariant_under_equality():
@@ -448,3 +636,61 @@ def test_cabled_generator_linking_block_pattern():
                     for b in range(1, n + 1):
                         expect = 1 if (a in left and b in right) or (a in right and b in left) else 0
                         assert lk[a - 1][b - 1] == expect
+
+
+# ---------------------------------------------------------------------------
+# Artin's presentation of PB_k on every cabled node
+# ---------------------------------------------------------------------------
+
+
+def test_pure_braid_relations_hold_on_standard_generators():
+    for k, count in ((3, 2), (4, 12), (5, 40)):
+        pairs = [(j, m) for j in range(1, k + 1) for m in range(j + 1, k + 1)]
+        gens = {pair: pure_generator(k, *pair) for pair in pairs}
+        relations = list(selfcheck._pure_braid_relations(gens))
+        assert len(relations) == count
+        assert all(braids_equal(lhs, rhs) for _, lhs, rhs in relations)
+
+
+def one_node_sweep():
+    """A sweep result holding one tree: an A3 root node over four leaves."""
+    rs = build_root_system("A", 3)
+    tree = fission.fission_tree(fission.irregular_type(rs, [project_traceless([1, 2, 4, 8])]))
+    return selfcheck.SweepResult(a_trees={"one node": tree})
+
+
+def patch_lifts(monkeypatch, change):
+    real = braid.cabled_group_generators
+    monkeypatch.setattr(
+        braid, "cabled_group_generators",
+        lambda tree: [(node, tuple(change(list(gens)))) for node, gens in real(tree)],
+    )
+
+
+def test_cabled_criterion_counts_relations():
+    ok, detail = selfcheck.criterion_cabled_groups(one_node_sweep())
+    assert ok, detail
+    assert "12 PB_k relations" in detail
+
+
+def test_cabled_criterion_rejects_swapped_lifts(monkeypatch):
+    def swap(gens):  # A_12 and A_13 trade places
+        gens[0], gens[1] = gens[1], gens[0]
+        return gens
+
+    patch_lifts(monkeypatch, swap)
+    ok, detail = selfcheck.criterion_cabled_groups(one_node_sweep())
+    assert not ok, detail
+
+
+def test_cabled_criterion_relations_catch_a_conjugated_lift(monkeypatch):
+    # A_12 A_13 A_12^-1 in place of A_13 is pure with the linking matrix of
+    # A_13 (linking numbers add), so only Artin's relations can reject it.
+    def conjugate(gens):
+        gens[1] = gens[0] * gens[1] * gens[0].inverse()
+        return gens
+
+    patch_lifts(monkeypatch, conjugate)
+    ok, detail = selfcheck.criterion_cabled_groups(one_node_sweep())
+    assert not ok
+    assert "relation" in detail, detail
