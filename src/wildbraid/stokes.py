@@ -17,16 +17,23 @@ The matrices are arbitrary determinant-1 rationals (no unipotent shape is
 enforced): the relation and the commutation/equivariance properties do not
 depend on triangularity, so the verifier checks them in full generality.
 
-Validation: the StokesTuple constructor checks every determinant and a
-diagonal h, so act_sigma, act_tau1, conjugate_tuple and solve_relation only
-return valid tuples.  verify_properties runs the same actions on the seven
-raw entries (_sigma, _tau1, _conj), which build no StokesTuple, and checks
-every image's determinant itself: a broken determinant is a failed check
-in the report, not an exception.
+Validation: the StokesTuple constructor checks every shape and determinant
+and a diagonal h, so act_sigma, act_tau1, conjugate_tuple and solve_relation
+only return valid tuples.  verify_properties runs the same actions on the
+seven raw entries (_sigma, _tau1, _conj), which build no StokesTuple, and
+checks every image's determinant itself: a broken determinant is a failed
+check in the report, not an exception.
 
-Matrices hold Fractions, but the arithmetic runs on integers: mmul, mdet and
-minv clear each matrix's denominators once, multiply ints, and divide once at
-the end.
+Arithmetic runs on one canonical integer form.  A matrix m is the pair
+(n, q): n the flat row-major 9-tuple of ints and q > 0 an int with
+m = n / q and gcd(q, *n) == 1.  Each rational matrix has exactly one such
+pair, so matrix equality is tuple equality, the identity is
+((1, 0, 0, 0, 1, 0, 0, 0, 1), 1) and det(m) = 1 reads det(n) == q**3.
+_pair checks a Mat's shape and clears its denominators; the kernel (_mul,
+_det, _inv, _conj) takes and returns pairs, with one gcd per result in
+_canon.  Fractions are built only at the edges: by _mat, when a public
+function returns a Mat, and in verify_properties' torus scalars and failure
+details.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Mat = tuple[tuple[Fraction, ...], ...]
+Pair = tuple[tuple[int, ...], int]
 
 
 def mat(rows) -> Mat:
@@ -47,66 +55,108 @@ def mat(rows) -> Mat:
 
 
 IDENTITY: Mat = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+_ID: Pair = ((1, 0, 0, 0, 1, 0, 0, 0, 1), 1)
 
 
-def _cleared(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(n, q) with m = n / q: n an integer matrix, q the lcm of m's denominators."""
+# ---------------------------------------------------------------------------
+# The integer kernel on canonical pairs
+# ---------------------------------------------------------------------------
+
+
+def _pair(m: Mat, name: str = "matrix") -> Pair:
+    """The canonical pair of a 3x3 matrix of rationals.
+
+    q is the lcm of the reduced entries' denominators, so gcd(q, *n) is
+    already 1: every prime power in q divides some entry's denominator
+    exactly, and that entry's numerator is prime to it.
+    """
+    if len(m) != 3 or any(len(row) != 3 for row in m):
+        raise ValueError(f"{name} must be 3x3")
     ratios = [x.as_integer_ratio() for row in m for x in row]
     # A list, not a generator: unpacking a generator builds an oversized
     # tuple and shrinks it, which fills CPython's tuple free list (+0.2 MB).
     q = lcm(*[d for _, d in ratios])
-    n = [a * (q // d) for a, d in ratios]
-    return (tuple(n[:3]), tuple(n[3:6]), tuple(n[6:])), q
+    return tuple([a * (q // d) for a, d in ratios]), q
 
 
-def _imul(a, b):
-    return tuple(
-        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3))
-        for i in range(3)
-    )
+def _mat(p: Pair) -> Mat:
+    n, q = p
+    f = [Fraction(x, q) for x in n]
+    return tuple(f[:3]), tuple(f[3:6]), tuple(f[6:])
 
 
-def _idet(n) -> int:
+def _canon(n: tuple[int, ...], q: int) -> Pair:
+    """Divide n / q through by gcd(q, *n), taking q's sign, so that q > 0."""
+    g = gcd(q, *n)
+    if q < 0:
+        g = -g
+    if g == 1:
+        return n, q
+    return tuple([x // g for x in n]), q // g
+
+
+def _prod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
     return (
-        n[0][0] * (n[1][1] * n[2][2] - n[1][2] * n[2][1])
-        - n[0][1] * (n[1][0] * n[2][2] - n[1][2] * n[2][0])
-        + n[0][2] * (n[1][0] * n[2][1] - n[1][1] * n[2][0])
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
     )
+
+
+def _mul(*ps: Pair) -> Pair:
+    """Exact product: the integer matrices multiply, and one gcd ends it."""
+    n, q = ps[0]
+    for m, r in ps[1:]:
+        n, q = _prod(n, m), q * r
+    return _canon(n, q)
+
+
+def _det(n: tuple[int, ...]) -> int:
+    a, b, c, d, e, f, g, h, i = n
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _inv(p: Pair) -> Pair:
+    """Exact inverse q . adj(n) / det(n) of m = n / q."""
+    (a, b, c, d, e, f, g, h, i), q = p
+    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * c0 + b * c1 + c * c2
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    adj = (
+        c0, c * h - b * i, b * f - c * e,
+        c1, a * i - c * g, c * d - a * f,
+        c2, b * g - a * h, a * e - b * d,
+    )
+    return _canon(tuple([q * x for x in adj]), det)
+
+
+def _is_diagonal(n: tuple[int, ...]) -> bool:
+    return not (n[1] or n[2] or n[3] or n[5] or n[6] or n[7])
+
+
+# ---------------------------------------------------------------------------
+# Mat-valued wrappers: Mat -> pair at entry, pair -> Mat at exit
+# ---------------------------------------------------------------------------
 
 
 def mmul(*ms: Mat) -> Mat:
-    """Exact product: the integer matrices multiply, and one division ends it."""
-    out, q = _cleared(ms[0])
-    for m in ms[1:]:
-        n, r = _cleared(m)
-        out, q = _imul(out, n), q * r
-    return tuple(tuple(Fraction(x, q) for x in row) for row in out)
+    return _mat(_mul(*[_pair(m) for m in ms]))
 
 
 def mdet(m: Mat) -> Fraction:
-    n, q = _cleared(m)
-    return Fraction(_idet(n), q**3)
+    n, q = _pair(m)
+    return Fraction(_det(n), q**3)
 
 
 def minv(m: Mat) -> Mat:
-    """Exact inverse q . adj(n) / det(n) of m = n / q."""
-    n, q = _cleared(m)
-    d = _idet(n)
-    if d == 0:
-        raise ZeroDivisionError("singular matrix")
-    cof = [
-        [
-            (n[(i + 1) % 3][(j + 1) % 3] * n[(i + 2) % 3][(j + 2) % 3])
-            - (n[(i + 1) % 3][(j + 2) % 3] * n[(i + 2) % 3][(j + 1) % 3])
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    return tuple(tuple(Fraction(q * c, d) for c in row) for row in cof)
+    return _mat(_inv(_pair(m)))
 
 
 def is_diagonal(m: Mat) -> bool:
-    return all(m[i][j] == 0 for i in range(3) for j in range(3) if i != j)
+    return _is_diagonal(_pair(m)[0])
 
 
 def diagonal(a, b, c) -> Mat:
@@ -118,7 +168,7 @@ _NAMES = ("h", "B1^1", "B3^1", "B1^2", "B2^2", "B3^2", "B4^2")
 
 @dataclass(frozen=True)
 class StokesTuple:
-    """(h, B^1_1, B^1_3, B^2_1, B^2_2, B^2_3, B^2_4), dets 1, h diagonal.
+    """(h, B^1_1, B^1_3, B^2_1, B^2_2, B^2_3, B^2_4), 3x3, dets 1, h diagonal.
 
     The quasi moment-map relation is checked by relation_holds(); it is not
     enforced at construction so that deliberately corrupted tuples can be run
@@ -135,8 +185,8 @@ class StokesTuple:
 
     def __post_init__(self):
         for name, m in self.entries():
-            n, q = _cleared(m)
-            if _idet(n) != q**3:
+            n, q = _pair(m, name)
+            if _det(n) != q**3:
                 raise ValueError(f"determinant of {name} must be 1")
         if not is_diagonal(self.h):
             raise ValueError("h must be diagonal")
@@ -148,63 +198,86 @@ class StokesTuple:
         return list(zip(_NAMES, self.matrices()))
 
     def relation_holds(self) -> bool:
-        return _relation_holds(self.matrices())
+        return _relation_holds(_pairs(self))
 
     def validate(self) -> None:
         if not self.relation_holds():
             raise ValueError("quasi moment-map relation violated")
 
 
-def _relation_holds(e: tuple[Mat, ...]) -> bool:
+def _pairs(t: StokesTuple) -> tuple[Pair, ...]:
+    return tuple([_pair(m) for m in t.matrices()])
+
+
+def _from_pairs(e: tuple[Pair, ...]) -> StokesTuple:
+    return StokesTuple(*[_mat(p) for p in e])
+
+
+# ---------------------------------------------------------------------------
+# The actions on the seven raw entries, as canonical pairs
+# ---------------------------------------------------------------------------
+
+
+def _relation_holds(e: tuple[Pair, ...]) -> bool:
     h, b11, b31, b12, b22, b32, b42 = e
-    return mmul(h, b31, b11, b42, b32, b22, b12) == IDENTITY
+    return _mul(h, b31, b11, b42, b32, b22, b12) == _ID
 
 
-def _sigma(e: tuple[Mat, ...]) -> tuple[Mat, ...]:
+def _sigma(e: tuple[Pair, ...]) -> tuple[Pair, ...]:
     h, b11, b31, b12, b22, b32, b42 = e
-    h1 = mmul(h, b31, b11)
-    h1i = minv(h1)
-    return (h, b11, b31, b32, b42, mmul(h1i, b12, h1), mmul(h1i, b22, h1))
+    h1 = _mul(h, b31, b11)
+    h1i = _inv(h1)
+    return (h, b11, b31, b32, b42, _mul(h1i, b12, h1), _mul(h1i, b22, h1))
 
 
-def _tau1(e: tuple[Mat, ...]) -> tuple[Mat, ...]:
+def _tau1(e: tuple[Pair, ...]) -> tuple[Pair, ...]:
     h, b1, b31, *level2 = e
-    b1i = minv(b1)
-    return (h, b31, mmul(minv(h), b1, h), *(mmul(b1, m, b1i) for m in level2))
+    b1i = _inv(b1)
+    return (h, b31, _mul(_inv(h), b1, h), *[_mul(b1, m, b1i) for m in level2])
 
 
-def _conj(d: Mat, e: tuple[Mat, ...]) -> tuple[Mat, ...]:
-    """d m d^-1 for every entry m, as m_ij d_i / d_j (d diagonal)."""
-    scale = [[d[i][i] / d[j][j] for j in range(3)] for i in range(3)]
-    return tuple(
-        tuple(tuple(x * s for x, s in zip(row, srow)) for row, srow in zip(m, scale))
-        for m in e
-    )
+def _conj(d: Pair, e: tuple[Pair, ...]) -> tuple[Pair, ...]:
+    """d m d^-1 for every entry m (d invertible diagonal).
+
+    With D the integer diagonal of d and L = lcm(D) > 0, entry (i, j) scales
+    by d_i / d_j = D_i (L / D_j) / L, so n_ij gains D_i (L / D_j) and q gains L.
+    """
+    dn = d[0]
+    diag = (dn[0], dn[4], dn[8])
+    big = lcm(*diag)
+    s = [di * (big // dj) for di in diag for dj in diag]
+    return tuple([_canon(tuple([x * y for x, y in zip(n, s)]), q * big) for n, q in e])
 
 
 def solve_relation(h: Mat, b11: Mat, b31: Mat, b12: Mat, b22: Mat, b32: Mat) -> StokesTuple:
     """Fill in B^2_4 so the relation holds exactly."""
-    b42 = mmul(minv(mmul(h, b31, b11)), minv(mmul(b32, b22, b12)))
-    t = StokesTuple(h, b11, b31, b12, b22, b32, b42)
+    ph, p11, p31, p12, p22, p32 = [
+        _pair(m, name) for name, m in zip(_NAMES, (h, b11, b31, b12, b22, b32))
+    ]
+    b42 = _mul(_inv(_mul(ph, p31, p11)), _inv(_mul(p32, p22, p12)))
+    t = StokesTuple(h, b11, b31, b12, b22, b32, _mat(b42))
     t.validate()
     return t
 
 
 def act_sigma(t: StokesTuple) -> StokesTuple:
     """Level-2 generator: (B^2_*) -> (B^2_3, B^2_4, h1^-1 B^2_1 h1, h1^-1 B^2_2 h1)."""
-    return StokesTuple(*_sigma(t.matrices()))
+    return _from_pairs(_sigma(_pairs(t)))
 
 
 def act_tau1(t: StokesTuple) -> StokesTuple:
     """Level-1 generator: (B^1_1, B^1_3) -> (B^1_3, h^-1 b1 h), level 2 conjugated by b1."""
-    return StokesTuple(*_tau1(t.matrices()))
+    return _from_pairs(_tau1(_pairs(t)))
 
 
 def conjugate_tuple(d: Mat, t: StokesTuple) -> StokesTuple:
-    """Simultaneous conjugation of every entry by a diagonal d."""
-    if not is_diagonal(d):
+    """Simultaneous conjugation of every entry by an invertible diagonal d."""
+    p = _pair(d, "d")
+    if not _is_diagonal(p[0]):
         raise ValueError("d must be diagonal")
-    return StokesTuple(*_conj(d, t.matrices()))
+    if not (p[0][0] and p[0][4] and p[0][8]):
+        raise ValueError("d must be invertible diagonal")
+    return _from_pairs(_conj(p, _pairs(t)))
 
 
 @dataclass(frozen=True)
@@ -227,27 +300,28 @@ def verify_properties(t: StokesTuple, rng: random.Random | None = None) -> Verif
     def check(name: str, ok: bool, detail: str = ""):
         checks.append((name, ok, detail))
 
-    ok0 = t.relation_holds()
+    e = _pairs(t)
+    ok0 = _relation_holds(e)
     check("relation", ok0, "" if ok0 else f"violated by {t}")
-    e = t.matrices()
     st, tt = _sigma(e), _tau1(e)
     check("sigma preserves relation", _relation_holds(st))
     check("tau1 preserves relation", _relation_holds(tt))
     check("actions commute", _tau1(st) == _sigma(tt))
-    for name, m in zip(_NAMES * 2, st + tt):
-        det = mdet(m)
-        if det != 1:
-            check("determinants preserved", False, f"{name} has det {det}")
+    for name, (n, q) in zip(_NAMES * 2, st + tt):
+        det = _det(n)
+        if det != q**3:
+            check("determinants preserved", False, f"{name} has det {Fraction(det, q**3)}")
             break
     else:
         check("determinants preserved", True)
     for _ in range(3):
         a, b = _nonzero_rational(rng), _nonzero_rational(rng)
-        d = diagonal(a, b, 1 / (a * b))
+        c = 1 / (a * b)
+        d = _pair(((a, 0, 0), (0, b, 0), (0, 0, c)))
         dt = _conj(d, e)
         equi = _conj(d, st) == _sigma(dt) and _conj(d, tt) == _tau1(dt)
         if not equi:
-            check("torus equivariance", False, f"fails for d = diag({a},{b},{1/(a*b)})")
+            check("torus equivariance", False, f"fails for d = diag({a},{b},{c})")
             break
     else:
         check("torus equivariance", True)
@@ -262,13 +336,13 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
 
 def _shear_product(rng: random.Random, factors: int = 3) -> Mat:
     """Random determinant-1 matrix: product of elementary shears I + c E_ij."""
-    m = IDENTITY
+    m = _ID
     for _ in range(factors):
         i, j = rng.sample(range(3), 2)
         rows = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
         rows[i][j] = _nonzero_rational(rng)
-        m = mmul(m, mat(rows))
-    return m
+        m = _mul(m, _pair(rows))
+    return _mat(m)
 
 
 def random_tuple(rng: random.Random) -> StokesTuple:

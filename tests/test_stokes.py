@@ -3,6 +3,8 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,9 @@ def shear(i, j, c):
     rows = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
     rows[i][j] = Fraction(c)
     return mat(rows)
+
+
+P = stokes._pair  # the canonical (n, q) pair of a Mat
 
 
 def identity_tuple():
@@ -68,6 +73,20 @@ def ref_mdet(m):
     )
 
 
+def ref_minv(m):
+    """Plain Fraction inverse, adj(m) / det(m) from the cofactors."""
+    det = ref_mdet(m)
+    cof = [
+        [
+            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
+
+
 rationals = st.builds(
     Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12])
 )
@@ -94,7 +113,18 @@ def test_integer_arithmetic_matches_fraction_reference(a, b, c):
     else:
         inv = minv(a)
         assert all_fractions(inv)
+        assert inv == ref_minv(a)
         assert ref_mmul(a, inv) == IDENTITY and ref_mmul(inv, a) == IDENTITY
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices, st.integers(-50, 50).filter(bool))
+def test_canonical_pair_is_unique(a, k):
+    n, q = P(a)
+    assert q > 0 and gcd(q, *n) == 1
+    assert stokes._mat((n, q)) == a
+    assert stokes._canon(tuple(k * x for x in n), k * q) == (n, q)
+    assert stokes._canon(tuple(-x for x in n), -q) == (n, q)
 
 
 def test_minv_singular_raises():
@@ -105,6 +135,9 @@ def test_minv_singular_raises():
 def test_mat_shape_checked():
     with pytest.raises(ValueError):
         mat([[1, 0], [0, 1]])
+    # A 4x3 matrix would flatten to 12 entries; the kernel's boundary refuses it.
+    with pytest.raises(ValueError, match="matrix must be 3x3"):
+        mmul(IDENTITY + ((Fraction(0),) * 3,), IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +194,17 @@ def test_constructor_rejects_bad_determinant():
     bad = mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         StokesTuple(IDENTITY, bad, IDENTITY, IDENTITY, IDENTITY, IDENTITY, IDENTITY)
+
+
+def test_constructor_rejects_non_3x3_entries():
+    tall = IDENTITY + ((Fraction(0),) * 3,)
+    with pytest.raises(ValueError, match="^h must be 3x3$"):
+        StokesTuple(tall, *([IDENTITY] * 6))
+    small = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    with pytest.raises(ValueError, match="^B1\\^1 must be 3x3$"):
+        StokesTuple(IDENTITY, small, *([IDENTITY] * 5))
+    with pytest.raises(ValueError, match="^B4\\^2 must be 3x3$"):
+        StokesTuple(*([IDENTITY] * 6), tall)
 
 
 def test_constructor_rejects_nondiagonal_h():
@@ -250,6 +294,13 @@ def test_conjugate_tuple_rejects_nondiagonal():
         conjugate_tuple(shear(0, 1, 1), t)
 
 
+def test_conjugate_tuple_rejects_singular_d():
+    t = random_tuple(random.Random(12))
+    for d in (diagonal(0, 1, 1), diagonal(1, Fraction(1, 2), 0)):
+        with pytest.raises(ValueError, match="^d must be invertible diagonal$"):
+            conjugate_tuple(d, t)
+
+
 def test_conjugate_tuple_matches_matrix_conjugation():
     rng = random.Random(13)
     t = random_tuple(rng)
@@ -296,6 +347,110 @@ def test_verify_flags_corrupted_tuple():
     assert any(name == "relation" for name, _ in report.failures())
 
 
+# ---------------------------------------------------------------------------
+# The plain-Fraction verifier: the reference for the integer one
+# ---------------------------------------------------------------------------
+
+
+def ref_chain(*ms):
+    return reduce(ref_mmul, ms)
+
+
+def ref_relation_holds(e):
+    h, b11, b31, b12, b22, b32, b42 = e
+    return ref_chain(h, b31, b11, b42, b32, b22, b12) == IDENTITY
+
+
+def ref_sigma(e):
+    h, b11, b31, b12, b22, b32, b42 = e
+    h1 = ref_chain(h, b31, b11)
+    h1i = ref_minv(h1)
+    return (h, b11, b31, b32, b42, ref_chain(h1i, b12, h1), ref_chain(h1i, b22, h1))
+
+
+def ref_tau1(e):
+    h, b1, b31, *level2 = e
+    b1i = ref_minv(b1)
+    return (h, b31, ref_chain(ref_minv(h), b1, h), *(ref_chain(b1, m, b1i) for m in level2))
+
+
+def ref_conj(d, e):
+    scale = [[d[i][i] / d[j][j] for j in range(3)] for i in range(3)]
+    return tuple(
+        tuple(tuple(x * s for x, s in zip(row, srow)) for row, srow in zip(m, scale))
+        for m in e
+    )
+
+
+def ref_verify_properties(t, rng):
+    checks = []
+
+    def check(name, ok, detail=""):
+        checks.append((name, ok, detail))
+
+    ok0 = ref_relation_holds(t.matrices())
+    check("relation", ok0, "" if ok0 else f"violated by {t}")
+    e = t.matrices()
+    st_, tt = ref_sigma(e), ref_tau1(e)
+    check("sigma preserves relation", ref_relation_holds(st_))
+    check("tau1 preserves relation", ref_relation_holds(tt))
+    check("actions commute", ref_tau1(st_) == ref_sigma(tt))
+    for name, m in zip(stokes._NAMES * 2, st_ + tt):
+        det = ref_mdet(m)
+        if det != 1:
+            check("determinants preserved", False, f"{name} has det {det}")
+            break
+    else:
+        check("determinants preserved", True)
+    for _ in range(3):
+        a, b = stokes._nonzero_rational(rng), stokes._nonzero_rational(rng)
+        d = diagonal(a, b, 1 / (a * b))
+        dt = ref_conj(d, e)
+        equi = ref_conj(d, st_) == ref_sigma(dt) and ref_conj(d, tt) == ref_tau1(dt)
+        if not equi:
+            check("torus equivariance", False, f"fails for d = diag({a},{b},{1/(a*b)})")
+            break
+    else:
+        check("torus equivariance", True)
+    return tuple(checks)
+
+
+class NegativeTorus(random.Random):
+    """Draws only negative numerators, so every torus element has a, b < 0."""
+
+    def choice(self, seq):
+        return super().choice([x for x in seq if x < 0] or seq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([None, 0, 1, 2]),
+    st.sampled_from([-2, -1, 1, 2]),
+    st.booleans(),
+)
+def test_verifier_agrees_with_fraction_reference(seed, corrupt_at, c, negative):
+    rng = random.Random(seed)
+    t = random_tuple(rng)
+    if corrupt_at is not None:
+        # Determinant 1, but B^2_4 no longer closes the relation.
+        i = corrupt_at
+        t = StokesTuple(*t.matrices()[:6], ref_mmul(t.b42, shear(i, (i + 1) % 3, c)))
+    make_rng = NegativeTorus if negative else random.Random
+    checks = verify_properties(t, make_rng(seed)).checks
+    assert checks == ref_verify_properties(t, make_rng(seed))
+    assert (corrupt_at is None) == all(ok for _, ok, _ in checks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), rationals.filter(bool), rationals.filter(bool))
+def test_conj_agrees_with_reference(seed, a, b):
+    t = random_tuple(random.Random(seed))
+    for d in (diagonal(a, b, 1 / (a * b)), diagonal(-abs(a), -abs(b), 1 / (a * b))):
+        images = stokes._conj(P(d), stokes._pairs(t))
+        assert tuple(stokes._mat(p) for p in images) == ref_conj(d, t.matrices())
+
+
 # Generated from the plain-Fraction verifier: the reprs of 50 random tuples,
 # 10 corrupted copies, and every report's checks must not change.
 PINNED_SHA256 = "4c13f340b0fd05bdc19f2f0c602da111338eed10d2c5795c450198aec20fdae9"
@@ -324,7 +479,8 @@ def test_verifier_transcript_pinned():
 # ---------------------------------------------------------------------------
 
 
-# The unpatched raw-entry actions, which the patched ones below wrap.
+# The unpatched raw-entry actions, which the patched ones below wrap.  They
+# take and return canonical pairs.
 SIGMA, TAU1 = stokes._sigma, stokes._tau1
 
 
@@ -335,31 +491,32 @@ def _replace(e, k, m):
 def _broken_determinant(e):
     # tau1 with B4^2 multiplied by diag(2, 1, 1).
     out = TAU1(e)
-    return _replace(out, 6, mmul(out[6], diagonal(2, 1, 1)))
+    return _replace(out, 6, stokes._mul(out[6], P(diagonal(2, 1, 1))))
 
 
 def _broken_sigma_relation(e):
     out = SIGMA(e)
-    return _replace(out, 3, mmul(out[3], shear(0, 1, 1)))
+    return _replace(out, 3, stokes._mul(out[3], P(shear(0, 1, 1))))
 
 
 def _broken_tau1_relation(e):
     out = TAU1(e)
-    return _replace(out, 3, mmul(out[3], shear(0, 1, 1)))
+    return _replace(out, 3, stokes._mul(out[3], P(shear(0, 1, 1))))
 
 
 def _non_commuting_sigma(e):
     # Conjugating every entry by B^1_1 keeps the relation, the determinants
     # and torus equivariance, but not commutation with tau1.
-    b, bi = e[1], minv(e[1])
-    return tuple(mmul(b, m, bi) for m in SIGMA(e))
+    b, bi = e[1], stokes._inv(e[1])
+    return tuple(stokes._mul(b, m, bi) for m in SIGMA(e))
 
 
 def _non_equivariant_sigma(e):
     # A fixed non-diagonal conjugation commutes with both actions but not
     # with the torus.
-    g, gi = shear(0, 1, 1), minv(shear(0, 1, 1))
-    return tuple(mmul(g, m, gi) for m in SIGMA(e))
+    g = P(shear(0, 1, 1))
+    gi = stokes._inv(g)
+    return tuple(stokes._mul(g, m, gi) for m in SIGMA(e))
 
 
 NEGATIVE_CONTROLS = {
