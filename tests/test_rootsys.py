@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildbraid import rootsys
 from wildbraid.fission import enumerate_levi_subsystems
@@ -145,6 +147,37 @@ def test_levi_validation_and_levi_property(family, rank):
         lev = levi_of_element(rs, cartan(rs, values))
         lev.validate()
         assert lev.is_levi()
+
+
+def ref_root_value(a, root):
+    """alpha(a) as a Fraction, summed over every entry of the root."""
+    return sum((c * x for c, x in zip(root, a.coords)), Fraction(0))
+
+
+@st.composite
+def cartan_elements(draw):
+    """Random Cartan elements over A-D (ranks up to 6) and G2, halves included."""
+    family, rank = draw(st.sampled_from(ALL_SYSTEMS))
+    rs = build_root_system(family, rank)
+    pool = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+    values = draw(st.lists(st.sampled_from(pool), min_size=rs.ambient_dim, max_size=rs.ambient_dim))
+    if family in ("A", "G2"):
+        values = rootsys.project_traceless(values)
+    return cartan(rs, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cartan_elements())
+def test_levi_of_element_matches_fraction_reference(a):
+    rs = a.rs
+    ref = [ref_root_value(a, r) for r in rs.roots]
+    assert levi_of_element(rs, a).members == tuple(i for i, v in enumerate(ref) if v == 0)
+    # The integer values are the Fraction ones times one positive scale.
+    values = rootsys.root_values(a)
+    assert all(type(v) is int for v in values)
+    scale = next((v / f for v, f in zip(values, ref) if f), 1)
+    assert scale > 0
+    assert values == [scale * f for f in ref]
 
 
 def test_subsystem_validation_rejects_unclosed():

@@ -19,8 +19,6 @@ from wildbraid.stokes import (
     conjugate_tuple,
     diagonal,
     mat,
-    mdet,
-    minv,
     mmul,
     random_tuple,
     solve_relation,
@@ -35,6 +33,17 @@ def shear(i, j, c):
 
 
 P = stokes._pair  # the canonical (n, q) pair of a Mat
+
+
+def mdet(m):
+    """det(m) as a Fraction, through the integer kernel."""
+    n, q = P(m)
+    return Fraction(stokes._det(n), q**3)
+
+
+def minv(m):
+    """m^-1 as a Mat, through the integer kernel."""
+    return stokes._mat(stokes._inv(P(m)))
 
 
 def identity_tuple():
