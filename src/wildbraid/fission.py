@@ -14,14 +14,14 @@ implemented:
   fusion off the coefficients, ``fission_tree`` builds the decorated tree
   from them and the factors are read off the nodes; no root is enumerated;
 * the arrangement oracle: enumerate the roots, build the filtration with one
-  Levi test per level, restrict each level's new roots to the kernel of the
-  previous level and classify the resulting hyperplane arrangement block by
-  block.
+  Levi test per distinct level, restrict each level's new roots to the kernel
+  of the previous one and classify the arrangement block by block, in one
+  pass kept on the instance (``IrregularType._root_side``).
 
-The two must agree on families A-D; ``decompose(..., method="check")``
-raises if they ever differ, level by level (tree nodes against the fusion
-of the root-enumerated level) and in the product.  G2 is handled by the
-oracle only (there is no fission tree for G2).
+The two must agree on families A-D; ``decompose(..., method="check")``, the
+one comparison of the two, raises if they ever differ, level by level (tree
+nodes against the fusion of the root-enumerated level) and in the product.
+G2 is handled by the oracle only (there is no fission tree for G2).
 """
 
 from __future__ import annotations
@@ -92,6 +92,23 @@ class IrregularType:
             levels.append(sub)
         return Filtration(self.rs, tuple(levels))
 
+    @cached_property
+    def _root_side(self) -> tuple[tuple[Fusion, ...], tuple[tuple[int, tuple], ...]]:
+        """(``fusion_of`` of each level, none for G2; ``level_factors``)."""
+        rs, levels = self.rs, self._filtration.levels
+        fusions: list[Fusion] = []
+        for i, sub in enumerate(levels if rs.family != "G2" else ()):
+            repeated = i > 0 and sub.members == levels[i - 1].members
+            fusions.append(fusions[-1] if repeated else fusion_of(sub))
+        per_level = []
+        for i, (inner, outer) in enumerate(zip(levels, levels[1:]), start=1):
+            fus = fusions[i - 1] if fusions else None
+            changed = inner.members != outer.members
+            blocks = rootsys._arrangement_blocks(rs, inner, outer, fus) if changed else []
+            factors = [_factor_of_arrangement(arr, rs.family) for arr in blocks]
+            per_level.append((i, GroupDecomposition.from_factors(factors).factors))
+        return tuple(fusions), tuple(per_level)
+
 
 def irregular_type(rs: RootSystem, coefficient_vectors) -> IrregularType:
     return IrregularType(rs, tuple(cartan(rs, v) for v in coefficient_vectors))
@@ -132,9 +149,8 @@ def filtration(q: IrregularType) -> Filtration:
 
     Each distinct level gets one Levi test (which implies closure under
     negation and reflections); a repeated level reuses the previous one.
-    The filtration is built once per IrregularType instance and kept on it,
-    so the oracle, ``level_factors`` and the check share one analysis pass.
-    The tree path does not use it (see ``coordinate_fusions``).
+    It is kept on the IrregularType instance, as is the root-side pass on
+    it.  The tree path does not use it (see ``coordinate_fusions``).
     """
     return q._filtration
 
@@ -544,24 +560,14 @@ def _factor_of_arrangement(arr: ArrangementType, family: str) -> Factor | None:
     return _canonical_factor("G2BRAID")
 
 
-def level_factors(q: IrregularType) -> list[tuple[int, tuple[Factor, ...]]]:
+def level_factors(q: IrregularType) -> tuple[tuple[int, tuple[Factor, ...]], ...]:
     """Canonical factors contributed by each filtration level (oracle path).
 
-    Every level is Levi in the whole system, so each consecutive pair is a
-    Levi pair and the arrangement is classified without re-checking it.
+    Read off the root-side pass kept on q, which calls ``fusion_of`` once per
+    distinct level and classifies each changing level pair once, unchecked:
+    consecutive levels of a filtration are Levi pairs.
     """
-    rs = q.rs
-    levels = filtration(q).levels
-    out = []
-    for i, (inner, outer) in enumerate(zip(levels, levels[1:]), start=1):
-        factors: list[Factor] = []
-        if inner.members != outer.members:
-            for arr in rootsys._arrangement_blocks(rs, inner, outer):
-                f = _factor_of_arrangement(arr, rs.family)
-                if f is not None:
-                    factors.append(f)
-        out.append((i, tuple(sorted(factors, key=Factor.sort_key))))
-    return out
+    return q._root_side[1]
 
 
 def decomposition_via_arrangements(q: IrregularType) -> GroupDecomposition:
@@ -592,7 +598,7 @@ def decompose(
     via_tree = decomposition_from_tree(tree)
     if method == "tree":
         return via_tree
-    _check_tree_levels(tree, [fusion_of(s) for s in filtration(q).levels])
+    _check_tree_levels(tree, q._root_side[0])
     via_arr = decomposition_via_arrangements(q)
     if via_tree != via_arr:
         raise DecompositionMismatchError(
@@ -601,7 +607,7 @@ def decompose(
     return via_tree
 
 
-def _check_tree_levels(tree: FissionTree, fusions: list[Fusion]) -> None:
+def _check_tree_levels(tree: FissionTree, fusions: tuple[Fusion, ...]) -> None:
     """Raise unless each tree level's (coords, colour) nodes are the parts
     (green) and the pinned block (blue) of that level's root fusion."""
     nodes: dict[int, set] = {}

@@ -279,7 +279,10 @@ def subsystem(rs: RootSystem, indices) -> RootSubsystem:
 
 
 def subsystem_from_vectors(rs: RootSystem, vectors) -> RootSubsystem:
-    return subsystem(rs, (rs.index_of(tuple(v)) for v in vectors))
+    try:
+        return subsystem(rs, [rs.index_of(tuple(v)) for v in vectors])
+    except KeyError as exc:
+        raise SubsystemError(f"{exc.args[0]} is not a root of {rs!r}") from None
 
 
 def root_values(a: CartanElement) -> list[int]:
@@ -455,23 +458,23 @@ def _check_levi_pair(rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem)
 
 
 def _restricted_covectors(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem
+    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fus: Fusion | None
 ) -> list[tuple[int, ...]]:
     """Deduplicated restrictions of outer \\ inner to Ker(inner), on fused coordinates.
 
     On families A-D a root restricts to the signed sum of its entries over
-    each part of ``fusion_of(inner)``; pinned coordinates drop out.  G2 has
-    no fusion: there the covector is the root's values on an integer basis
-    of the trace-free kernel.  For family A the fused value vectors are
-    differences of two unit entries; such covectors are never proportional
-    modulo the trace relation, so deduplication on the value vectors equals
-    deduplication on the trace-free kernel.
+    each part of ``fus`` = ``fusion_of(inner)``; pinned coordinates drop
+    out.  G2 has no fusion (``fus`` is None): there the covector is the
+    root's values on an integer basis of the trace-free kernel.  For family
+    A the fused value vectors are differences of two unit entries; such
+    covectors are never proportional modulo the trace relation, so
+    deduplication on the value vectors equals deduplication on the
+    trace-free kernel.
     """
     if rs.family == "G2":
         kernel = linalg.integer_nullspace(inner.vectors + ((1, 1, 1),), 3)
         restrict = lambda i: [dot(rs.roots[i], k) for k in kernel]
     else:
-        fus = fusion_of(inner)
         # (part, sign) of every coordinate that is not pinned to zero.
         place = {
             c: (k, s)
@@ -593,18 +596,19 @@ def restricted_arrangement_blocks(
     complement is the product over blocks.
     """
     _check_levi_pair(rs, inner, outer)
-    return _arrangement_blocks(rs, inner, outer)
+    fus = None if rs.family == "G2" else fusion_of(inner)
+    return _arrangement_blocks(rs, inner, outer, fus)
 
 
 def _arrangement_blocks(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem
+    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fus: Fusion | None
 ) -> list[ArrangementType]:
-    """restricted_arrangement_blocks for a pair already known to be Levi.
+    """restricted_arrangement_blocks of a Levi pair, given ``fusion_of(inner)``.
 
     Consecutive levels of a filtration qualify: each level is Levi in the
     whole system, so span(inner) /\\ outer lies in span(inner) /\\ Phi = inner.
     """
-    covectors = _restricted_covectors(rs, inner, outer)
+    covectors = _restricted_covectors(rs, inner, outer, fus)
     if not covectors:
         return []
     if rs.family == "G2":

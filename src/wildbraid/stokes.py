@@ -29,17 +29,17 @@ Arithmetic runs on one canonical integer form.  A matrix m is the pair
 m = n / q and gcd(q, *n) == 1.  Each rational matrix has exactly one such
 pair, so matrix equality is tuple equality, the identity is
 ((1, 0, 0, 0, 1, 0, 0, 0, 1), 1) and det(m) = 1 reads det(n) == q**3.
-_pair checks a Mat's shape and clears its denominators; the kernel (_mul,
-_det, _inv, _conj) takes and returns pairs, with one gcd per result in
-_canon.  Fractions are built only at the edges: by _mat, when a public
-function returns a Mat, and in verify_properties' torus scalars and failure
-details.
+_pair checks a Mat's shape and clears its denominators, once per entry:
+a StokesTuple keeps its seven pairs as ``pairs``.  The kernel (_mul, _det,
+_inv, _conj) takes and returns pairs, with one gcd per result in _canon.
+Fractions are built only at the edges: by _mat, when a public function
+returns a Mat, and in verify_properties' torus scalars and failure details.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -159,7 +159,8 @@ class StokesTuple:
 
     The quasi moment-map relation is checked by relation_holds(); it is not
     enforced at construction so that deliberately corrupted tuples can be run
-    through the verifier as negative controls.
+    through the verifier as negative controls.  ``pairs`` holds the seven
+    entries' canonical pairs, cleared once here.
     """
 
     h: Mat
@@ -169,16 +170,18 @@ class StokesTuple:
     b22: Mat
     b32: Mat
     b42: Mat
+    pairs: tuple[Pair, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        pairs = []
         for name, m in self.entries():
-            n, q = _pair(m, name)
+            pairs.append(_pair(m, name))
+            n, q = pairs[-1]
             if _det(n) != q**3:
                 raise ValueError(f"determinant of {name} must be 1")
-            if name == "h":
-                h = n
-        if not _is_diagonal(h):
+        if not _is_diagonal(pairs[0][0]):
             raise ValueError("h must be diagonal")
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     def matrices(self) -> tuple[Mat, ...]:
         return (self.h, self.b11, self.b31, self.b12, self.b22, self.b32, self.b42)
@@ -187,15 +190,11 @@ class StokesTuple:
         return list(zip(_NAMES, self.matrices()))
 
     def relation_holds(self) -> bool:
-        return _relation_holds(_pairs(self))
+        return _relation_holds(self.pairs)
 
     def validate(self) -> None:
         if not self.relation_holds():
             raise ValueError("quasi moment-map relation violated")
-
-
-def _pairs(t: StokesTuple) -> tuple[Pair, ...]:
-    return tuple([_pair(m) for m in t.matrices()])
 
 
 def _from_pairs(e: tuple[Pair, ...]) -> StokesTuple:
@@ -251,12 +250,12 @@ def solve_relation(h: Mat, b11: Mat, b31: Mat, b12: Mat, b22: Mat, b32: Mat) -> 
 
 def act_sigma(t: StokesTuple) -> StokesTuple:
     """Level-2 generator: (B^2_*) -> (B^2_3, B^2_4, h1^-1 B^2_1 h1, h1^-1 B^2_2 h1)."""
-    return _from_pairs(_sigma(_pairs(t)))
+    return _from_pairs(_sigma(t.pairs))
 
 
 def act_tau1(t: StokesTuple) -> StokesTuple:
     """Level-1 generator: (B^1_1, B^1_3) -> (B^1_3, h^-1 b1 h), level 2 conjugated by b1."""
-    return _from_pairs(_tau1(_pairs(t)))
+    return _from_pairs(_tau1(t.pairs))
 
 
 def conjugate_tuple(d: Mat, t: StokesTuple) -> StokesTuple:
@@ -266,7 +265,7 @@ def conjugate_tuple(d: Mat, t: StokesTuple) -> StokesTuple:
         raise ValueError("d must be diagonal")
     if not (p[0][0] and p[0][4] and p[0][8]):
         raise ValueError("d must be invertible diagonal")
-    return _from_pairs(_conj(p, _pairs(t)))
+    return _from_pairs(_conj(p, t.pairs))
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,7 @@ def verify_properties(t: StokesTuple, rng: random.Random | None = None) -> Verif
     def check(name: str, ok: bool, detail: str = ""):
         checks.append((name, ok, detail))
 
-    e = _pairs(t)
+    e = t.pairs
     ok0 = _relation_holds(e)
     check("relation", ok0, "" if ok0 else f"violated by {t}")
     st, tt = _sigma(e), _tau1(e)

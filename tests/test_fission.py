@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildbraid import cli, fission, rootsys
+from wildbraid import cli, fission, rootsys, selfcheck
 from wildbraid.fission import (
     BLUE,
     GREEN,
@@ -143,6 +143,52 @@ def test_one_levi_test_per_distinct_level(vectors, monkeypatch):
     assert len(calls) == len(distinct) and set(calls) == distinct
 
 
+@pytest.mark.parametrize(
+    "vectors",
+    [Q_I, [Q_I[0], (0,) * 9, Q_I[2], (0,) * 9]],
+    ids=["qi", "repeated-levels"],
+)
+def test_one_root_side_pass_per_instance(vectors, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append((name, args)) or fn(*args)
+
+    monkeypatch.setattr(fission, "fusion_of", counted("fusion", fusion_of))
+    monkeypatch.setattr(rootsys, "fusion_of", counted("fusion", fusion_of))
+    blocks = rootsys._arrangement_blocks
+    monkeypatch.setattr(rootsys, "_arrangement_blocks", counted("blocks", blocks))
+    q = a8_type(vectors)
+    decompose(q, method="check")
+    level_factors(q)
+    decomposition_via_arrangements(q)
+    levels = filtration(q).levels
+    pairs = list(zip(levels, levels[1:]))
+    # One fusion per distinct level, one classification per changing pair.
+    distinct = [levels[0].members] + [b.members for a, b in pairs if a.members != b.members]
+    changing = [(a.members, b.members) for a, b in pairs if a.members != b.members]
+    assert [args[0].members for name, args in calls if name == "fusion"] == distinct
+    assert [
+        (args[1].members, args[2].members) for name, args in calls if name == "blocks"
+    ] == changing
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        a8_type(Q_III),
+        irregular_type(build_root_system("G2", 2), [(1, -1, 0), (1, 1, -2)]),
+    ],
+    ids=["qiii", "g2"],
+)
+def test_level_factors_are_kept_and_immutable(q):
+    per_level = level_factors(q)
+    assert level_factors(q) is per_level
+    with pytest.raises(TypeError):
+        per_level[0] = (1, ())
+    assert per_level == level_factors(IrregularType(q.rs, q.coefficients))
+
+
 # ---------------------------------------------------------------------------
 # Coordinate fusions: the tree path's analysis, with no roots
 # ---------------------------------------------------------------------------
@@ -185,6 +231,20 @@ def test_tree_level_mismatch_names_the_level(monkeypatch):
     assert decompose(q, method="tree").canonical_string() == "PB_2 x PB_2"
     with pytest.raises(DecompositionMismatchError, match="fission tree level 2 "):
         decompose(q, method="check")
+
+
+def test_sweep_records_the_level_mismatch(monkeypatch):
+    # The same planted level-2 fusion: the products agree, so the sweep
+    # reports it only because it runs the level-by-level check.
+    rs, q = sl3_example()
+    real = coordinate_fusions(q)
+    wrong = (real[0], Fusion(((0,), (1, 2)), ((1,), (1, 1)), ()), real[2])
+    monkeypatch.setattr(fission, "coordinate_fusions", lambda q: wrong)
+    result = selfcheck.SweepResult()
+    selfcheck._sweep_case(rs, q, result)
+    (mismatch,) = result.mismatches
+    assert mismatch.startswith("A2: fission tree level 2 ")
+    assert not result.bound_violations and not result.jump_violations
 
 
 def _rank_1000_doc(family):

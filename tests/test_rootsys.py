@@ -1,6 +1,7 @@
 """Root systems, Levi subsystems, fusions, kernels, and restricted arrangements."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,13 @@ def test_levi_of_element_matches_fraction_reference(a):
     scale = next((v / f for v, f in zip(values, ref) if f), 1)
     assert scale > 0
     assert values == [scale * f for f in ref]
+
+
+@pytest.mark.parametrize("vector", [(1, 1, -2), (1, -1)])
+def test_subsystem_from_vectors_names_a_non_root(vector):
+    rs = build_root_system("A", 2)
+    with pytest.raises(SubsystemError, match=f"^{re.escape(str(vector))} is not a root"):
+        subsystem_from_vectors(rs, [(1, -1, 0), vector])
 
 
 def test_subsystem_validation_rejects_unclosed():

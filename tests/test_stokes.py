@@ -456,8 +456,14 @@ def test_verifier_agrees_with_fraction_reference(seed, corrupt_at, c, negative):
 def test_conj_agrees_with_reference(seed, a, b):
     t = random_tuple(random.Random(seed))
     for d in (diagonal(a, b, 1 / (a * b)), diagonal(-abs(a), -abs(b), 1 / (a * b))):
-        images = stokes._conj(P(d), stokes._pairs(t))
+        images = stokes._conj(P(d), t.pairs)
         assert tuple(stokes._mat(p) for p in images) == ref_conj(d, t.matrices())
+
+
+def test_tuple_keeps_its_pairs_out_of_repr():
+    t = random_tuple(random.Random(5))
+    assert t.pairs == tuple(P(m) for m in t.matrices())
+    assert "pairs" not in repr(t)
 
 
 # Generated from the plain-Fraction verifier: the reprs of 50 random tuples,
