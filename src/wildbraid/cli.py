@@ -6,15 +6,16 @@ Input format (JSON): a single block
      "coefficients": [["-1", "1", "0"], ["-1", "-1", "2"]]}
 
 with coefficient i the vector of the x^i coefficient, entries integers or
-exact rational strings ("num/den" or a decimal such as "1.5"; exponent
-notation is rejected); or {"points": [block, ...]} for the many-point
-product.  A block accepts only the keys lie_type, rank, p and coefficients
-("p" is optional and pads with zero coefficients); a many-point document
-accepts only "points".  p may be at most MAX_P.  rank may be at most
-MAX_TREE_RANK on the routes that read only coordinates (decompose without
---oracle/--check, tree) and at most MAX_RANK on the routes that enumerate
-roots (decompose --oracle/--check) or whose output grows with the tree
-(cable).
+exact rational strings: an optional sign and ASCII digits, as "num/den" or
+a decimal such as "1.5", surrounding whitespace ignored (exponent notation,
+"_" separators and non-ASCII digits are rejected); or {"points": [block,
+...]} for the many-point product.  A block accepts only the keys lie_type,
+rank, p and coefficients ("p" is optional and pads with zero coefficients);
+a many-point document accepts only "points".  p may be at most MAX_P.  rank
+may be at most MAX_TREE_RANK on the routes that read only coordinates
+(decompose without --oracle/--check, tree) and at most MAX_RANK on the
+routes that enumerate roots (decompose --oracle/--check) or whose output
+grows with the tree (cable).
 Family A (and G2) vectors are given in eigenvalue coordinates and are
 projected onto trace zero with a warning whenever the input trace is
 nonzero.
@@ -86,10 +87,14 @@ def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, str):
         if "e" in value.lower():
             raise InputError(f"{where}: exponent notation {_echo(value)} is not accepted")
+        text = value.strip()
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: invalid rational {_echo(value)}") from exc
+            # Fraction alone also reads non-ASCII digits, and "_" from 3.11 on.
+            if text.isascii() and "_" not in text:
+                return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise InputError(f"{where}: invalid rational {_echo(value)}")
     raise InputError(f"{where}: entry {_echo(value)} is not an exact rational")
 
 
@@ -191,19 +196,6 @@ def parse_blocks(
     if not isinstance(data["points"], list) or not data["points"]:
         raise InputError("points: expected a nonempty list of blocks")
     return [_parse_block(b, f"points[{i}]", max_rank) for i, b in enumerate(data["points"])]
-
-
-def emit_input(rs: rootsys.RootSystem, q: fission.IrregularType) -> str:
-    """Canonical JSON for a parsed spec (round-trip companion of parse_blocks)."""
-    doc = {
-        "lie_type": rs.family,
-        "rank": rs.rank,
-        "p": q.p,
-        "coefficients": [
-            [str(c) for c in coeff.coords] for coeff in q.coefficients
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,14 @@ one-entry roots of B/C or by a sign conflict (the reducible "D_2 pair"
 ``e_i - e_j, e_i + e_j``).  That fusion drives the induced coordinate
 partitions and the classification of restricted hyperplane arrangements
 against the model families A / BC / D / exotic (B_r/C_r)D_s.
+
+One signed union-find (``_signed_classes``) computes both.  On the roots of
+a subsystem it gives the fusion; on the restricted covectors it gives the
+blocks of the arrangement (classes of kernel coordinates, listed by smallest
+coordinate) and whether each block is balanced: whether coordinate sign
+flips turn every pair covector into a difference (Zaslavsky, "Signed
+graphs", 1982).  A block is then classified from three numbers: its axis
+covectors, its pair covectors and its balance.
 """
 
 from __future__ import annotations
@@ -197,9 +205,6 @@ class CartanElement:
         if self.rs.family in ("A", "G2") and sum(self.coords) != 0:
             raise ValueError("trace-free coordinates required for families A and G2")
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 def cartan(rs: RootSystem, values) -> CartanElement:
     return CartanElement(rs, tuple(Fraction(v) for v in values))
@@ -308,7 +313,7 @@ def levi_of_element(rs: RootSystem, a: CartanElement) -> RootSubsystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fusion:
     """Coordinate relations cut out by a subsystem on the Cartan subalgebra.
 
@@ -323,62 +328,64 @@ class Fusion:
     zero: tuple[int, ...]
 
 
+def _signed_classes(n: int, relations, pins):
+    """Signed union-find on coordinates 0..n-1.
+
+    ``relations`` are triples ``(i, j, s)`` for ``x_j = s * x_i`` with
+    ``s = +-1``; ``pins`` are coordinates with ``x_i = 0``.  Returns
+    ``(root, sign, pinned)``: each coordinate's class, named by its smallest
+    coordinate; its sign relative to that coordinate; and the set of classes
+    pinned to zero, by a pin or by a sign conflict (an unbalanced cycle).
+    """
+    parent, sign = list(range(n)), [1] * n
+
+    def find(x: int) -> int:
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        for y in reversed(path):  # nearest the root first: parent[y] is final
+            if parent[y] != x:
+                sign[y] *= sign[parent[y]]
+                parent[y] = x
+        return x
+
+    conflicts = list(pins)
+    for i, j, s in relations:
+        ri, rj = find(i), find(j)
+        s *= sign[i] * sign[j]  # now x_rj = s * x_ri
+        if ri == rj:
+            if s != 1:
+                conflicts.append(ri)
+        else:
+            lo, hi = min(ri, rj), max(ri, rj)
+            parent[hi], sign[hi] = lo, s
+    root = [find(c) for c in range(n)]
+    return root, sign, {root[c] for c in conflicts}
+
+
 def fusion_of(sub: RootSubsystem) -> Fusion:
-    """Signed union-find over the subsystem's roots; classical families only."""
+    """The signed classes of the subsystem's roots; classical families only."""
     rs = sub.parent
     if rs.family == "G2":
         raise ValueError("fusion is defined for classical families only")
-    n = rs.ambient_dim
-    parent = list(range(n))
-    rel = [1] * n  # sign relative to the class representative
-    pinned = [False] * n
-
-    def find(x: int) -> tuple[int, int]:
-        if parent[x] == x:
-            return x, 1
-        root, s = find(parent[x])
-        parent[x] = root
-        rel[x] *= s
-        return root, rel[x]
-
-    def union(i: int, j: int, s: int) -> None:
-        ri, si = find(i)
-        rj, sj = find(j)
-        if ri == rj:
-            if si * sj != s:
-                pinned[ri] = True
-            return
-        parent[rj] = ri
-        rel[rj] = si * s * sj
-        pinned[ri] = pinned[ri] or pinned[rj]
-
+    relations, pins = [], []
     for k in sub.members:
         support = rs.supports[k]
         if len(support) == 1:
-            r, _ = find(support[0][0])
-            pinned[r] = True
+            pins.append(support[0][0])
         else:
             (i, x), (j, y) = support
-            union(i, j, -1 if x * y > 0 else 1)
-
+            relations.append((i, j, -1 if x * y > 0 else 1))
+    root, sign, pinned = _signed_classes(rs.ambient_dim, relations, pins)
     classes: dict[int, list[int]] = {}
-    for c in range(n):
-        r, _ = find(c)
+    for c, r in enumerate(root):
         classes.setdefault(r, []).append(c)
-    parts, signs, zero = [], [], []
-    for r, coords in classes.items():
-        coords.sort()
-        if pinned[r]:
-            zero.extend(coords)
-            continue
-        base = find(coords[0])[1]
-        parts.append(tuple(coords))
-        signs.append(tuple(find(c)[1] * base for c in coords))
-    order = sorted(range(len(parts)), key=lambda k: parts[k][0])
+    parts = [tuple(coords) for r, coords in classes.items() if r not in pinned]
     return Fusion(
-        tuple(parts[k] for k in order),
-        tuple(signs[k] for k in order),
-        tuple(sorted(zero)),
+        tuple(parts),
+        tuple(tuple(sign[c] for c in part) for part in parts),
+        tuple(c for c, r in enumerate(root) if r in pinned),
     )
 
 
@@ -437,12 +444,6 @@ class ArrangementType:
         if self.kind == "Exotic":
             return f"Exotic({self.r},{self.s})"
         return self.kind
-
-    @property
-    def annotation(self) -> str | None:
-        if self.kind == "Exotic" and (self.r, self.s) == (1, 1):
-            return "isomorphic to the A_2 arrangement (PB_3)"
-        return None
 
 
 def _check_levi_pair(rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem) -> None:
@@ -503,87 +504,36 @@ def _restricted_covectors(
     return list(seen)
 
 
-def _classify_block(covectors: list[tuple[int, ...]], family: str) -> ArrangementType:
-    """Pattern-match one support-connected block of restricted covectors."""
-    support = sorted({c for cov in covectors for c, x in enumerate(cov) if x})
-    axes: set[int] = set()
-    diff: dict[tuple[int, int], bool] = {}
-    summ: dict[tuple[int, int], bool] = {}
+def _classify_block(covectors: list[tuple[int, ...]], balanced: bool) -> ArrangementType:
+    """Pattern-match one block of restricted covectors.
+
+    Covectors are primitive and distinct, so a coordinate pair carries at
+    most its difference and its sum: with k coordinates, k(k-1) pair
+    covectors means every pair carries both (a lone coordinate is BC_1), and
+    k(k-1)/2 balanced ones (no axis) means type A.
+    """
+    support: set[int] = set()
+    axes = pairs = 0
     for cov in covectors:
         nz = [(c, x) for c, x in enumerate(cov) if x]
         if len(nz) == 1:
-            axes.add(nz[0][0])
+            axes += 1
         elif len(nz) == 2 and abs(nz[0][1]) == 1 and abs(nz[1][1]) == 1:
-            key = (nz[0][0], nz[1][0])
-            if nz[0][1] * nz[1][1] < 0:
-                diff[key] = True
-            else:
-                summ[key] = True
+            pairs += 1
         else:
             raise ClassificationError(f"covector {cov} matches no model pattern")
+        support.update(c for c, _ in nz)
     k = len(support)
-    pairs = [(a, b) for i, a in enumerate(support) for b in support[i + 1 :]]
     raw = tuple(covectors)
-    if k == 1:
-        return ArrangementType("TypeBC", d=1, raw_hyperplanes=raw)
-    both = all(diff.get(p) and summ.get(p) for p in pairs)
-    if both:
-        if len(axes) == k:
+    if pairs == k * (k - 1):
+        if axes == k:
             return ArrangementType("TypeBC", d=k, raw_hyperplanes=raw)
         if not axes:
             return ArrangementType("TypeD", d=k, raw_hyperplanes=raw)
-        return ArrangementType("Exotic", r=len(axes), s=k - len(axes), raw_hyperplanes=raw)
-    single = not axes and all(bool(diff.get(p)) != bool(summ.get(p)) for p in pairs)
-    if single and _sign_consistent(support, diff, summ):
+        return ArrangementType("Exotic", r=axes, s=k - axes, raw_hyperplanes=raw)
+    if not axes and pairs == k * (k - 1) // 2 and balanced:
         return ArrangementType("TypeA", d=k - 1, raw_hyperplanes=raw)
     raise ClassificationError("hyperplane set matches no model family")
-
-
-def _sign_consistent(support, diff, summ) -> bool:
-    """Whether coordinate sign flips turn every pair covector into a difference."""
-    sign: dict[int, int] = {}
-    for c in support:
-        if c in sign:
-            continue
-        sign[c] = 1
-        stack = [c]
-        while stack:
-            a = stack.pop()
-            for (x, y), _ in list(diff.items()) + list(summ.items()):
-                if a not in (x, y):
-                    continue
-                b = y if a == x else x
-                want = sign[a] * (1 if diff.get((x, y)) else -1)
-                if b in sign:
-                    if sign[b] != want:
-                        return False
-                else:
-                    sign[b] = want
-                    stack.append(b)
-    return True
-
-
-def _blocks(covectors: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """Group covectors by shared support coordinates."""
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cov in covectors:
-        supp = [c for c, x in enumerate(cov) if x]
-        for c in supp:
-            parent.setdefault(c, c)
-        for c in supp[1:]:
-            parent[find(supp[0])] = find(c)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for cov in covectors:
-        root = find(next(c for c, x in enumerate(cov) if x))
-        groups.setdefault(root, []).append(cov)
-    return [groups[k] for k in sorted(groups)]
 
 
 def restricted_arrangement_blocks(
@@ -613,7 +563,18 @@ def _arrangement_blocks(
         return []
     if rs.family == "G2":
         return [_classify_g2(covectors)]
-    return [_classify_block(b, rs.family) for b in _blocks(covectors)]
+    # Join the support of every covector; a pair covector x e_a + y e_b
+    # vanishes on x_b = -(x/y) x_a.
+    relations, firsts = [], []
+    for cov in covectors:
+        (a, x), *rest = [(c, x) for c, x in enumerate(cov) if x]
+        firsts.append(a)
+        relations.extend((a, b, -1 if x * y > 0 else 1) for b, y in rest)
+    root, _, unbalanced = _signed_classes(len(covectors[0]), relations, ())
+    blocks: dict[int, list[tuple[int, ...]]] = {}
+    for a, cov in zip(firsts, covectors):
+        blocks.setdefault(root[a], []).append(cov)
+    return [_classify_block(blocks[r], r not in unbalanced) for r in sorted(blocks)]
 
 
 def _classify_g2(covectors: list[tuple[int, ...]]) -> ArrangementType:

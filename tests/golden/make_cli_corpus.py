@@ -59,7 +59,13 @@ def record(command: list[str], doc: str) -> dict:
 
 
 def _doc(q: fission.IrregularType) -> str:
-    return json.dumps(json.loads(cli.emit_input(q.rs, q)), sort_keys=True)
+    doc = {
+        "lie_type": q.rs.family,
+        "rank": q.rs.rank,
+        "p": q.p,
+        "coefficients": [[str(c) for c in coeff.coords] for coeff in q.coefficients],
+    }
+    return json.dumps(doc, sort_keys=True)
 
 
 def corpus_inputs() -> list[str]:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildbraid import rootsys
-from wildbraid.fission import enumerate_levi_subsystems
+from wildbraid.fission import enumerate_levi_subsystems, filtration, random_irregular_type
 from wildbraid.rootsys import (
     SubsystemError,
     UnsupportedRankError,
@@ -421,7 +421,6 @@ def test_arrangement_d3_exotic():
     (arr,) = restricted_arrangement_blocks(rs, inner, full_subsystem(rs))
     assert (arr.kind, arr.r, arr.s) == ("Exotic", 1, 1)
     assert arr.hyperplane_count == 3
-    assert arr.annotation and "A_2" in arr.annotation
 
 
 def test_arrangement_b2_full():
@@ -503,3 +502,150 @@ def test_g2_full_arrangement():
     (arr,) = restricted_arrangement_blocks(rs, empty_subsystem(rs), full_subsystem(rs))
     assert arr.kind == "G2Full"
     assert arr.hyperplane_count == 6
+
+
+# ---------------------------------------------------------------------------
+# The classifier against a reference: per-pair difference/sum tables, a
+# depth-first balance test and an unsigned union-find over supports
+# ---------------------------------------------------------------------------
+
+
+def ref_classify_block(covectors):
+    support = sorted({c for cov in covectors for c, x in enumerate(cov) if x})
+    axes = set()
+    diff, summ = {}, {}
+    for cov in covectors:
+        nz = [(c, x) for c, x in enumerate(cov) if x]
+        if len(nz) == 1:
+            axes.add(nz[0][0])
+        elif len(nz) == 2 and abs(nz[0][1]) == 1 and abs(nz[1][1]) == 1:
+            key = (nz[0][0], nz[1][0])
+            if nz[0][1] * nz[1][1] < 0:
+                diff[key] = True
+            else:
+                summ[key] = True
+        else:
+            raise rootsys.ClassificationError(f"covector {cov} matches no model pattern")
+    k = len(support)
+    pairs = [(a, b) for i, a in enumerate(support) for b in support[i + 1 :]]
+    raw = tuple(covectors)
+    if k == 1:
+        return rootsys.ArrangementType("TypeBC", d=1, raw_hyperplanes=raw)
+    if all(diff.get(p) and summ.get(p) for p in pairs):
+        if len(axes) == k:
+            return rootsys.ArrangementType("TypeBC", d=k, raw_hyperplanes=raw)
+        if not axes:
+            return rootsys.ArrangementType("TypeD", d=k, raw_hyperplanes=raw)
+        return rootsys.ArrangementType(
+            "Exotic", r=len(axes), s=k - len(axes), raw_hyperplanes=raw
+        )
+    single = not axes and all(bool(diff.get(p)) != bool(summ.get(p)) for p in pairs)
+    if single and ref_sign_consistent(support, diff, summ):
+        return rootsys.ArrangementType("TypeA", d=k - 1, raw_hyperplanes=raw)
+    raise rootsys.ClassificationError("hyperplane set matches no model family")
+
+
+def ref_sign_consistent(support, diff, summ):
+    """Whether coordinate sign flips turn every pair covector into a difference."""
+    sign = {}
+    for c in support:
+        if c in sign:
+            continue
+        sign[c] = 1
+        stack = [c]
+        while stack:
+            a = stack.pop()
+            for (x, y), _ in list(diff.items()) + list(summ.items()):
+                if a not in (x, y):
+                    continue
+                b = y if a == x else x
+                want = sign[a] * (1 if diff.get((x, y)) else -1)
+                if b in sign:
+                    if sign[b] != want:
+                        return False
+                else:
+                    sign[b] = want
+                    stack.append(b)
+    return True
+
+
+def ref_blocks(covectors):
+    """Group covectors by shared support coordinates."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for cov in covectors:
+        supp = [c for c, x in enumerate(cov) if x]
+        for c in supp:
+            parent.setdefault(c, c)
+        for c in supp[1:]:
+            parent[find(supp[0])] = find(c)
+    groups = {}
+    for cov in covectors:
+        groups.setdefault(find(next(c for c, x in enumerate(cov) if x)), []).append(cov)
+    return list(groups.values())
+
+
+def ref_arrangement_blocks(rs, inner, outer):
+    """The reference blocks, smallest coordinate first."""
+    covectors = rootsys._restricted_covectors(rs, inner, outer, fusion_of(inner))
+    blocks = [ref_classify_block(b) for b in ref_blocks(covectors)]
+    return sorted(
+        blocks,
+        key=lambda arr: min(c for cov in arr.raw_hyperplanes for c, x in enumerate(cov) if x),
+    )
+
+
+@pytest.mark.parametrize("family,rank", LEVI_SYSTEMS + [("B", 4), ("C", 4)])
+def test_arrangement_blocks_match_reference_on_every_levi_pair(family, rank):
+    rs = build_root_system(family, rank)
+    levis = [sub for sub, _ in enumerate_levi_subsystems(rs)]
+    pairs = 0
+    for inner in levis:
+        for outer in levis:
+            if inner.member_set <= outer.member_set:
+                want = ref_arrangement_blocks(rs, inner, outer)
+                assert restricted_arrangement_blocks(rs, inner, outer) == want
+                pairs += 1
+    assert pairs > len(levis)
+
+
+def test_arrangement_blocks_match_reference_on_random_types():
+    rng = random.Random(20261019)
+    systems = [(f, r) for f in "ABCD" for r in range(2 if f == "D" else 1, 8)]
+    for _ in range(60):
+        rs = build_root_system(*rng.choice(systems))
+        q = random_irregular_type(rs, rng.randint(1, 4), rng)
+        levels = filtration(q).levels
+        for inner, outer in zip(levels, levels[1:]):
+            want = ref_arrangement_blocks(rs, inner, outer)
+            assert restricted_arrangement_blocks(rs, inner, outer) == want
+
+
+@pytest.mark.parametrize(
+    "covectors,message",
+    [
+        ([(1, 1, 1)], "matches no model pattern"),
+        ([(1, -1, 0), (0, 1, -1), (1, 0, 1)], "matches no model family"),
+        ([(1, 0), (1, -1)], "matches no model family"),
+    ],
+    ids=["three-entry", "unbalanced-triangle", "axis-with-single-pair"],
+)
+def test_arrangement_classifier_rejects(monkeypatch, covectors, message):
+    monkeypatch.setattr(rootsys, "_restricted_covectors", lambda *args: covectors)
+    rs = build_root_system("B", 3)
+    with pytest.raises(rootsys.ClassificationError, match=message):
+        rootsys._arrangement_blocks(rs, None, None, None)
+
+
+def test_arrangement_balanced_triangle_is_type_a(monkeypatch):
+    # The triangle above with e_a + e_c turned into e_a - e_c is balanced.
+    covectors = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
+    monkeypatch.setattr(rootsys, "_restricted_covectors", lambda *args: covectors)
+    (arr,) = rootsys._arrangement_blocks(build_root_system("B", 3), None, None, None)
+    assert (arr.kind, arr.d) == ("TypeA", 2)
