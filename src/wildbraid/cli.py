@@ -38,6 +38,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -85,12 +86,13 @@ def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value.lower():
-            raise InputError(f"{where}: exponent notation {_echo(value)} is not accepted")
         text = value.strip()
+        # Decided on the form alone: the number is never built.
+        if re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+", text):
+            raise InputError(f"{where}: exponent notation {_echo(value)} is not accepted")
         try:
-            # Fraction alone also reads non-ASCII digits, and "_" from 3.11 on.
-            if text.isascii() and "_" not in text:
+            # Fraction alone also reads exponents, non-ASCII digits and "_" (3.11+).
+            if text.isascii() and "_" not in text and "e" not in text.lower():
                 return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass

@@ -13,10 +13,11 @@ implemented:
   column (A_i, ..., A_p)_c.  ``coordinate_fusions`` reads every level's
   fusion off the coefficients, ``fission_tree`` builds the decorated tree
   from them and the factors are read off the nodes; no root is enumerated;
-* the arrangement oracle: enumerate the roots, build the filtration with one
-  Levi test per distinct level, restrict each level's new roots to the kernel
-  of the previous one and classify the arrangement block by block, in one
-  pass kept on the instance (``IrregularType._root_side``).
+* the arrangement oracle: enumerate the roots, walk up the filtration once,
+  restrict each level's new roots to the kernel of the previous one (the
+  one Levi test: a root that vanishes there raises, see ``filtration``) and
+  classify the arrangement block by block, in one pass kept on the instance
+  (``IrregularType._root_side``).
 
 The two must agree on families A-D; ``decompose(..., method="check")``, the
 one comparison of the two, raises if they ever differ, level by level (tree
@@ -79,35 +80,33 @@ class IrregularType:
         return len(self.coefficients)
 
     @cached_property
-    def _filtration(self) -> Filtration:
-        """Built on first use and kept on the instance (see ``filtration``)."""
-        prof = degree_profile(self)
-        levels: list[RootSubsystem] = []
-        for i in range(1, self.p + 2):
-            sub = subsystem(self.rs, (j for j, d in enumerate(prof.by_root) if d < i))
-            if levels and levels[-1].members == sub.members:
-                sub = levels[-1]
-            elif not sub.is_levi():
-                raise rootsys.SubsystemError("filtration level is not a Levi subsystem")
-            levels.append(sub)
-        return Filtration(self.rs, tuple(levels))
+    def _root_side(self) -> tuple[Filtration, tuple[Fusion | None, ...], tuple]:
+        """(``filtration``, ``fusion_of`` of each level or None for G2,
+        ``level_factors``), from one walk up the levels Phi_1..Phi_{p+1}.
 
-    @cached_property
-    def _root_side(self) -> tuple[tuple[Fusion, ...], tuple[tuple[int, tuple], ...]]:
-        """(``fusion_of`` of each level, none for G2; ``level_factors``)."""
-        rs, levels = self.rs, self._filtration.levels
-        fusions: list[Fusion] = []
-        for i, sub in enumerate(levels if rs.family != "G2" else ()):
-            repeated = i > 0 and sub.members == levels[i - 1].members
-            fusions.append(fusions[-1] if repeated else fusion_of(sub))
+        A repeated level reuses the previous subsystem and fusion; a new one
+        gets its fusion, and its pair with the level below is classified,
+        which also proves the level below Levi in it (see ``filtration``).
+        """
+        rs, by_root = self.rs, degree_profile(self).by_root
+        levels: list[RootSubsystem] = []
+        fusions: list[Fusion | None] = []
         per_level = []
-        for i, (inner, outer) in enumerate(zip(levels, levels[1:]), start=1):
-            fus = fusions[i - 1] if fusions else None
-            changed = inner.members != outer.members
-            blocks = rootsys._arrangement_blocks(rs, inner, outer, fus) if changed else []
+        for i in range(1, self.p + 2):
+            sub = subsystem(rs, (j for j, d in enumerate(by_root) if d < i))
+            if levels and sub.members == levels[-1].members:
+                sub, fus, blocks = levels[-1], fusions[-1], []
+            else:
+                fus = None if rs.family == "G2" else fusion_of(sub)
+                blocks = (
+                    rootsys._arrangement_blocks(rs, levels[-1], sub, fusions[-1])
+                    if levels else []
+                )
             factors = [_factor_of_arrangement(arr, rs.family) for arr in blocks]
-            per_level.append((i, GroupDecomposition.from_factors(factors).factors))
-        return tuple(fusions), tuple(per_level)
+            per_level.append((i - 1, GroupDecomposition.from_factors(factors).factors))
+            levels.append(sub)
+            fusions.append(fus)
+        return Filtration(rs, tuple(levels)), tuple(fusions), tuple(per_level[1:])
 
 
 def irregular_type(rs: RootSystem, coefficient_vectors) -> IrregularType:
@@ -119,9 +118,6 @@ class DegreeProfile:
     rs: RootSystem
     p: int
     by_root: tuple[int, ...]  # aligned with rs.roots; d_alpha = d_{-alpha}
-
-    def d(self, root_index: int) -> int:
-        return self.by_root[root_index]
 
 
 def degree_profile(q: IrregularType) -> DegreeProfile:
@@ -147,12 +143,16 @@ class Filtration:
 def filtration(q: IrregularType) -> Filtration:
     """Phi_1 <= ... <= Phi_{p+1} with Phi_i = {alpha : d_alpha < i}, all Levi.
 
-    Each distinct level gets one Levi test (which implies closure under
-    negation and reflections); a repeated level reuses the previous one.
-    It is kept on the IrregularType instance, as is the root-side pass on
-    it.  The tree path does not use it (see ``coordinate_fusions``).
+    Built by the root-side pass kept on q (``IrregularType._root_side``),
+    whose restricted-covector check is the one Levi test: classifying a
+    changing pair (Phi_l, Phi_{l+1}) raises ``SubsystemError`` if a root of
+    Phi_{l+1} \\ Phi_l, negatives included, vanishes on the kernel of Phi_l,
+    so span(Phi_l) /\\ Phi_{l+1} = Phi_l.  Phi_{p+1} = Phi, and a Levi
+    subsystem of a Levi subsystem is Levi, so every level is Levi in Phi
+    (hence closed under negation and reflections).  The tree path does not
+    use it (see ``coordinate_fusions``).
     """
-    return q._filtration
+    return q._root_side[0]
 
 
 def coordinate_fusions(q: IrregularType) -> tuple[Fusion, ...]:
@@ -564,10 +564,10 @@ def level_factors(q: IrregularType) -> tuple[tuple[int, tuple[Factor, ...]], ...
     """Canonical factors contributed by each filtration level (oracle path).
 
     Read off the root-side pass kept on q, which calls ``fusion_of`` once per
-    distinct level and classifies each changing level pair once, unchecked:
-    consecutive levels of a filtration are Levi pairs.
+    distinct level and classifies each changing level pair once; that
+    classification is also the pass's one Levi test (see ``filtration``).
     """
-    return q._root_side[1]
+    return q._root_side[2]
 
 
 def decomposition_via_arrangements(q: IrregularType) -> GroupDecomposition:
@@ -598,7 +598,7 @@ def decompose(
     via_tree = decomposition_from_tree(tree)
     if method == "tree":
         return via_tree
-    _check_tree_levels(tree, q._root_side[0])
+    _check_tree_levels(tree, q._root_side[1])
     via_arr = decomposition_via_arrangements(q)
     if via_tree != via_arr:
         raise DecompositionMismatchError(

@@ -259,24 +259,21 @@ class RootSubsystem:
     def is_levi(self) -> bool:
         """Levi property: members = span(members) /\\ parent.roots.
 
-        The parent root system is Weyl-stable, so a Levi set is also closed
-        under negation and under its own reflections: when is_levi() holds,
-        validate() passes.
+        A root is in the span when every integer null vector of the members
+        kills it.  The parent is Weyl-stable, so a Levi set is closed under
+        negation and its own reflections: validate() passes.  No route calls
+        it: the root-side pass's restricted-covector check is its one Levi
+        test (see ``fission.filtration``).
         """
-        in_span = _span_test(self)
+        kernel = linalg.integer_nullspace(self.vectors, self.parent.ambient_dim)
         mset = self.member_set
-        return all(in_span(i) == (i in mset) for i in range(len(self.parent.roots)))
+        return all(
+            all(sum(k[c] * x for c, x in support) == 0 for k in kernel) == (i in mset)
+            for i, support in enumerate(self.parent.supports)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSubsystem({self.parent!r}, {len(self.members)} roots)"
-
-
-def _span_test(sub: RootSubsystem):
-    """Predicate on root indices for membership in span(sub): every integer
-    null vector of the members kills the root (read on its nonzero entries)."""
-    kernel = linalg.integer_nullspace(sub.vectors, sub.parent.ambient_dim)
-    supports = sub.parent.supports
-    return lambda i: all(sum(k[c] * x for c, x in supports[i]) == 0 for k in kernel)
 
 
 def subsystem(rs: RootSystem, indices) -> RootSubsystem:
@@ -446,18 +443,6 @@ class ArrangementType:
         return self.kind
 
 
-def _check_levi_pair(rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem) -> None:
-    if not inner.member_set <= outer.member_set:
-        raise SubsystemError("inner subsystem is not contained in the outer one")
-    inner.validate()
-    outer.validate()
-    # Levi inside outer: span(inner) meets outer exactly in inner.
-    in_span = _span_test(inner)
-    for i in outer.members:
-        if i not in inner.member_set and in_span(i):
-            raise SubsystemError("inner subsystem is not Levi inside the outer one")
-
-
 def _restricted_covectors(
     rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fus: Fusion | None
 ) -> list[tuple[int, ...]]:
@@ -471,6 +456,11 @@ def _restricted_covectors(
     covectors are never proportional modulo the trace relation, so
     deduplication on the value vectors equals deduplication on the
     trace-free kernel.
+
+    It is also the pair's Levi test: it raises ``SubsystemError`` unless
+    every root of outer \\ inner, negatives included (inner may lack one),
+    restricts to nonzero, i.e. unless span(inner) /\\ outer = inner.  Only
+    lex-positive roots enter the list.
     """
     if rs.family == "G2":
         kernel = linalg.integer_nullspace(inner.vectors + ((1, 1, 1),), 3)
@@ -493,14 +483,15 @@ def _restricted_covectors(
 
     seen: dict[tuple[int, ...], None] = {}
     for i in outer.members:
-        if i in inner.member_set or not _lex_positive(rs.roots[i]):
+        if i in inner.member_set:
             continue
         w = restrict(i)
         if not any(w):
             raise SubsystemError(
                 "root restricts to zero on the kernel (inner is not Levi)"
             )
-        seen[linalg.primitive(w)] = None
+        if _lex_positive(rs.roots[i]):
+            seen[linalg.primitive(w)] = None
     return list(seen)
 
 
@@ -543,9 +534,14 @@ def restricted_arrangement_blocks(
 
     The restriction of outer \\ inner to Ker(inner) splits as an orthogonal
     product over blocks of kernel coordinates; the fundamental group of the
-    complement is the product over blocks.
+    complement is the product over blocks.  Both subsystems are validated
+    and inner must lie in outer; the classification then rejects an inner
+    that is not Levi in outer.
     """
-    _check_levi_pair(rs, inner, outer)
+    if not inner.member_set <= outer.member_set:
+        raise SubsystemError("inner subsystem is not contained in the outer one")
+    inner.validate()
+    outer.validate()
     fus = None if rs.family == "G2" else fusion_of(inner)
     return _arrangement_blocks(rs, inner, outer, fus)
 
@@ -553,10 +549,10 @@ def restricted_arrangement_blocks(
 def _arrangement_blocks(
     rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fus: Fusion | None
 ) -> list[ArrangementType]:
-    """restricted_arrangement_blocks of a Levi pair, given ``fusion_of(inner)``.
+    """restricted_arrangement_blocks of inner <= outer, given ``fusion_of(inner)``.
 
-    Consecutive levels of a filtration qualify: each level is Levi in the
-    whole system, so span(inner) /\\ outer lies in span(inner) /\\ Phi = inner.
+    Raises ``SubsystemError`` unless inner is Levi in outer (see
+    ``_restricted_covectors``); closure is not checked.
     """
     covectors = _restricted_covectors(rs, inner, outer, fus)
     if not covectors:

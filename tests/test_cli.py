@@ -607,6 +607,14 @@ def test_cmd_rejects_exponent_notation(entry, capsys):
     assert main(["decompose", json.dumps(doc)]) == 0
 
 
+@pytest.mark.parametrize("entry", ["one", "1e", "e5", "1e5x", "1/2e3", "1e1_0"])
+def test_cmd_names_other_e_strings_invalid_rationals(entry, capsys):
+    doc = {"lie_type": "A", "rank": 1, "coefficients": [[entry, "0"]]}
+    assert main(["decompose", json.dumps(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid rational" in err and "exponent notation" not in err
+
+
 def test_cmd_stokes_verify_rejects_negative_count(capsys):
     assert main(["stokes-verify", "--count", "-3"]) == 2
     captured = capsys.readouterr()

@@ -14,6 +14,7 @@ from wildbraid.fission import (
     LARGE,
     SMALL,
     DecompositionMismatchError,
+    DegreeProfile,
     Factor,
     FissionTree,
     GroupDecomposition,
@@ -74,10 +75,10 @@ Q_III = [
 def test_profile_sl3():
     rs, q = sl3_example()
     prof = degree_profile(q)
-    assert prof.d(rs.index_of((1, -1, 0))) == 1
-    assert prof.d(rs.index_of((1, 0, -1))) == 2
-    assert prof.d(rs.index_of((0, 1, -1))) == 2
-    assert prof.d(rs.index_of((-1, 1, 0))) == 1  # d_alpha = d_{-alpha}
+    assert prof.by_root[rs.index_of((1, -1, 0))] == 1
+    assert prof.by_root[rs.index_of((1, 0, -1))] == 2
+    assert prof.by_root[rs.index_of((0, 1, -1))] == 2
+    assert prof.by_root[rs.index_of((-1, 1, 0))] == 1  # d_alpha = d_{-alpha}
 
 
 def test_profile_zero_coefficients():
@@ -122,25 +123,70 @@ def test_filtration_is_built_once_per_instance():
 
 
 @pytest.mark.parametrize(
-    "vectors",
-    [Q_I, [Q_I[0], (0,) * 9, Q_I[2], (0,) * 9]],
-    ids=["qi", "repeated-levels"],
+    "q",
+    [
+        a8_type(Q_I),
+        a8_type([Q_I[0], (0,) * 9, Q_I[2], (0,) * 9]),
+        irregular_type(build_root_system("G2", 2), [(1, -1, 0), (1, 1, -2)]),
+    ],
+    ids=["qi", "repeated-levels", "g2"],
 )
-def test_one_levi_test_per_distinct_level(vectors, monkeypatch):
-    calls = []
-    is_levi = rootsys.RootSubsystem.is_levi
+def test_root_side_pass_calls_no_is_levi(q, monkeypatch):
+    # The pass's restricted-covector check is its one Levi test.
+    def refuse(self):
+        raise AssertionError("is_levi called")
 
-    def counting(self):
-        calls.append(self.members)
-        return is_levi(self)
-
-    monkeypatch.setattr(rootsys.RootSubsystem, "is_levi", counting)
-    q = a8_type(vectors)
-    decompose(q, method="check")
+    monkeypatch.setattr(rootsys.RootSubsystem, "is_levi", refuse)
+    for method in ("check", "oracle", "tree"):
+        decompose(IrregularType(q.rs, q.coefficients), method=method)
     level_factors(q)
-    fission_tree(q)
-    distinct = {s.members for s in filtration(q).levels}
-    assert len(calls) == len(distinct) and set(calls) == distinct
+    assert len(filtration(q).levels) == q.p + 1
+
+
+# Planted levels below the whole system, bottom first; each holds the ones
+# below it.  Every case has a level that is not Levi in the whole system.
+NON_LEVI_LEVELS = {
+    "a2-not-closed": ("A", 2, [[(1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1)]]),
+    "a2-missing-negative": ("A", 2, [[(1, -1, 0)]]),
+    "a3-below-a-levi-level": (
+        "A", 3,
+        [
+            [(1, -1, 0, 0), (-1, 1, 0, 0), (0, 1, -1, 0), (0, -1, 1, 0)],
+            [(1, -1, 0, 0), (-1, 1, 0, 0), (0, 1, -1, 0), (0, -1, 1, 0),
+             (1, 0, -1, 0), (-1, 0, 1, 0)],
+        ],
+    ),
+    "b2-long-roots": ("B", 2, [[(1, 1), (1, -1), (-1, 1), (-1, -1)]]),
+    "b2-positive-roots": ("B", 2, [[(1, 1), (1, -1), (1, 0), (0, 1)]]),
+    "c3-two-long-roots": ("C", 3, [[(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, -2, 0)]]),
+    "d3-missing-negative": ("D", 3, [[(1, 1, 0)]]),
+    "d4-two-d2-pairs": (
+        "D", 4,
+        [[(a, b, 0, 0) for a in (1, -1) for b in (1, -1)]
+         + [(0, 0, a, b) for a in (1, -1) for b in (1, -1)]],
+    ),
+    "g2-short-roots": (
+        "G2", 2,
+        [[r for r in build_root_system("G2", 2).roots if max(map(abs, r)) == 1]],
+    ),
+    "g2-missing-negative": ("G2", 2, [[(1, -1, 0)]]),
+}
+
+
+@pytest.mark.parametrize("case", NON_LEVI_LEVELS, ids=list(NON_LEVI_LEVELS))
+def test_root_side_pass_rejects_a_non_levi_level(case, monkeypatch):
+    family, rank, planted = NON_LEVI_LEVELS[case]
+    rs = build_root_system(family, rank)
+    p = len(planted)
+    by_root = tuple(
+        next((level for level, roots in enumerate(planted) if root in roots), p)
+        for root in rs.roots
+    )
+    monkeypatch.setattr(fission, "degree_profile", lambda q: DegreeProfile(rs, p, by_root))
+    zero = (0,) * rs.ambient_dim
+    for run in (filtration, lambda q: decompose(q, "oracle"), lambda q: decompose(q, "check")):
+        with pytest.raises(rootsys.SubsystemError, match="inner is not Levi"):
+            run(irregular_type(rs, [zero] * p))
 
 
 @pytest.mark.parametrize(

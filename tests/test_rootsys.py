@@ -240,6 +240,22 @@ def test_long_roots_of_b2_are_closed_but_not_levi():
     assert not long_roots.is_levi()
 
 
+@pytest.mark.parametrize(
+    "family,long_roots",
+    [
+        ("B", [(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+        ("G2", [(2, -1, -1), (-2, 1, 1), (-1, 2, -1), (1, -2, 1), (-1, -1, 2), (1, 1, -2)]),
+    ],
+)
+def test_arrangement_rejects_closed_long_roots_inside_the_whole_system(family, long_roots):
+    # Closed but not Levi: the short roots lie in the span of the long ones.
+    rs = build_root_system(family, 2)
+    long_roots = subsystem_from_vectors(rs, long_roots)
+    long_roots.validate()
+    with pytest.raises(SubsystemError, match="inner is not Levi"):
+        restricted_arrangement_blocks(rs, long_roots, full_subsystem(rs))
+
+
 # ---------------------------------------------------------------------------
 # Coordinate components: the signed fusion of a subsystem
 # ---------------------------------------------------------------------------
