@@ -13,8 +13,9 @@ implemented:
   column (A_i, ..., A_p)_c.  ``coordinate_fusions`` reads every level's
   fusion off the coefficients, ``fission_tree`` builds the decorated tree
   from them and the factors are read off the nodes; no root is enumerated;
-* the arrangement oracle: enumerate the roots, walk up the filtration once,
-  restrict each level's new roots to the kernel of the previous one (the
+* the arrangement oracle: enumerate the roots and bucket them by degree;
+  the roots Phi_{l+1} adds to Phi_l are bucket l.  Walk up the filtration
+  once, restrict each nonempty bucket to the kernel of the level below (the
   one Levi test: a root that vanishes there raises, see ``filtration``) and
   classify the arrangement block by block, in one pass kept on the instance
   (``IrregularType._root_side``).
@@ -84,54 +85,52 @@ class IrregularType:
         """(``filtration``, ``fusion_of`` of each level or None for G2,
         ``level_factors``), from one walk up the levels Phi_1..Phi_{p+1}.
 
-        A repeated level reuses the previous subsystem and fusion; a new one
-        gets its fusion, and its pair with the level below is classified,
-        which also proves the level below Levi in it (see ``filtration``).
+        The roots are bucketed by degree once: Phi_1 is bucket 0 and
+        Phi_{l+1} is Phi_l plus bucket l.  An empty bucket repeats the level
+        below, subsystem and fusion; a nonempty one is classified on the
+        kernel of Phi_l, which proves Phi_l Levi in Phi_{l+1} (see
+        ``filtration``), and the new level gets its fusion.
         """
-        rs, by_root = self.rs, degree_profile(self).by_root
-        levels: list[RootSubsystem] = []
-        fusions: list[Fusion | None] = []
-        per_level = []
-        for i in range(1, self.p + 2):
-            sub = subsystem(rs, (j for j, d in enumerate(by_root) if d < i))
-            if levels and sub.members == levels[-1].members:
-                sub, fus, blocks = levels[-1], fusions[-1], []
-            else:
+        rs = self.rs
+        by_degree: list[list[int]] = [[] for _ in range(self.p + 1)]
+        for j, d in enumerate(degree_profile(self)):
+            by_degree[d].append(j)
+        sub = subsystem(rs, by_degree[0])
+        fus = None if rs.family == "G2" else fusion_of(sub)
+        levels, fusions, per_level = [sub], [fus], []
+        for level, new in enumerate(by_degree[1:], start=1):
+            factors = ()
+            if new:
+                blocks = rootsys._arrangement_blocks(rs, sub, new, fus)
+                factors = GroupDecomposition.from_factors(
+                    [_factor_of_arrangement(arr, rs.family) for arr in blocks]
+                ).factors
+                sub = subsystem(rs, sub.members + tuple(new))
                 fus = None if rs.family == "G2" else fusion_of(sub)
-                blocks = (
-                    rootsys._arrangement_blocks(rs, levels[-1], sub, fusions[-1])
-                    if levels else []
-                )
-            factors = [_factor_of_arrangement(arr, rs.family) for arr in blocks]
-            per_level.append((i - 1, GroupDecomposition.from_factors(factors).factors))
+            per_level.append((level, factors))
             levels.append(sub)
             fusions.append(fus)
-        return Filtration(rs, tuple(levels)), tuple(fusions), tuple(per_level[1:])
+        return Filtration(rs, tuple(levels)), tuple(fusions), tuple(per_level)
 
 
 def irregular_type(rs: RootSystem, coefficient_vectors) -> IrregularType:
     return IrregularType(rs, tuple(cartan(rs, v) for v in coefficient_vectors))
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    rs: RootSystem
-    p: int
-    by_root: tuple[int, ...]  # aligned with rs.roots; d_alpha = d_{-alpha}
+def degree_profile(q: IrregularType) -> tuple[int, ...]:
+    """d_alpha = max{ i : alpha(A_i) != 0 } (0 if none), aligned with ``q.rs.roots``.
 
-
-def degree_profile(q: IrregularType) -> DegreeProfile:
-    """d_alpha = max{ i : alpha(A_i) != 0 }, with 0 for the zero polynomial.
-
-    Only zero/non-zero matters, so the root values are the integer ones of
-    ``rootsys.root_values``.
+    Walks the coefficients bottom-up, skipping zero ones: each nonzero A_i
+    is evaluated once by ``rootsys.root_values`` (only zero/non-zero is
+    read) and i is written on every root it does not kill, so d_alpha =
+    d_{-alpha}.
     """
-    top_down = [rootsys.root_values(c) for c in reversed(q.coefficients)]
-    degrees = tuple(
-        next((q.p - k for k, values in enumerate(top_down) if values[i]), 0)
-        for i in range(len(q.rs.roots))
-    )
-    return DegreeProfile(q.rs, q.p, degrees)
+    degrees = [0] * len(q.rs.roots)
+    for i, coeff in enumerate(q.coefficients, start=1):
+        if any(coeff.coords):
+            values = rootsys.root_values(coeff)
+            degrees = [i if v else d for d, v in zip(degrees, values)]
+    return tuple(degrees)
 
 
 @dataclass(frozen=True)
@@ -144,13 +143,13 @@ def filtration(q: IrregularType) -> Filtration:
     """Phi_1 <= ... <= Phi_{p+1} with Phi_i = {alpha : d_alpha < i}, all Levi.
 
     Built by the root-side pass kept on q (``IrregularType._root_side``),
-    whose restricted-covector check is the one Levi test: classifying a
-    changing pair (Phi_l, Phi_{l+1}) raises ``SubsystemError`` if a root of
-    Phi_{l+1} \\ Phi_l, negatives included, vanishes on the kernel of Phi_l,
-    so span(Phi_l) /\\ Phi_{l+1} = Phi_l.  Phi_{p+1} = Phi, and a Levi
-    subsystem of a Levi subsystem is Levi, so every level is Levi in Phi
-    (hence closed under negation and reflections).  The tree path does not
-    use it (see ``coordinate_fusions``).
+    where Phi_{l+1} \\ Phi_l is bucket l, the roots of degree l (both signs
+    of each).  Its restricted-covector check is the one Levi test: a root of
+    a nonempty bucket l that vanishes on the kernel of Phi_l raises
+    ``SubsystemError``, so span(Phi_l) /\\ Phi_{l+1} = Phi_l.  Phi_{p+1} =
+    Phi, and a Levi subsystem of a Levi subsystem is Levi, so every level is
+    Levi in Phi (hence closed under negation and reflections).  The tree
+    path does not use it (see ``coordinate_fusions``).
     """
     return q._root_side[0]
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import linalg
 
@@ -126,7 +126,6 @@ def reflect(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x - c * y for x, y in zip(a, b))
 
 
-@lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """The root system in its standard coordinate realization.
 
@@ -444,9 +443,9 @@ class ArrangementType:
 
 
 def _restricted_covectors(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fus: Fusion | None
+    rs: RootSystem, inner: RootSubsystem, new: list[int], fus: Fusion | None
 ) -> list[tuple[int, ...]]:
-    """Deduplicated restrictions of outer \\ inner to Ker(inner), on fused coordinates.
+    """Deduplicated restrictions of ``new`` = outer \\ inner, ascending, to Ker(inner).
 
     On families A-D a root restricts to the signed sum of its entries over
     each part of ``fus`` = ``fusion_of(inner)``; pinned coordinates drop
@@ -458,7 +457,7 @@ def _restricted_covectors(
     trace-free kernel.
 
     It is also the pair's Levi test: it raises ``SubsystemError`` unless
-    every root of outer \\ inner, negatives included (inner may lack one),
+    every root of ``new``, negatives included (inner may lack one),
     restricts to nonzero, i.e. unless span(inner) /\\ outer = inner.  Only
     lex-positive roots enter the list.
     """
@@ -482,9 +481,7 @@ def _restricted_covectors(
             return out
 
     seen: dict[tuple[int, ...], None] = {}
-    for i in outer.members:
-        if i in inner.member_set:
-            continue
+    for i in new:
         w = restrict(i)
         if not any(w):
             raise SubsystemError(
@@ -543,18 +540,20 @@ def restricted_arrangement_blocks(
     inner.validate()
     outer.validate()
     fus = None if rs.family == "G2" else fusion_of(inner)
-    return _arrangement_blocks(rs, inner, outer, fus)
+    new = [i for i in outer.members if i not in inner.member_set]
+    return _arrangement_blocks(rs, inner, new, fus)
 
 
 def _arrangement_blocks(
-    rs: RootSystem, inner: RootSubsystem, outer: RootSubsystem, fus: Fusion | None
+    rs: RootSystem, inner: RootSubsystem, new: list[int], fus: Fusion | None
 ) -> list[ArrangementType]:
-    """restricted_arrangement_blocks of inner <= outer, given ``fusion_of(inner)``.
+    """restricted_arrangement_blocks of inner <= outer, given ``fusion_of(inner)``
+    and ``new`` = outer \\ inner, ascending.
 
     Raises ``SubsystemError`` unless inner is Levi in outer (see
     ``_restricted_covectors``); closure is not checked.
     """
-    covectors = _restricted_covectors(rs, inner, outer, fus)
+    covectors = _restricted_covectors(rs, inner, new, fus)
     if not covectors:
         return []
     if rs.family == "G2":

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from wildbraid.fission import (
     LARGE,
     SMALL,
     DecompositionMismatchError,
-    DegreeProfile,
     Factor,
     FissionTree,
     GroupDecomposition,
@@ -75,22 +75,77 @@ Q_III = [
 def test_profile_sl3():
     rs, q = sl3_example()
     prof = degree_profile(q)
-    assert prof.by_root[rs.index_of((1, -1, 0))] == 1
-    assert prof.by_root[rs.index_of((1, 0, -1))] == 2
-    assert prof.by_root[rs.index_of((0, 1, -1))] == 2
-    assert prof.by_root[rs.index_of((-1, 1, 0))] == 1  # d_alpha = d_{-alpha}
+    assert prof[rs.index_of((1, -1, 0))] == 1
+    assert prof[rs.index_of((1, 0, -1))] == 2
+    assert prof[rs.index_of((0, 1, -1))] == 2
+    assert prof[rs.index_of((-1, 1, 0))] == 1  # d_alpha = d_{-alpha}
 
 
 def test_profile_zero_coefficients():
     rs = build_root_system("B", 2)
     q = irregular_type(rs, [(0, 0), (0, 0)])
-    assert set(degree_profile(q).by_root) == {0}
+    assert set(degree_profile(q)) == {0}
 
 
 def test_profile_generic_leading():
     rs = build_root_system("A", 3)
     q = irregular_type(rs, [(0, 0, 0, 0), project_traceless([1, 2, 4, 8])])
-    assert set(degree_profile(q).by_root) == {2}
+    assert set(degree_profile(q)) == {2}
+
+
+_PROFILE_POOL = (0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(5, 7))
+
+
+@st.composite
+def types_with_zero_coefficients(draw):
+    family = draw(st.sampled_from(("A", "B", "C", "D", "G2")))
+    rank = 2 if family == "G2" else draw(st.integers(2 if family == "D" else 1, 5))
+    rs = build_root_system(family, rank)
+    n = rs.ambient_dim
+    coeffs = []
+    for _ in range(draw(st.integers(1, 5))):
+        values = [0] * n  # a planted zero coefficient, unless drawn otherwise
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(_PROFILE_POOL), min_size=n, max_size=n))
+            if family in ("A", "G2"):
+                values = project_traceless(values)
+        coeffs.append(values)
+    return irregular_type(rs, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(types_with_zero_coefficients())
+def test_degree_profile_matches_fraction_reference(q):
+    # max{i : alpha(A_i) != 0}, from plain Fraction sums over every entry.
+    want = tuple(
+        max(
+            (
+                i
+                for i, a in enumerate(q.coefficients, start=1)
+                if sum((Fraction(x) * v for x, v in zip(root, a.coords)), Fraction(0))
+            ),
+            default=0,
+        )
+        for root in q.rs.roots
+    )
+    assert degree_profile(q) == want
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        a8_type([Q_I[0], (0,) * 9, Q_I[2], (0,) * 9]),
+        irregular_type(build_root_system("B", 3), [(0, 0, 0), (1, Fraction(1, 2), 0), (0, 0, 0)]),
+        irregular_type(build_root_system("G2", 2), [(0, 0, 0), (1, -1, 0)]),
+    ],
+    ids=["a8", "b3", "g2"],
+)
+def test_root_values_runs_once_per_nonzero_coefficient(q, monkeypatch):
+    seen = []
+    root_values = rootsys.root_values
+    monkeypatch.setattr(rootsys, "root_values", lambda a: seen.append(a) or root_values(a))
+    decompose(q, method="check")
+    assert seen == [a for a in q.coefficients if any(a.coords)]
 
 
 def test_filtration_qi():
@@ -178,11 +233,11 @@ def test_root_side_pass_rejects_a_non_levi_level(case, monkeypatch):
     family, rank, planted = NON_LEVI_LEVELS[case]
     rs = build_root_system(family, rank)
     p = len(planted)
-    by_root = tuple(
+    degrees = tuple(
         next((level for level, roots in enumerate(planted) if root in roots), p)
         for root in rs.roots
     )
-    monkeypatch.setattr(fission, "degree_profile", lambda q: DegreeProfile(rs, p, by_root))
+    monkeypatch.setattr(fission, "degree_profile", lambda q: degrees)
     zero = (0,) * rs.ambient_dim
     for run in (filtration, lambda q: decompose(q, "oracle"), lambda q: decompose(q, "check")):
         with pytest.raises(rootsys.SubsystemError, match="inner is not Levi"):
@@ -210,12 +265,17 @@ def test_one_root_side_pass_per_instance(vectors, monkeypatch):
     decomposition_via_arrangements(q)
     levels = filtration(q).levels
     pairs = list(zip(levels, levels[1:]))
-    # One fusion per distinct level, one classification per changing pair.
+    # One fusion per distinct level, one classification per changing pair,
+    # which is passed the roots outer \ inner in ascending order.
     distinct = [levels[0].members] + [b.members for a, b in pairs if a.members != b.members]
-    changing = [(a.members, b.members) for a, b in pairs if a.members != b.members]
+    changing = [
+        (a.members, sorted(set(b.members) - set(a.members)))
+        for a, b in pairs
+        if a.members != b.members
+    ]
     assert [args[0].members for name, args in calls if name == "fusion"] == distinct
     assert [
-        (args[1].members, args[2].members) for name, args in calls if name == "blocks"
+        (args[1].members, args[2]) for name, args in calls if name == "blocks"
     ] == changing
 
 
@@ -333,6 +393,7 @@ def test_tree_route_enumerates_no_roots_at_rank_1000(family, no_root_analysis, c
     tree = fission_tree(q)
     assert tree.level_sizes()[-1] == 1 and len(tree.level_sizes()) == q.p + 1
     assert decompose(q) == decomposition_from_tree(tree)
+    # The CLI builds its own system; the _enumerate_roots refusal covers it.
     text = json.dumps(doc)
     assert cli.main(["decompose", "--json", text]) == 0
     assert json.loads(capsys.readouterr().out)["trees"][0]["family"] == family
@@ -355,7 +416,7 @@ def test_irregular_type_requires_p_at_least_one():
 
 
 def admissible(q, q2):
-    return degree_profile(q).by_root == degree_profile(q2).by_root
+    return degree_profile(q) == degree_profile(q2)
 
 
 def test_admissible_reflexive():

@@ -609,7 +609,8 @@ def ref_blocks(covectors):
 
 def ref_arrangement_blocks(rs, inner, outer):
     """The reference blocks, smallest coordinate first."""
-    covectors = rootsys._restricted_covectors(rs, inner, outer, fusion_of(inner))
+    new = [i for i in outer.members if i not in inner.member_set]
+    covectors = rootsys._restricted_covectors(rs, inner, new, fusion_of(inner))
     blocks = [ref_classify_block(b) for b in ref_blocks(covectors)]
     return sorted(
         blocks,
