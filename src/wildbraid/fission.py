@@ -14,11 +14,11 @@ implemented:
   fusion off the coefficients, ``fission_tree`` builds the decorated tree
   from them and the factors are read off the nodes; no root is enumerated;
 * the arrangement oracle: enumerate the roots and bucket them by degree;
-  the roots Phi_{l+1} adds to Phi_l are bucket l.  Walk up the filtration
-  once, restrict each nonempty bucket to the kernel of the level below (the
-  one Levi test: a root that vanishes there raises, see ``filtration``) and
-  classify the arrangement block by block, in one pass kept on the instance
-  (``IrregularType._root_side``).
+  the roots Phi_{l+1} adds to Phi_l are bucket l.  ``rootsys.levi_chain``
+  walks up the filtration once, restricting each nonempty bucket to the
+  kernel of the level below (the one Levi test: a root that vanishes there
+  raises), and then each level's arrangement is classified block by block,
+  in one pass kept on the instance (``IrregularType._root_side``).
 
 The two must agree on families A-D; ``decompose(..., method="check")``, the
 one comparison of the two, raises if they ever differ, level by level (tree
@@ -42,9 +42,7 @@ from .rootsys import (
     RootSubsystem,
     RootSystem,
     cartan,
-    fusion_of,
     project_traceless,
-    subsystem,
 )
 
 
@@ -86,31 +84,21 @@ class IrregularType:
         ``level_factors``), from one walk up the levels Phi_1..Phi_{p+1}.
 
         The roots are bucketed by degree once: Phi_1 is bucket 0 and
-        Phi_{l+1} is Phi_l plus bucket l.  An empty bucket repeats the level
-        below, subsystem and fusion; a nonempty one is classified on the
-        kernel of Phi_l, which proves Phi_l Levi in Phi_{l+1} (see
-        ``filtration``), and the new level gets its fusion.
+        Phi_{l+1} is Phi_l plus bucket l.  ``rootsys.levi_chain`` walks the
+        buckets, proving every level Levi, and each level's restricted
+        covectors are then classified block by block.
         """
         rs = self.rs
         by_degree: list[list[int]] = [[] for _ in range(self.p + 1)]
         for j, d in enumerate(degree_profile(self)):
             by_degree[d].append(j)
-        sub = subsystem(rs, by_degree[0])
-        fus = None if rs.family == "G2" else fusion_of(sub)
-        levels, fusions, per_level = [sub], [fus], []
-        for level, new in enumerate(by_degree[1:], start=1):
-            factors = ()
-            if new:
-                blocks = rootsys._arrangement_blocks(rs, sub, new, fus)
-                factors = GroupDecomposition.from_factors(
-                    [_factor_of_arrangement(arr, rs.family) for arr in blocks]
-                ).factors
-                sub = subsystem(rs, sub.members + tuple(new))
-                fus = None if rs.family == "G2" else fusion_of(sub)
-            per_level.append((level, factors))
-            levels.append(sub)
-            fusions.append(fus)
-        return Filtration(rs, tuple(levels)), tuple(fusions), tuple(per_level)
+        levels, fusions, covectors = rootsys.levi_chain(rs, by_degree)
+        per_level = []
+        for level, covs in enumerate(covectors, start=1):
+            blocks = rootsys._arrangement_blocks(rs, covs)
+            factors = [_factor_of_arrangement(arr, rs.family) for arr in blocks]
+            per_level.append((level, GroupDecomposition.from_factors(factors).factors))
+        return Filtration(rs, levels), fusions, tuple(per_level)
 
 
 def irregular_type(rs: RootSystem, coefficient_vectors) -> IrregularType:
@@ -144,12 +132,9 @@ def filtration(q: IrregularType) -> Filtration:
 
     Built by the root-side pass kept on q (``IrregularType._root_side``),
     where Phi_{l+1} \\ Phi_l is bucket l, the roots of degree l (both signs
-    of each).  Its restricted-covector check is the one Levi test: a root of
-    a nonempty bucket l that vanishes on the kernel of Phi_l raises
-    ``SubsystemError``, so span(Phi_l) /\\ Phi_{l+1} = Phi_l.  Phi_{p+1} =
-    Phi, and a Levi subsystem of a Levi subsystem is Levi, so every level is
-    Levi in Phi (hence closed under negation and reflections).  The tree
-    path does not use it (see ``coordinate_fusions``).
+    of each).  ``rootsys.levi_chain`` proves every level Levi, or raises
+    ``SubsystemError``.  The tree path does not use it (see
+    ``coordinate_fusions``).
     """
     return q._root_side[0]
 
@@ -563,8 +548,8 @@ def level_factors(q: IrregularType) -> tuple[tuple[int, tuple[Factor, ...]], ...
     """Canonical factors contributed by each filtration level (oracle path).
 
     Read off the root-side pass kept on q, which calls ``fusion_of`` once per
-    distinct level and classifies each changing level pair once; that
-    classification is also the pass's one Levi test (see ``filtration``).
+    distinct level and classifies each changing level pair once, after
+    ``rootsys.levi_chain`` has proved every level Levi.
     """
     return q._root_side[2]
 

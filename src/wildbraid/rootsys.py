@@ -25,6 +25,10 @@ coordinate) and whether each block is balanced: whether coordinate sign
 flips turn every pair covector into a difference (Zaslavsky, "Signed
 graphs", 1982).  A block is then classified from three numbers: its axis
 covectors, its pair covectors and its balance.
+
+The one Levi test is ``levi_chain``, which the fission filtration,
+``restricted_arrangement_blocks`` and ``RootSubsystem.is_levi`` all call;
+``validate`` (closure) is kept only for the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -243,7 +247,11 @@ class RootSubsystem:
         return linalg.matrix_rank(self.vectors)
 
     def validate(self) -> None:
-        """Closure under negation and under reflections by its own members."""
+        """Closure under negation and under reflections by its own members.
+
+        No route calls it (a Levi set is closed); it is the tests' closure
+        reference and part of the benchmark's Levi check.
+        """
         rs = self.parent
         mset = self.member_set
         for i in self.members:
@@ -258,18 +266,15 @@ class RootSubsystem:
     def is_levi(self) -> bool:
         """Levi property: members = span(members) /\\ parent.roots.
 
-        A root is in the span when every integer null vector of the members
-        kills it.  The parent is Weyl-stable, so a Levi set is closed under
-        negation and its own reflections: validate() passes.  No route calls
-        it: the root-side pass's restricted-covector check is its one Levi
-        test (see ``fission.filtration``).
+        True when ``levi_chain`` accepts members <= parent: the routes' one
+        Levi test.  No route calls it; the tests and the benchmark do.
         """
-        kernel = linalg.integer_nullspace(self.vectors, self.parent.ambient_dim)
-        mset = self.member_set
-        return all(
-            all(sum(k[c] * x for c, x in support) == 0 for k in kernel) == (i in mset)
-            for i, support in enumerate(self.parent.supports)
-        )
+        rest = [i for i in range(len(self.parent.roots)) if i not in self.member_set]
+        try:
+            levi_chain(self.parent, [self.members, rest])
+        except SubsystemError:
+            return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSubsystem({self.parent!r}, {len(self.members)} roots)"
@@ -445,7 +450,7 @@ class ArrangementType:
 def _restricted_covectors(
     rs: RootSystem, inner: RootSubsystem, new: list[int], fus: Fusion | None
 ) -> list[tuple[int, ...]]:
-    """Deduplicated restrictions of ``new`` = outer \\ inner, ascending, to Ker(inner).
+    """Deduplicated restrictions of the roots ``new``, ascending, to Ker(inner).
 
     On families A-D a root restricts to the signed sum of its entries over
     each part of ``fus`` = ``fusion_of(inner)``; pinned coordinates drop
@@ -456,10 +461,9 @@ def _restricted_covectors(
     deduplication on the value vectors equals deduplication on the
     trace-free kernel.
 
-    It is also the pair's Levi test: it raises ``SubsystemError`` unless
-    every root of ``new``, negatives included (inner may lack one),
-    restricts to nonzero, i.e. unless span(inner) /\\ outer = inner.  Only
-    lex-positive roots enter the list.
+    A root of ``new`` that restricts to zero, negatives included (inner may
+    lack one), lies in span(inner) and raises ``SubsystemError``: this is
+    the Levi test of ``levi_chain``.  Only lex-positive roots enter the list.
     """
     if rs.family == "G2":
         kernel = linalg.integer_nullspace(inner.vectors + ((1, 1, 1),), 3)
@@ -484,12 +488,44 @@ def _restricted_covectors(
     for i in new:
         w = restrict(i)
         if not any(w):
-            raise SubsystemError(
-                "root restricts to zero on the kernel (inner is not Levi)"
-            )
+            raise SubsystemError("root restricts to zero on the kernel (inner is not Levi)")
         if _lex_positive(rs.roots[i]):
             seen[linalg.primitive(w)] = None
     return list(seen)
+
+
+def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
+    """Prove that Phi_1 <= ... <= Phi_k = Phi is a chain of Levi subsystems of rs.
+
+    ``increments`` is a list of ascending lists of root indices that
+    partition the roots: Phi_1 is the first, and Phi_{l+1} is Phi_l plus the
+    l-th of the rest.  Returns each level's subsystem, its ``fusion_of``
+    (None for G2) and, per increment after the first, its roots' restricted
+    covectors on Ker(Phi_l) (``_restricted_covectors``).  An empty increment
+    repeats the level below, subsystem and fusion, and its covectors are an
+    empty list.
+
+    This is the one Levi test, and it runs on every pair before any caller
+    classifies: a root of Phi_{l+1} \\ Phi_l, negatives included, that
+    restricts to zero on Ker(Phi_l) lies in span(Phi_l) and raises
+    ``SubsystemError``.  If none does, span(Phi_l) /\\ Phi_{l+1} = Phi_l:
+    Phi_l is Levi in Phi_{l+1}.  The top level is Phi, and a Levi subsystem
+    of a Levi subsystem is Levi, so every level is Levi in Phi, hence closed
+    under negation and under its own reflections.
+    """
+    sub = subsystem(rs, increments[0])
+    fus = None if rs.family == "G2" else fusion_of(sub)
+    levels, fusions, covectors = [sub], [fus], []
+    for new in increments[1:]:
+        covs = []
+        if new:
+            covs = _restricted_covectors(rs, sub, new, fus)
+            sub = subsystem(rs, sub.members + tuple(new))
+            fus = None if rs.family == "G2" else fusion_of(sub)
+        levels.append(sub)
+        fusions.append(fus)
+        covectors.append(covs)
+    return tuple(levels), tuple(fusions), covectors
 
 
 def _classify_block(covectors: list[tuple[int, ...]], balanced: bool) -> ArrangementType:
@@ -531,29 +567,22 @@ def restricted_arrangement_blocks(
 
     The restriction of outer \\ inner to Ker(inner) splits as an orthogonal
     product over blocks of kernel coordinates; the fundamental group of the
-    complement is the product over blocks.  Both subsystems are validated
-    and inner must lie in outer; the classification then rejects an inner
-    that is not Levi in outer.
+    complement is the product over blocks.  Raises ``SubsystemError`` unless
+    both subsystems are of rs and inner <= outer <= Phi is a chain of Levi
+    subsystems (``levi_chain``).
     """
+    if inner.parent != rs or outer.parent != rs:
+        raise SubsystemError(f"subsystems of {inner.parent!r}, {outer.parent!r} given for {rs!r}")
     if not inner.member_set <= outer.member_set:
         raise SubsystemError("inner subsystem is not contained in the outer one")
-    inner.validate()
-    outer.validate()
-    fus = None if rs.family == "G2" else fusion_of(inner)
     new = [i for i in outer.members if i not in inner.member_set]
-    return _arrangement_blocks(rs, inner, new, fus)
+    rest = [i for i in range(len(rs.roots)) if i not in outer.member_set]
+    _, _, (covectors, _) = levi_chain(rs, [inner.members, new, rest])
+    return _arrangement_blocks(rs, covectors)
 
 
-def _arrangement_blocks(
-    rs: RootSystem, inner: RootSubsystem, new: list[int], fus: Fusion | None
-) -> list[ArrangementType]:
-    """restricted_arrangement_blocks of inner <= outer, given ``fusion_of(inner)``
-    and ``new`` = outer \\ inner, ascending.
-
-    Raises ``SubsystemError`` unless inner is Levi in outer (see
-    ``_restricted_covectors``); closure is not checked.
-    """
-    covectors = _restricted_covectors(rs, inner, new, fus)
+def _arrangement_blocks(rs: RootSystem, covectors: list[tuple[int, ...]]) -> list[ArrangementType]:
+    """Classify restricted covectors (``levi_chain``'s, of one level pair) block by block."""
     if not covectors:
         return []
     if rs.family == "G2":

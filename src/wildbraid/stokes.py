@@ -30,8 +30,11 @@ m = n / q and gcd(q, *n) == 1.  Each rational matrix has exactly one such
 pair, so matrix equality is tuple equality, the identity is
 ((1, 0, 0, 0, 1, 0, 0, 0, 1), 1) and det(m) = 1 reads det(n) == q**3.
 _pair checks a Mat's shape and clears its denominators, once per entry:
-a StokesTuple keeps its seven pairs as ``pairs``.  The kernel (_mul, _det,
-_inv, _conj) takes and returns pairs, with one gcd per result in _canon.
+a StokesTuple keeps its seven pairs as ``pairs``, and the actions,
+solve_relation and random_tuple build their tuples from pairs
+(``_from_pairs``, with the constructor's checks), clearing nothing again.
+The kernel (_mul, _det, _inv, _conj) takes and returns pairs, with one gcd
+per result in _canon.
 Fractions are built only at the edges: by _mat, when a public function
 returns a Mat, and in verify_properties' torus scalars and failure details.
 """
@@ -151,6 +154,7 @@ def diagonal(a, b, c) -> Mat:
 
 
 _NAMES = ("h", "B1^1", "B3^1", "B1^2", "B2^2", "B3^2", "B4^2")
+_FIELDS = ("h", "b11", "b31", "b12", "b22", "b32", "b42")
 
 
 @dataclass(frozen=True)
@@ -173,15 +177,8 @@ class StokesTuple:
     pairs: tuple[Pair, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pairs = []
-        for name, m in self.entries():
-            pairs.append(_pair(m, name))
-            n, q = pairs[-1]
-            if _det(n) != q**3:
-                raise ValueError(f"determinant of {name} must be 1")
-        if not _is_diagonal(pairs[0][0]):
-            raise ValueError("h must be diagonal")
-        object.__setattr__(self, "pairs", tuple(pairs))
+        pairs = _checked(_pair(m, name) for name, m in self.entries())
+        object.__setattr__(self, "pairs", pairs)
 
     def matrices(self) -> tuple[Mat, ...]:
         return (self.h, self.b11, self.b31, self.b12, self.b22, self.b32, self.b42)
@@ -197,8 +194,26 @@ class StokesTuple:
             raise ValueError("quasi moment-map relation violated")
 
 
+def _checked(pairs) -> tuple[Pair, ...]:
+    """The seven entries' pairs, each checked for determinant 1 as it comes,
+    then h for being diagonal: the checks of the StokesTuple constructor."""
+    out = []
+    for name, (n, q) in zip(_NAMES, pairs):
+        if _det(n) != q**3:
+            raise ValueError(f"determinant of {name} must be 1")
+        out.append((n, q))
+    if not _is_diagonal(out[0][0]):
+        raise ValueError("h must be diagonal")
+    return tuple(out)
+
+
 def _from_pairs(e: tuple[Pair, ...]) -> StokesTuple:
-    return StokesTuple(*[_mat(p) for p in e])
+    """The StokesTuple of seven canonical pairs, checked as the constructor
+    checks its Mats, without clearing any entry to a pair again."""
+    pairs = _checked(e)
+    t = object.__new__(StokesTuple)
+    vars(t).update(zip(_FIELDS, map(_mat, pairs)), pairs=pairs)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +254,13 @@ def _conj(d: Pair, e: tuple[Pair, ...]) -> tuple[Pair, ...]:
 
 def solve_relation(h: Mat, b11: Mat, b31: Mat, b12: Mat, b22: Mat, b32: Mat) -> StokesTuple:
     """Fill in B^2_4 so the relation holds exactly."""
-    ph, p11, p31, p12, p22, p32 = [
-        _pair(m, name) for name, m in zip(_NAMES, (h, b11, b31, b12, b22, b32))
-    ]
-    b42 = _mul(_inv(_mul(ph, p31, p11)), _inv(_mul(p32, p22, p12)))
-    t = StokesTuple(h, b11, b31, b12, b22, b32, _mat(b42))
+    return _solve(*[_pair(m, name) for name, m in zip(_NAMES, (h, b11, b31, b12, b22, b32))])
+
+
+def _solve(h: Pair, b11: Pair, b31: Pair, b12: Pair, b22: Pair, b32: Pair) -> StokesTuple:
+    """solve_relation on canonical pairs."""
+    b42 = _mul(_inv(_mul(h, b31, b11)), _inv(_mul(b32, b22, b12)))
+    t = _from_pairs((h, b11, b31, b12, b22, b32, b42))
     t.validate()
     return t
 
@@ -322,26 +339,20 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _shear_product(rng: random.Random, factors: int = 3) -> Mat:
-    """Random determinant-1 matrix: product of elementary shears I + c E_ij."""
+def _shear_product(rng: random.Random, factors: int = 3) -> Pair:
+    """Random determinant-1 matrix, as its canonical pair: a product of
+    elementary shears I + c E_ij."""
     m = _ID
     for _ in range(factors):
         i, j = rng.sample(range(3), 2)
         rows = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
         rows[i][j] = _nonzero_rational(rng)
         m = _mul(m, _pair(rows))
-    return _mat(m)
+    return m
 
 
 def random_tuple(rng: random.Random) -> StokesTuple:
-    """Random exact tuple satisfying the relation, via solve_relation."""
+    """Random exact tuple satisfying the relation, solved as solve_relation does."""
     a, b = _nonzero_rational(rng), _nonzero_rational(rng)
-    h = diagonal(a, b, 1 / (a * b))
-    return solve_relation(
-        h,
-        _shear_product(rng),
-        _shear_product(rng),
-        _shear_product(rng),
-        _shear_product(rng),
-        _shear_product(rng),
-    )
+    h = _pair(diagonal(a, b, 1 / (a * b)))
+    return _solve(h, *[_shear_product(rng) for _ in range(5)])

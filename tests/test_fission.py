@@ -203,6 +203,9 @@ def test_root_side_pass_calls_no_is_levi(q, monkeypatch):
 NON_LEVI_LEVELS = {
     "a2-not-closed": ("A", 2, [[(1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1)]]),
     "a2-missing-negative": ("A", 2, [[(1, -1, 0)]]),
+    # The pair below the bad level is Levi but does not classify: every
+    # pair's Levi test runs before any pair is classified.
+    "a2-unclassifiable-pair-below": ("A", 2, [[], [(1, -1, 0), (-1, 1, 0), (0, 1, -1)]]),
     "a3-below-a-levi-level": (
         "A", 3,
         [
@@ -255,17 +258,16 @@ def test_one_root_side_pass_per_instance(vectors, monkeypatch):
     def counted(name, fn):
         return lambda *args: calls.append((name, args)) or fn(*args)
 
-    monkeypatch.setattr(fission, "fusion_of", counted("fusion", fusion_of))
     monkeypatch.setattr(rootsys, "fusion_of", counted("fusion", fusion_of))
-    blocks = rootsys._arrangement_blocks
-    monkeypatch.setattr(rootsys, "_arrangement_blocks", counted("blocks", blocks))
+    restrict = rootsys._restricted_covectors
+    monkeypatch.setattr(rootsys, "_restricted_covectors", counted("restrict", restrict))
     q = a8_type(vectors)
     decompose(q, method="check")
     level_factors(q)
     decomposition_via_arrangements(q)
     levels = filtration(q).levels
     pairs = list(zip(levels, levels[1:]))
-    # One fusion per distinct level, one classification per changing pair,
+    # One fusion per distinct level, one restriction per changing pair,
     # which is passed the roots outer \ inner in ascending order.
     distinct = [levels[0].members] + [b.members for a, b in pairs if a.members != b.members]
     changing = [
@@ -275,7 +277,7 @@ def test_one_root_side_pass_per_instance(vectors, monkeypatch):
     ]
     assert [args[0].members for name, args in calls if name == "fusion"] == distinct
     assert [
-        (args[1].members, args[2]) for name, args in calls if name == "blocks"
+        (args[1].members, args[2]) for name, args in calls if name == "restrict"
     ] == changing
 
 
@@ -378,7 +380,6 @@ def no_root_analysis(monkeypatch):
 
     monkeypatch.setattr(rootsys, "_enumerate_roots", refuse)
     monkeypatch.setattr(fission, "degree_profile", counted("degree_profile", degree_profile))
-    monkeypatch.setattr(fission, "fusion_of", counted("fusion_of", fusion_of))
     monkeypatch.setattr(rootsys, "fusion_of", counted("fusion_of", fusion_of))
     is_levi = rootsys.RootSubsystem.is_levi
     monkeypatch.setattr(rootsys.RootSubsystem, "is_levi", counted("is_levi", is_levi))

@@ -256,6 +256,80 @@ def test_arrangement_rejects_closed_long_roots_inside_the_whole_system(family, l
         restricted_arrangement_blocks(rs, long_roots, full_subsystem(rs))
 
 
+def test_arrangement_rejects_a_closed_outer_that_is_not_levi():
+    # The long roots of B2 are closed, and empty <= long roots is Levi, but
+    # the long roots are not Levi in B2: the chain reaches Phi through them.
+    rs = build_root_system("B", 2)
+    long_roots = subsystem_from_vectors(rs, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    long_roots.validate()
+    with pytest.raises(SubsystemError, match="inner is not Levi"):
+        restricted_arrangement_blocks(rs, empty_subsystem(rs), long_roots)
+
+
+def test_arrangement_rejects_subsystems_of_another_system():
+    b3, a2 = build_root_system("B", 3), build_root_system("A", 2)
+    with pytest.raises(SubsystemError, match=r"RootSystem\(A2\).*RootSystem\(B3\)"):
+        restricted_arrangement_blocks(b3, empty_subsystem(a2), full_subsystem(a2))
+    with pytest.raises(SubsystemError, match=r"RootSystem\(A2\).*RootSystem\(B3\)"):
+        restricted_arrangement_blocks(b3, empty_subsystem(b3), full_subsystem(a2))
+    # An equal system built separately is the same system.
+    (arr,) = restricted_arrangement_blocks(
+        a2, empty_subsystem(build_root_system("A", 2)), full_subsystem(a2)
+    )
+    assert (arr.kind, arr.d) == ("TypeA", 2)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "G2"])
+def test_arrangement_raises_exactly_off_levi_chains(family):
+    # Every pair of symmetric root subsets: the classifier raises
+    # SubsystemError exactly when inner <= outer <= Phi is not a chain of
+    # Levi subsystems by the brute-force span test, and on every pair that
+    # the closure check rejects; every Levi chain classifies.
+    rs = build_root_system(family, 2)
+    pairs = [(i, rs.negation[i]) for i in rs.positive_indices]
+    subs = [
+        subsystem(rs, [i for k, pair in enumerate(pairs) if mask >> k & 1 for i in pair])
+        for mask in range(1 << len(pairs))
+    ]
+
+    def levi_in(sub, within) -> bool:
+        span_rank = _rank_brute(sub.vectors)
+        return all(
+            (_rank_brute(sub.vectors + (rs.roots[i],)) == span_rank) == (i in sub.member_set)
+            for i in within.members
+        )
+
+    def closed(sub) -> bool:
+        try:
+            sub.validate()
+        except SubsystemError:
+            return False
+        return True
+
+    full = full_subsystem(rs)
+    levi = {sub.members: levi_in(sub, full) for sub in subs}
+    is_closed = {sub.members: closed(sub) for sub in subs}
+    chains = 0
+    for inner in subs:
+        for outer in subs:
+            chain = (
+                inner.member_set <= outer.member_set
+                and levi[outer.members]
+                and levi_in(inner, outer)
+            )
+            if not (is_closed[inner.members] and is_closed[outer.members]):
+                assert not chain  # so the pair must be rejected below
+            if chain:
+                restricted_arrangement_blocks(rs, inner, outer)
+                chains += 1
+                continue
+            with pytest.raises(SubsystemError):
+                restricted_arrangement_blocks(rs, inner, outer)
+    # The chains are the nested pairs of the Levis that Cartan elements cut out.
+    levis = [sub.member_set for sub, _ in enumerate_levi_subsystems(rs)]
+    assert chains == sum(a <= b for a in levis for b in levis)
+
+
 # ---------------------------------------------------------------------------
 # Coordinate components: the signed fusion of a subsystem
 # ---------------------------------------------------------------------------
@@ -653,16 +727,14 @@ def test_arrangement_blocks_match_reference_on_random_types():
     ],
     ids=["three-entry", "unbalanced-triangle", "axis-with-single-pair"],
 )
-def test_arrangement_classifier_rejects(monkeypatch, covectors, message):
-    monkeypatch.setattr(rootsys, "_restricted_covectors", lambda *args: covectors)
+def test_arrangement_classifier_rejects(covectors, message):
     rs = build_root_system("B", 3)
     with pytest.raises(rootsys.ClassificationError, match=message):
-        rootsys._arrangement_blocks(rs, None, None, None)
+        rootsys._arrangement_blocks(rs, covectors)
 
 
-def test_arrangement_balanced_triangle_is_type_a(monkeypatch):
+def test_arrangement_balanced_triangle_is_type_a():
     # The triangle above with e_a + e_c turned into e_a - e_c is balanced.
     covectors = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
-    monkeypatch.setattr(rootsys, "_restricted_covectors", lambda *args: covectors)
-    (arr,) = rootsys._arrangement_blocks(build_root_system("B", 3), None, None, None)
+    (arr,) = rootsys._arrangement_blocks(build_root_system("B", 3), covectors)
     assert (arr.kind, arr.d) == ("TypeA", 2)

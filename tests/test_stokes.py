@@ -46,6 +46,11 @@ def minv(m):
     return stokes._mat(stokes._inv(P(m)))
 
 
+def shear_product(rng, factors=3):
+    """A random determinant-1 Mat (the canonical pair _shear_product draws)."""
+    return stokes._mat(stokes._shear_product(rng, factors))
+
+
 def identity_tuple():
     return StokesTuple(*([IDENTITY] * 7))
 
@@ -58,7 +63,7 @@ def identity_tuple():
 def test_minv_exact():
     rng = random.Random(0)
     for _ in range(20):
-        m = stokes._shear_product(rng, 4)
+        m = shear_product(rng, 4)
         assert mmul(m, minv(m)) == IDENTITY
         assert mdet(m) == 1
 
@@ -168,9 +173,9 @@ def test_solve_random_rational_inputs():
             h,
             shear(1, 0, Fraction(1, 2)),
             shear(0, 1, 3),
-            stokes._shear_product(rng),
-            stokes._shear_product(rng),
-            stokes._shear_product(rng),
+            shear_product(rng),
+            shear_product(rng),
+            shear_product(rng),
         )
         assert t.relation_holds()
         assert mdet(t.b42) == 1
@@ -183,9 +188,9 @@ def test_solve_with_printed_torus_element():
         h,
         shear(1, 0, 2),  # lower unipotent
         shear(0, 2, Fraction(-1, 3)),  # upper unipotent
-        stokes._shear_product(rng),
-        stokes._shear_product(rng),
-        stokes._shear_product(rng),
+        shear_product(rng),
+        shear_product(rng),
+        shear_product(rng),
     )
     assert t.relation_holds()
     assert verify_properties(t, rng).passed
@@ -464,6 +469,41 @@ def test_tuple_keeps_its_pairs_out_of_repr():
     t = random_tuple(random.Random(5))
     assert t.pairs == tuple(P(m) for m in t.matrices())
     assert "pairs" not in repr(t)
+
+
+def test_entries_are_cleared_to_pairs_once(monkeypatch):
+    # random_tuple clears h and the three shears of each of its five random
+    # entries (1 + 5 * 3); the tuple is then built from pairs, so no entry
+    # is cleared again.  The actions clear nothing, solve_relation its inputs.
+    calls = []
+    pair = stokes._pair
+    monkeypatch.setattr(stokes, "_pair", lambda *args: calls.append(args) or pair(*args))
+    t = random_tuple(random.Random(5))
+    assert len(calls) == 16
+    calls.clear()
+    act_sigma(t)
+    act_tau1(t)
+    assert calls == []
+    solve_relation(t.h, t.b11, t.b31, t.b12, t.b22, t.b32)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        ({0: shear(0, 1, 1)}, "h must be diagonal"),
+        ({2: diagonal(2, 1, 1)}, "determinant of B3\\^1 must be 1"),
+        ({0: shear(0, 1, 1), 6: diagonal(1, 3, 1)}, "determinant of B4\\^2 must be 1"),
+        ({1: diagonal(2, 1, 1), 5: diagonal(2, 1, 1)}, "determinant of B1\\^1 must be 1"),
+    ],
+)
+def test_tuple_from_pairs_checks_as_the_constructor_does(corrupt, message):
+    mats = [corrupt.get(k, IDENTITY) for k in range(7)]
+    with pytest.raises(ValueError, match=message):
+        StokesTuple(*mats)
+    with pytest.raises(ValueError, match=message):
+        stokes._from_pairs(tuple(P(m) for m in mats))
+    assert stokes._from_pairs(identity_tuple().pairs) == identity_tuple()
 
 
 # Generated from the plain-Fraction verifier: the reprs of 50 random tuples,
