@@ -2,8 +2,12 @@
 
 Words in the Artin generators s_1..s_{n-1} compose left to right.  Equality
 is decided by the Garside left normal form Delta^k A_1 ... A_r over simple
-(permutation) braids, after the permutation and linking-matrix pre-filters;
-a word of l letters on n strands costs O(l^2 n).
+(permutation) braids, after the permutation and linking-matrix pre-filters.
+The word is cut into simple factors, letters of either sign extending a
+factor while it stays simple; only an inverse letter that opens a factor
+owes a Delta^-1, and moving the owed Delta^-1 to the front twists by tau
+each factor with an odd number of owing factors after it.  The factors are
+then left-weighted; a word of l letters on n strands costs O(l^2 n).
 
 The operad composition gamma(sigma; tau_1..tau_n) is the block braid of
 sigma (each strand fattened to the width of its tau) preceded in word order
@@ -149,18 +153,35 @@ def normal_form(b: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
     (entry s: 0-based end position of the strand starting at s); each pair
     (A_j, A_j+1) is left-weighted.  Equal braids have equal forms.
 
-    s_i^-1 = Delta^-1 (Delta s_i^-1), and Delta^-1 moves to the front by
-    tau: s_j -> s_(n-j), flipping a letter when an odd number of inverse
-    letters follow it.  Letters fill a simple factor while it stays simple;
-    a full one is appended and the pairs left-weighted walking left, up to
-    the first pair that does not change.
+    First the word is cut into simple factors: a letter s_i^e extends the
+    current factor while the product stays simple (s_i: strands i, i+1 not
+    yet crossed; s_i^-1: they are, so the factor ends in s_i and the letter
+    cancels it).  Otherwise a new factor starts, s_i or Delta s_i^-1; only
+    the latter owes a Delta^-1 = Delta^-1 (Delta s_i^-1).  The m owed
+    Delta^-1 move to the front by tau: s_j -> s_(n-j), which maps simple
+    braids to simple braids, so a factor is conjugated by tau when an odd
+    number of owing factors follow it.  Then each factor is appended and
+    the pairs left-weighted walking left, up to the first pair that does
+    not change; k is the number of leading Deltas minus m.
     """
     n = b.strands
     ident, delta = list(range(n)), list(range(n - 1, -1, -1))
-    inverses = sum(1 for _, s in b.letters if s < 0)
-    cs, ps = [], []  # the factors so far, each as its c and p lists
-
-    def push(c):
+    cuts, c, owes = [], ident[:], 0  # closed factors as (c list, owes Delta^-1)
+    for g, s in b.letters:
+        i = g - 1
+        if (c[i] < c[i + 1]) != (s > 0):
+            cuts.append((c, owes))
+            c, owes = (ident[:], 0) if s > 0 else (delta[:], 1)
+        c[i], c[i + 1] = c[i + 1], c[i]
+    cuts.append((c, owes))
+    m = right = sum(o for _, o in cuts)
+    cs, ps = [], []  # the left-weighted factors so far, as c and p lists
+    for c, owes in cuts:
+        right -= owes  # now the owing factors after this one
+        if right & 1:
+            c = [n - 1 - x for x in reversed(c)]
+        if c == ident:
+            continue
         p = [0] * n
         for at, strand in enumerate(c):
             p[strand] = at
@@ -169,26 +190,11 @@ def normal_form(b: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
         j = len(cs) - 1
         while j and _left_weight(cs[j - 1], ps[j - 1], cs[j], ps[j]):
             j -= 1
-        while cs and cs[-1] == ident:
+        while cs[-1] == ident:
             cs.pop()
             ps.pop()
-
-    k, c = -inverses, ident[:]
-    for g, s in b.letters:
-        if s < 0:
-            inverses -= 1  # now the inverse letters after this one
-        i = n - 1 - g if inverses & 1 else g - 1
-        if s > 0 and c[i] < c[i + 1]:
-            c[i], c[i + 1] = c[i + 1], c[i]
-            continue
-        if c != ident:
-            push(c)
-        c = ident[:] if s > 0 else delta[:]  # s_i, or Delta s_i^-1
-        c[i], c[i + 1] = c[i + 1], c[i]
-    if c != ident:
-        push(c)
     lead = cs.count(delta)  # in a left-weighted form every Delta leads
-    return k + lead, tuple(tuple(p) for p in ps[lead:])
+    return lead - m, tuple(tuple(p) for p in ps[lead:])
 
 
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -204,7 +210,8 @@ def braids_equal(a: BraidWord, b: BraidWord) -> bool:
 
 
 def is_identity_braid(b: BraidWord) -> bool:
-    return braids_equal(b, identity(b.strands))
+    """Trivial permutation and linking matrix, then the normal form (0, ())."""
+    return is_pure(b) and not any(map(any, linking_matrix(b))) and normal_form(b) == (0, ())
 
 
 # ---------------------------------------------------------------------------

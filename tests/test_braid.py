@@ -301,6 +301,88 @@ def test_normal_form_agrees_with_artin_reference(pair):
     assert is_identity_braid(a * b.inverse()) == same
 
 
+def ref_normal_form(b):
+    """The per-letter form: each inverse letter is Delta^-1 (Delta s_i^-1) on
+    its own, each letter twisted by tau when an odd number of inverse letters
+    follow it, and each factor left-weighted by the engine's _left_weight."""
+    n = b.strands
+    ident, delta = list(range(n)), list(range(n - 1, -1, -1))
+    inverses = sum(1 for _, s in b.letters if s < 0)
+    cs, ps = [], []
+
+    def push(c):
+        p = [0] * n
+        for at, strand in enumerate(c):
+            p[strand] = at
+        cs.append(c)
+        ps.append(p)
+        j = len(cs) - 1
+        while j and braid._left_weight(cs[j - 1], ps[j - 1], cs[j], ps[j]):
+            j -= 1
+        while cs and cs[-1] == ident:
+            cs.pop()
+            ps.pop()
+
+    k, c = -inverses, ident[:]
+    for g, s in b.letters:
+        if s < 0:
+            inverses -= 1
+        i = n - 1 - g if inverses & 1 else g - 1
+        if s > 0 and c[i] < c[i + 1]:
+            c[i], c[i + 1] = c[i + 1], c[i]
+            continue
+        if c != ident:
+            push(c)
+        c = ident[:] if s > 0 else delta[:]
+        c[i], c[i + 1] = c[i + 1], c[i]
+    if c != ident:
+        push(c)
+    lead = cs.count(delta)
+    return k + lead, tuple(tuple(p) for p in ps[lead:])
+
+
+@st.composite
+def planted_words(draw, strands=st.integers(2, 18)):
+    """Words of single letters, planted s s^-1 pairs and runs of inverse letters."""
+    n = draw(strands)
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    chunk = st.one_of(
+        letter.map(lambda x: [x]),
+        letter.map(lambda x: [x, (x[0], -x[1])]),
+        st.lists(st.integers(1, n - 1), min_size=1, max_size=8).map(
+            lambda gs: [(g, -1) for g in gs]
+        ),
+    )
+    return BraidWord(n, tuple(x for part in draw(st.lists(chunk, max_size=12)) for x in part))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_words())
+def test_normal_form_matches_per_letter_reference(b):
+    assert normal_form(b) == ref_normal_form(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_words(st.integers(2, 8)), st.data())
+def test_normal_form_drops_a_cancelling_pair(u, data):
+    n = u.strands
+    v = data.draw(planted_words(st.just(n)))
+    g, e = data.draw(st.integers(1, n - 1)), data.draw(st.sampled_from((1, -1)))
+    assert normal_form(u * word(n, (g, e), (g, -e)) * v) == normal_form(u * v)
+
+
+def test_half_twist_times_inverse_needs_no_left_weighting(monkeypatch):
+    # Delta Delta^-1: the inverse letters cancel the factor they follow, so no
+    # Delta^-1 is owed and no pair is left-weighted.
+    calls = []
+    weigh = braid._left_weight
+    monkeypatch.setattr(braid, "_left_weight", lambda *a: calls.append(1) or weigh(*a))
+    for n in range(2, 9):
+        x = half_twist(n)
+        assert normal_form(x * x.inverse()) == (0, ())
+    assert calls == []
+
+
 def starts(p):
     return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
 
