@@ -16,9 +16,9 @@ implemented:
 * the arrangement oracle: enumerate the roots and bucket them by degree;
   the roots Phi_{l+1} adds to Phi_l are bucket l.  ``rootsys.levi_chain``
   walks up the filtration once, restricting each nonempty bucket to the
-  kernel of the level below (the one Levi test: a root that vanishes there
-  raises), and then each level's arrangement is classified block by block,
-  in one pass kept on the instance (``IrregularType._root_side``).
+  kernel of the level below (the one Levi test) and refining that level's
+  fusion by the restrictions; each level's arrangement is then classified
+  block by block, in one pass kept on the instance (``_root_side``).
 
 The two must agree on families A-D; ``decompose(..., method="check")``, the
 one comparison of the two, raises if they ever differ, level by level (tree
@@ -80,13 +80,13 @@ class IrregularType:
 
     @cached_property
     def _root_side(self) -> tuple[Filtration, tuple[Fusion | None, ...], tuple]:
-        """(``filtration``, ``fusion_of`` of each level or None for G2,
+        """(``filtration``, each level's fusion or None for G2,
         ``level_factors``), from one walk up the levels Phi_1..Phi_{p+1}.
 
         The roots are bucketed by degree once: Phi_1 is bucket 0 and
         Phi_{l+1} is Phi_l plus bucket l.  ``rootsys.levi_chain`` walks the
-        buckets, proving every level Levi, and each level's restricted
-        covectors are then classified block by block.
+        buckets, proving every level Levi and refining each fusion from the
+        one below; each level's covectors are then classified by block.
         """
         rs = self.rs
         by_degree: list[list[int]] = [[] for _ in range(self.p + 1)]
@@ -547,9 +547,9 @@ def _factor_of_arrangement(arr: ArrangementType, family: str) -> Factor | None:
 def level_factors(q: IrregularType) -> tuple[tuple[int, tuple[Factor, ...]], ...]:
     """Canonical factors contributed by each filtration level (oracle path).
 
-    Read off the root-side pass kept on q, which calls ``fusion_of`` once per
-    distinct level and classifies each changing level pair once, after
-    ``rootsys.levi_chain`` has proved every level Levi.
+    Read off the root-side pass kept on q, which classifies each changing
+    level pair once, after ``rootsys.levi_chain`` has proved every level
+    Levi and refined each level's fusion from the one below.
     """
     return q._root_side[2]
 
@@ -569,9 +569,9 @@ def decompose(
     method="tree" uses the fission-tree fast path (arrangement oracle for
     G2); method="oracle" forces the arrangement path; method="check" runs
     both and raises DecompositionMismatchError on disagreement: first
-    level by level, the tree's nodes against ``fusion_of`` of the
-    root-enumerated level, then the two products.  A caller that already
-    holds fission_tree(q) passes it as ``tree``.
+    level by level, the tree's nodes against the root side's fusion of
+    that level (``rootsys.levi_chain``), then the two products.  A caller
+    that already holds fission_tree(q) passes it as ``tree``.
     """
     if method not in ("tree", "oracle", "check"):
         raise ValueError(f"unknown method {method!r}")

@@ -18,13 +18,11 @@ one-entry roots of B/C or by a sign conflict (the reducible "D_2 pair"
 partitions and the classification of restricted hyperplane arrangements
 against the model families A / BC / D / exotic (B_r/C_r)D_s.
 
-One signed union-find (``_signed_classes``) computes both.  On the roots of
-a subsystem it gives the fusion; on the restricted covectors it gives the
-blocks of the arrangement (classes of kernel coordinates, listed by smallest
-coordinate) and whether each block is balanced: whether coordinate sign
-flips turn every pair covector into a difference (Zaslavsky, "Signed
-graphs", 1982).  A block is then classified from three numbers: its axis
-covectors, its pair covectors and its balance.
+One signed union-find on hyperplane supports (``_signed_classes``) computes
+both.  ``_refine`` cuts a fusion by hyperplanes on its parts, and each level
+of ``levi_chain`` refines the one below by its new restricted covectors.  On
+those alone it gives the arrangement's blocks, each classified from its axes,
+pairs and balance (Zaslavsky, "Signed graphs", 1982).
 
 The one Levi test is ``levi_chain``, which the fission filtration,
 ``restricted_arrangement_blocks`` and ``RootSubsystem.is_levi`` all call;
@@ -329,14 +327,12 @@ class Fusion:
     zero: tuple[int, ...]
 
 
-def _signed_classes(n: int, relations, pins):
-    """Signed union-find on coordinates 0..n-1.
-
-    ``relations`` are triples ``(i, j, s)`` for ``x_j = s * x_i`` with
-    ``s = +-1``; ``pins`` are coordinates with ``x_i = 0``.  Returns
-    ``(root, sign, pinned)``: each coordinate's class, named by its smallest
-    coordinate; its sign relative to that coordinate; and the set of classes
-    pinned to zero, by a pin or by a sign conflict (an unbalanced cycle).
+def _signed_classes(n: int, hyperplanes):
+    """Signed union-find on coordinates 0..n-1 cut by hyperplanes, each its
+    nonzero (coordinate, entry) pairs: an axis pins its class, x e_a + y e_b
+    glues x_b = -sign(xy) x_a.  Returns each coordinate's class (named by its
+    smallest coordinate), its sign relative to that one, and the classes
+    pinned by an axis or a sign conflict (an unbalanced cycle).
     """
     parent, sign = list(range(n)), [1] * n
 
@@ -351,43 +347,48 @@ def _signed_classes(n: int, relations, pins):
                 parent[y] = x
         return x
 
-    conflicts = list(pins)
-    for i, j, s in relations:
-        ri, rj = find(i), find(j)
-        s *= sign[i] * sign[j]  # now x_rj = s * x_ri
-        if ri == rj:
-            if s != 1:
-                conflicts.append(ri)
-        else:
-            lo, hi = min(ri, rj), max(ri, rj)
-            parent[hi], sign[hi] = lo, s
+    conflicts = [h[0][0] for h in hyperplanes if len(h) == 1]
+    for (a, x), *rest in hyperplanes:
+        for b, y in rest:
+            ra, rb = find(a), find(b)
+            s = (-1 if x * y > 0 else 1) * sign[a] * sign[b]  # now x_rb = s * x_ra
+            if ra != rb:
+                lo, hi = min(ra, rb), max(ra, rb)
+                parent[hi], sign[hi] = lo, s
+            elif s != 1:
+                conflicts.append(ra)
     root = [find(c) for c in range(n)]
     return root, sign, {root[c] for c in conflicts}
 
 
+def _refine(fus: Fusion, hyperplanes) -> Fusion:
+    """Ker(fus) cut by hyperplanes on its parts (part k is the kernel's y_k):
+    the parts' signed classes are the new parts; pinned ones join the zeros.
+    """
+    root, sign, pinned = _signed_classes(len(fus.parts), hyperplanes)
+    classes: dict[int, list[int]] = {}
+    for k, r in enumerate(root):
+        classes.setdefault(r, []).append(k)
+    kept, zero = [], list(fus.zero)  # kept: (coordinates, signs) per new part
+    for r, ks in classes.items():
+        if r in pinned:
+            zero.extend(c for k in ks for c in fus.parts[k])
+        elif len(ks) == 1:  # an untouched part (a root has sign +1) is kept
+            kept.append((fus.parts[r], fus.signs[r]))
+        else:
+            cs = sorted((c, s * sign[k]) for k in ks for c, s in zip(fus.parts[k], fus.signs[k]))
+            kept.append(tuple(zip(*cs)))
+    return Fusion(tuple(p for p, _ in kept), tuple(s for _, s in kept), tuple(sorted(zero)))
+
+
 def fusion_of(sub: RootSubsystem) -> Fusion:
-    """The signed classes of the subsystem's roots; classical families only."""
+    """The singletons refined by the subsystem's roots; classical families only."""
     rs = sub.parent
     if rs.family == "G2":
         raise ValueError("fusion is defined for classical families only")
-    relations, pins = [], []
-    for k in sub.members:
-        support = rs.supports[k]
-        if len(support) == 1:
-            pins.append(support[0][0])
-        else:
-            (i, x), (j, y) = support
-            relations.append((i, j, -1 if x * y > 0 else 1))
-    root, sign, pinned = _signed_classes(rs.ambient_dim, relations, pins)
-    classes: dict[int, list[int]] = {}
-    for c, r in enumerate(root):
-        classes.setdefault(r, []).append(c)
-    parts = [tuple(coords) for r, coords in classes.items() if r not in pinned]
-    return Fusion(
-        tuple(parts),
-        tuple(tuple(sign[c] for c in part) for part in parts),
-        tuple(c for c, r in enumerate(root) if r in pinned),
-    )
+    n = rs.ambient_dim
+    singletons = Fusion(tuple((c,) for c in range(n)), ((1,),) * n, ())
+    return _refine(singletons, [rs.supports[k] for k in sub.members])
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,7 @@ def _restricted_covectors(
     """Deduplicated restrictions of the roots ``new``, ascending, to Ker(inner).
 
     On families A-D a root restricts to the signed sum of its entries over
-    each part of ``fus`` = ``fusion_of(inner)``; pinned coordinates drop
+    each part of ``fus``, the fusion of inner; pinned coordinates drop
     out.  G2 has no fusion (``fus`` is None): there the covector is the
     root's values on an integer basis of the trace-free kernel.  For family
     A the fused value vectors are differences of two unit entries; such
@@ -499,11 +500,11 @@ def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
 
     ``increments`` is a list of ascending lists of root indices that
     partition the roots: Phi_1 is the first, and Phi_{l+1} is Phi_l plus the
-    l-th of the rest.  Returns each level's subsystem, its ``fusion_of``
-    (None for G2) and, per increment after the first, its roots' restricted
-    covectors on Ker(Phi_l) (``_restricted_covectors``).  An empty increment
-    repeats the level below, subsystem and fusion, and its covectors are an
-    empty list.
+    l-th of the rest.  Returns each level's subsystem, its fusion (None for
+    G2) and, per increment after the first, its roots' restricted covectors
+    on Ker(Phi_l) (``_restricted_covectors``).  Phi_1 gets ``fusion_of``;
+    Phi_{l+1}'s fusion is Phi_l's refined by those covectors (``_refine``).
+    An empty increment repeats the level below and has no covectors.
 
     This is the one Levi test, and it runs on every pair before any caller
     classifies: a root of Phi_{l+1} \\ Phi_l, negatives included, that
@@ -521,7 +522,7 @@ def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
         if new:
             covs = _restricted_covectors(rs, sub, new, fus)
             sub = subsystem(rs, sub.members + tuple(new))
-            fus = None if rs.family == "G2" else fusion_of(sub)
+            fus = fus if rs.family == "G2" else _refine(fus, _supports(covs))
         levels.append(sub)
         fusions.append(fus)
         covectors.append(covs)
@@ -534,7 +535,7 @@ def _classify_block(covectors: list[tuple[int, ...]], balanced: bool) -> Arrange
     Covectors are primitive and distinct, so a coordinate pair carries at
     most its difference and its sum: with k coordinates, k(k-1) pair
     covectors means every pair carries both (a lone coordinate is BC_1), and
-    k(k-1)/2 balanced ones (no axis) means type A.
+    k(k-1)/2 in a balanced block (an axis unbalances it) means type A.
     """
     support: set[int] = set()
     axes = pairs = 0
@@ -555,7 +556,7 @@ def _classify_block(covectors: list[tuple[int, ...]], balanced: bool) -> Arrange
         if not axes:
             return ArrangementType("TypeD", d=k, raw_hyperplanes=raw)
         return ArrangementType("Exotic", r=axes, s=k - axes, raw_hyperplanes=raw)
-    if not axes and pairs == k * (k - 1) // 2 and balanced:
+    if pairs == k * (k - 1) // 2 and balanced:
         return ArrangementType("TypeA", d=k - 1, raw_hyperplanes=raw)
     raise ClassificationError("hyperplane set matches no model family")
 
@@ -587,18 +588,17 @@ def _arrangement_blocks(rs: RootSystem, covectors: list[tuple[int, ...]]) -> lis
         return []
     if rs.family == "G2":
         return [_classify_g2(covectors)]
-    # Join the support of every covector; a pair covector x e_a + y e_b
-    # vanishes on x_b = -(x/y) x_a.
-    relations, firsts = [], []
-    for cov in covectors:
-        (a, x), *rest = [(c, x) for c, x in enumerate(cov) if x]
-        firsts.append(a)
-        relations.extend((a, b, -1 if x * y > 0 else 1) for b, y in rest)
-    root, _, unbalanced = _signed_classes(len(covectors[0]), relations, ())
+    supports = _supports(covectors)
+    root, _, unbalanced = _signed_classes(len(covectors[0]), supports)
     blocks: dict[int, list[tuple[int, ...]]] = {}
-    for a, cov in zip(firsts, covectors):
+    for ((a, _), *_), cov in zip(supports, covectors):
         blocks.setdefault(root[a], []).append(cov)
     return [_classify_block(blocks[r], r not in unbalanced) for r in sorted(blocks)]
+
+
+def _supports(covectors: list[tuple[int, ...]]) -> list[list[tuple[int, int]]]:
+    """The nonzero (coordinate, entry) pairs of each covector."""
+    return [[(c, x) for c, x in enumerate(cov) if x] for cov in covectors]
 
 
 def _classify_g2(covectors: list[tuple[int, ...]]) -> ArrangementType:

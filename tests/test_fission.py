@@ -267,15 +267,15 @@ def test_one_root_side_pass_per_instance(vectors, monkeypatch):
     decomposition_via_arrangements(q)
     levels = filtration(q).levels
     pairs = list(zip(levels, levels[1:]))
-    # One fusion per distinct level, one restriction per changing pair,
-    # which is passed the roots outer \ inner in ascending order.
-    distinct = [levels[0].members] + [b.members for a, b in pairs if a.members != b.members]
+    # One fusion_of per pass, on Phi_1 (every level above is refined from
+    # the one below), and one restriction per changing pair, which is
+    # passed the roots outer \ inner in ascending order.
     changing = [
         (a.members, sorted(set(b.members) - set(a.members)))
         for a, b in pairs
         if a.members != b.members
     ]
-    assert [args[0].members for name, args in calls if name == "fusion"] == distinct
+    assert [args[0].members for name, args in calls if name == "fusion"] == [levels[0].members]
     assert [
         (args[1].members, args[2]) for name, args in calls if name == "restrict"
     ] == changing
@@ -318,6 +318,48 @@ def test_coordinate_fusions_equal_root_fusions(q):
     # Parts, signs and the pinned block of every level, Phi_1..Phi_{p+1}.
     want = tuple(fusion_of(level) for level in filtration(q).levels)
     assert coordinate_fusions(q) == want
+
+
+@st.composite
+def types_with_planted_levels(draw):
+    """Classical types where a coefficient may be zero or repeat an earlier
+    one; either leaves a degree bucket empty, so the level repeats."""
+    family = draw(st.sampled_from("ABCD"))
+    rs = build_root_system(family, draw(st.integers(2 if family == "D" else 1, 7)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    coeffs = list(random_irregular_type(rs, draw(st.integers(1, 5)), rng).coefficients)
+    for i in range(len(coeffs)):
+        plant = draw(st.sampled_from(("keep", "zero", "repeat")))
+        if plant == "zero":
+            coeffs[i] = cartan(rs, [0] * rs.ambient_dim)
+        elif plant == "repeat" and i:
+            coeffs[i] = coeffs[draw(st.integers(0, i - 1))]
+    return IrregularType(rs, tuple(coeffs))
+
+
+def assert_chain_fusions_are_level_fusions(q):
+    # Each level's fusion, refined from the level below, is the fusion built
+    # from all of that level's roots.
+    assert q._root_side[1] == tuple(fusion_of(level) for level in filtration(q).levels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(types_with_planted_levels())
+def test_chain_fusions_equal_level_fusions(q):
+    assert_chain_fusions_are_level_fusions(q)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_chain_fusions_equal_level_fusions_on_every_p3_chain(family):
+    # Every weak chain of three Levi subsystems (zero and repeated levels
+    # included), realised by its witnesses, at every rank up to 4.
+    chains = 0
+    for rank in range(2 if family == "D" else 1, 5):
+        rs = build_root_system(family, rank)
+        for chain in enumerate_filtration_chains(rs, 3):
+            assert_chain_fusions_are_level_fusions(irregular_type_for_chain(rs, chain))
+            chains += 1
+    assert chains == {"A": 1484, "B": 3912, "C": 3912, "D": 2130}[family]
 
 
 def test_coordinate_fusions_d_lone_zero_is_a_part():

@@ -416,6 +416,39 @@ def test_component_classification_weyl_invariant():
             assert (sorted(len(p) for p in reflected.parts), len(reflected.zero)) == shape
 
 
+SIGNED_CLASSES = {
+    # name: (n, hyperplane supports, root, sign, pinned)
+    "empty": (2, [], [0, 1], [1, 1], set()),
+    "lone-pin": (3, [((1, 2),)], [0, 1, 2], [1, 1, 1], {1}),
+    "difference": (2, [((0, 1), (1, -1))], [0, 0], [1, 1], set()),
+    "sum": (2, [((0, 1), (1, 1))], [0, 0], [1, -1], set()),
+    "glued-to-smallest": (3, [((2, 1), (1, 1))], [0, 1, 1], [1, 1, -1], set()),
+    "sign-carried-along": (3, [((0, 1), (1, 1)), ((1, 1), (2, -1))], [0, 0, 0], [1, -1, -1], set()),
+    "d2-conflict": (3, [((0, 1), (2, -1)), ((0, 1), (2, 1))], [0, 1, 0], [1, 1, 1], {0}),
+    "pin-reaches-class": (3, [((0, 1), (1, 1)), ((1, -2),)], [0, 0, 2], [1, -1, 1], {0}),
+    "balanced-triangle": (
+        3, [((0, 1), (1, -1)), ((1, 1), (2, 1)), ((0, 1), (2, 1))], [0, 0, 0], [1, 1, -1], set()
+    ),
+    "unbalanced-triangle": (
+        3, [((0, 1), (1, -1)), ((1, 1), (2, -1)), ((0, 1), (2, 1))], [0, 0, 0], [1, 1, 1], {0}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SIGNED_CLASSES, ids=list(SIGNED_CLASSES))
+def test_signed_classes_on_hyperplane_supports(case):
+    n, hyperplanes, root, sign, pinned = SIGNED_CLASSES[case]
+    assert rootsys._signed_classes(n, hyperplanes) == (root, sign, pinned)
+
+
+def test_refine_glues_parts_with_their_signs():
+    # Parts (0, 2) with signs (1, -1), (1,), (3,) and (4,); y_1 = -y_0 joins
+    # part 1 to part 0, and an axis on y_2 pins coordinate 3.
+    fus = rootsys.Fusion(((0, 2), (1,), (3,), (4,)), ((1, -1), (1,), (1,), (1,)), (5,))
+    got = rootsys._refine(fus, [((0, 1), (1, 1)), ((2, -1),)])
+    assert got == rootsys.Fusion(((0, 1, 2), (4,)), ((1, -1, -1), (1,)), (3, 5))
+
+
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
