@@ -95,7 +95,8 @@ class RootSystem:
 
     @cached_property
     def negation(self) -> tuple[int, ...]:
-        return tuple(self._index[tuple(-c for c in r)] for r in self.roots)
+        """Each root's negative: negation reverses the lex-sorted, symmetric roots."""
+        return tuple(range(len(self.roots) - 1, -1, -1))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank})"
@@ -462,9 +463,8 @@ def _restricted_covectors(
     deduplication on the value vectors equals deduplication on the
     trace-free kernel.
 
-    A root of ``new`` that restricts to zero, negatives included (inner may
-    lack one), lies in span(inner) and raises ``SubsystemError``: this is
-    the Levi test of ``levi_chain``.  Only lex-positive roots enter the list.
+    A root of ``new`` that restricts to zero, of either sign, lies in
+    span(inner) and raises ``SubsystemError``; only lex-positive ones enter.
     """
     if rs.family == "G2":
         kernel = linalg.integer_nullspace(inner.vectors + ((1, 1, 1),), 3)
@@ -507,12 +507,11 @@ def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
     An empty increment repeats the level below and has no covectors.
 
     This is the one Levi test, and it runs on every pair before any caller
-    classifies: a root of Phi_{l+1} \\ Phi_l, negatives included, that
-    restricts to zero on Ker(Phi_l) lies in span(Phi_l) and raises
-    ``SubsystemError``.  If none does, span(Phi_l) /\\ Phi_{l+1} = Phi_l:
-    Phi_l is Levi in Phi_{l+1}.  The top level is Phi, and a Levi subsystem
-    of a Levi subsystem is Levi, so every level is Levi in Phi, hence closed
-    under negation and under its own reflections.
+    classifies.  It raises ``SubsystemError`` on a root of Phi_{l+1} \\ Phi_l
+    that restricts to zero on Ker(Phi_l), negatives included (it lies in
+    span(Phi_l)), or whose negative Phi_{l+1} lacks (only lex-positive roots
+    give covectors, so the refinement would miss it).  Else Phi_l is Levi in
+    Phi_{l+1}, and Levi in Levi is Levi: every level is Levi in Phi, the top.
     """
     sub = subsystem(rs, increments[0])
     fus = None if rs.family == "G2" else fusion_of(sub)
@@ -522,6 +521,8 @@ def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
         if new:
             covs = _restricted_covectors(rs, sub, new, fus)
             sub = subsystem(rs, sub.members + tuple(new))
+            if {rs.negation[i] for i in new} != set(new):
+                raise SubsystemError("level lacks a root's negative (inner is not Levi)")
             fus = fus if rs.family == "G2" else _refine(fus, _supports(covs))
         levels.append(sub)
         fusions.append(fus)
@@ -529,8 +530,8 @@ def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
     return tuple(levels), tuple(fusions), covectors
 
 
-def _classify_block(covectors: list[tuple[int, ...]], balanced: bool) -> ArrangementType:
-    """Pattern-match one block of restricted covectors.
+def _classify_block(block: list, balanced: bool) -> ArrangementType:
+    """Pattern-match one block of restricted covectors, each with its ``_supports``.
 
     Covectors are primitive and distinct, so a coordinate pair carries at
     most its difference and its sum: with k coordinates, k(k-1) pair
@@ -539,8 +540,7 @@ def _classify_block(covectors: list[tuple[int, ...]], balanced: bool) -> Arrange
     """
     support: set[int] = set()
     axes = pairs = 0
-    for cov in covectors:
-        nz = [(c, x) for c, x in enumerate(cov) if x]
+    for cov, nz in block:
         if len(nz) == 1:
             axes += 1
         elif len(nz) == 2 and abs(nz[0][1]) == 1 and abs(nz[1][1]) == 1:
@@ -549,7 +549,7 @@ def _classify_block(covectors: list[tuple[int, ...]], balanced: bool) -> Arrange
             raise ClassificationError(f"covector {cov} matches no model pattern")
         support.update(c for c, _ in nz)
     k = len(support)
-    raw = tuple(covectors)
+    raw = tuple(cov for cov, _ in block)
     if pairs == k * (k - 1):
         if axes == k:
             return ArrangementType("TypeBC", d=k, raw_hyperplanes=raw)
@@ -590,9 +590,9 @@ def _arrangement_blocks(rs: RootSystem, covectors: list[tuple[int, ...]]) -> lis
         return [_classify_g2(covectors)]
     supports = _supports(covectors)
     root, _, unbalanced = _signed_classes(len(covectors[0]), supports)
-    blocks: dict[int, list[tuple[int, ...]]] = {}
-    for ((a, _), *_), cov in zip(supports, covectors):
-        blocks.setdefault(root[a], []).append(cov)
+    blocks: dict[int, list] = {}  # class -> its (covector, support) pairs
+    for cov, sup in zip(covectors, supports):
+        blocks.setdefault(root[sup[0][0]], []).append((cov, sup))
     return [_classify_block(blocks[r], r not in unbalanced) for r in sorted(blocks)]
 
 

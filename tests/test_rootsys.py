@@ -61,6 +61,12 @@ def test_root_counts(family, rank):
     assert len(set(rs.roots)) == len(rs.roots)
 
 
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_negation_indexes_each_roots_negative(family, rank):
+    rs = build_root_system(family, rank)
+    assert [rs.roots[j] for j in rs.negation] == [tuple(-c for c in r) for r in rs.roots]
+
+
 def test_a1_smallest_case():
     rs = build_root_system("A", 1)
     assert rs.ambient_dim == 2
@@ -328,6 +334,53 @@ def test_arrangement_raises_exactly_off_levi_chains(family):
     # The chains are the nested pairs of the Levis that Cartan elements cut out.
     levis = [sub.member_set for sub, _ in enumerate_levi_subsystems(rs)]
     assert chains == sum(a <= b for a in levis for b in levis)
+
+
+@pytest.mark.parametrize(
+    "outer",
+    [[(-1, 1, 0)], [(1, -1, 0)], [(1, -1, 0), (-1, 1, 0), (0, -1, 1)]],
+    ids=["lex-negative", "lex-positive", "pair-and-one"],
+)
+def test_arrangement_rejects_an_outer_not_closed_under_negation(outer):
+    # A root whose negative is missing from its level is in the level's span
+    # but not in the level: the level is not Levi, whichever sign it has.
+    rs = build_root_system("A", 2)
+    with pytest.raises(SubsystemError):
+        restricted_arrangement_blocks(rs, empty_subsystem(rs), subsystem_from_vectors(rs, outer))
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "G2"])
+def test_levi_chain_raises_exactly_off_levi_chains_on_every_subset(family):
+    # Every pair of nested root subsets, symmetric or not (on G2, every
+    # outer over a symmetric inner): the classifier raises exactly off the
+    # brute-force Levi chains, and is_levi is the brute-force span test.
+    rs = build_root_system(family, 2)
+    subs = [
+        subsystem(rs, [i for i in range(len(rs.roots)) if mask >> i & 1])
+        for mask in range(1 << len(rs.roots))
+    ]
+    span_rank = {sub.members: _rank_brute(sub.vectors) for sub in subs}
+
+    def levi_in(sub, within) -> bool:
+        return all(
+            (_rank_brute(sub.vectors + (rs.roots[i],)) == span_rank[sub.members])
+            == (i in sub.member_set)
+            for i in within.members
+        )
+
+    full = full_subsystem(rs)
+    levi = {sub.members: levi_in(sub, full) for sub in subs}
+    assert [sub.is_levi() for sub in subs] == [levi[sub.members] for sub in subs]
+    symmetric = lambda sub: all(rs.negation[i] in sub.member_set for i in sub.members)
+    for inner in subs if family != "G2" else filter(symmetric, subs):
+        for outer in subs:
+            if not inner.member_set <= outer.member_set:
+                continue
+            if levi[outer.members] and levi_in(inner, outer):
+                restricted_arrangement_blocks(rs, inner, outer)
+                continue
+            with pytest.raises(SubsystemError):
+                restricted_arrangement_blocks(rs, inner, outer)
 
 
 # ---------------------------------------------------------------------------
