@@ -86,16 +86,17 @@ class IrregularType:
         The roots are bucketed by degree once: Phi_1 is bucket 0 and
         Phi_{l+1} is Phi_l plus bucket l.  ``rootsys.levi_chain`` walks the
         buckets, proving every level Levi and refining each fusion from the
-        one below; each level's covectors are then classified by block.
+        one below; each level's covectors are then classified by the blocks
+        that refinement's signed union-find found.
         """
         rs = self.rs
         by_degree: list[list[int]] = [[] for _ in range(self.p + 1)]
         for j, d in enumerate(degree_profile(self)):
             by_degree[d].append(j)
-        levels, fusions, covectors = rootsys.levi_chain(rs, by_degree)
+        levels, fusions, restrictions = rootsys.levi_chain(rs, by_degree)
         per_level = []
-        for level, covs in enumerate(covectors, start=1):
-            blocks = rootsys._arrangement_blocks(rs, covs)
+        for level, restriction in enumerate(restrictions, start=1):
+            blocks = rootsys._arrangement_blocks(rs, *restriction)
             factors = [_factor_of_arrangement(arr, rs.family) for arr in blocks]
             per_level.append((level, GroupDecomposition.from_factors(factors).factors))
         return Filtration(rs, levels), fusions, tuple(per_level)
@@ -110,15 +111,16 @@ def degree_profile(q: IrregularType) -> tuple[int, ...]:
 
     Walks the coefficients bottom-up, skipping zero ones: each nonzero A_i
     is evaluated once by ``rootsys.root_values`` (only zero/non-zero is
-    read) and i is written on every root it does not kill, so d_alpha =
-    d_{-alpha}.
+    read) and i is written on every lex-positive root it does not kill.
+    Since d_alpha = d_{-alpha}, the negatives mirror the positive half.
     """
-    degrees = [0] * len(q.rs.roots)
+    half = len(q.rs.supports) // 2
+    degrees = [0] * half
     for i, coeff in enumerate(q.coefficients, start=1):
         if any(coeff.coords):
             values = rootsys.root_values(coeff)
-            degrees = [i if v else d for d, v in zip(degrees, values)]
-    return tuple(degrees)
+            degrees = [i if v else d for d, v in zip(degrees, values[half:])]
+    return tuple(degrees[::-1] + degrees)
 
 
 @dataclass(frozen=True)

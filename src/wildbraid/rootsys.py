@@ -10,6 +10,15 @@ Coordinate realizations (all integer covectors):
 * ``G2``    in the sum-zero subspace of ``C^3``: short ``e_i - e_j`` and long
   ``2e_i - e_j - e_k``.
 
+Each root is stored once, as its flat support: its nonzero (coordinate,
+entry) pairs laid out flat, in the lex order of the dense vectors.  On A-D
+that is ``(i, x, j, y)``, with ``y = 0`` on a one-entry root ``x e_i``; the
+dense ``roots`` are a view built on demand, which no A-D route asks for.
+The roots are lex-sorted and symmetric, so root ``i`` is lex-positive
+exactly when ``i >= len // 2``, and its negative is the mirror index
+``len - 1 - i``.  Since ``v(-alpha) = -v(alpha)``, the root side reads only
+the positive half of each +- pair and mirrors the other.
+
 A Levi subsystem (annihilator of a Cartan element) of a classical system is
 described by a *signed fusion* of the coordinate set: coordinates are glued
 in pairs ``x_i = +-x_j`` by the two-entry roots, and pinned to zero by the
@@ -19,10 +28,12 @@ partitions and the classification of restricted hyperplane arrangements
 against the model families A / BC / D / exotic (B_r/C_r)D_s.
 
 One signed union-find on hyperplane supports (``_signed_classes``) computes
-both.  ``_refine`` cuts a fusion by hyperplanes on its parts, and each level
-of ``levi_chain`` refines the one below by its new restricted covectors.  On
-those alone it gives the arrangement's blocks, each classified from its axes,
-pairs and balance (Zaslavsky, "Signed graphs", 1982).
+both, once per level.  ``levi_chain`` restricts each new level's positive
+roots to the kernel of the level below; the signed classes of those
+restricted covectors refine that level's fusion (``_refine``), and the same
+classes, handed on with the covectors, are the arrangement's blocks, each
+classified from its axes, pairs and balance (Zaslavsky, "Signed graphs",
+1982).
 
 The one Levi test is ``levi_chain``, which the fission filtration,
 ``restricted_arrangement_blocks`` and ``RootSubsystem.is_levi`` all call;
@@ -31,6 +42,7 @@ The one Levi test is ``levi_chain``, which the fission filtration,
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,8 +76,9 @@ class RootSystem:
     """A root system by family and rank; its roots are enumerated on first use.
 
     Routes that only read coordinates (the fission tree) never touch
-    ``roots``, so a large-rank system costs nothing until a route asks for
-    its roots.
+    ``supports``, so a large-rank system costs nothing until a route asks
+    for its roots.  ``supports`` is the one stored form; ``roots`` and
+    ``index_of`` are dense views built on demand.
     """
 
     family: str
@@ -73,13 +86,20 @@ class RootSystem:
     ambient_dim: int
 
     @cached_property
-    def roots(self) -> tuple[tuple[int, ...], ...]:
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Each root's flat support, lex-sorted by dense root (module docstring)."""
         return _enumerate_roots(self.family, self.ambient_dim)
 
     @cached_property
-    def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzero (coordinate, entry) pairs of each root, aligned with roots."""
-        return tuple(tuple((c, x) for c, x in enumerate(r) if x) for r in self.roots)
+    def roots(self) -> tuple[tuple[int, ...], ...]:
+        """The dense roots, aligned with ``supports``."""
+        n, out = self.ambient_dim, []
+        for s in self.supports:
+            v = [0] * n
+            for t in range(0, len(s), 2):
+                v[s[t]] += s[t + 1]
+            out.append(tuple(v))
+        return tuple(out)
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -90,23 +110,17 @@ class RootSystem:
 
     @cached_property
     def positive_indices(self) -> tuple[int, ...]:
-        """Indices of the lexicographically positive roots (one per +- pair)."""
-        return tuple(i for i, r in enumerate(self.roots) if _lex_positive(r))
+        """Indices of the lexicographically positive roots: the upper half."""
+        n = len(self.supports)
+        return tuple(range(n // 2, n))
 
     @cached_property
     def negation(self) -> tuple[int, ...]:
         """Each root's negative: negation reverses the lex-sorted, symmetric roots."""
-        return tuple(range(len(self.roots) - 1, -1, -1))
+        return tuple(range(len(self.supports) - 1, -1, -1))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank})"
-
-
-def _lex_positive(r: tuple[int, ...]) -> bool:
-    for c in r:
-        if c != 0:
-            return c > 0
-    return False
 
 
 def dot(a, b) -> int:
@@ -133,7 +147,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """The root system in its standard coordinate realization.
 
     D needs rank >= 2 (D_1 is empty and rejected); G2 forces rank 2.  No
-    root is enumerated here (see ``RootSystem.roots``).
+    root is enumerated here (see ``RootSystem.supports``).
     """
     if family not in FAMILIES:
         raise UnsupportedRankError(f"unknown family {family!r}")
@@ -149,44 +163,30 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 def _enumerate_roots(family: str, dim: int) -> tuple[tuple[int, ...], ...]:
-    """All roots in ``dim`` ambient coordinates, lex-sorted for a deterministic order."""
-    roots = []
+    """Every root's flat support in ``dim`` coordinates, in the lex order of
+    the dense roots.
+
+    On A-D the lex-positive roots are listed ascending: a later leading
+    coordinate i comes first, and at each i, ``e_i - e_j`` (j ascending) <
+    ``e_i`` (B) < ``e_i + e_j`` (j descending) < ``2e_i`` (C).  The negatives
+    precede them in mirror order.  G2 sorts its twelve dense roots.
+    """
     if family == "G2":
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                short = [0, 0, 0]
-                short[i], short[j] = 1, -1
-                roots.append(tuple(short))
-            lng = [-1, -1, -1]
-            lng[i] = 2
-            roots.append(tuple(lng))
-            roots.append(tuple(-c for c in lng))
-        return tuple(sorted(set(roots)))
-    if family == "A":
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    v = [0] * dim
-                    v[i], v[j] = 1, -1
-                    roots.append(tuple(v))
-        return tuple(sorted(roots))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * dim
-                    v[i], v[j] = si, sj
-                    roots.append(tuple(v))
-    if family in ("B", "C"):
-        unit = 1 if family == "B" else 2
-        for i in range(dim):
-            for s in (unit, -unit):
-                v = [0] * dim
-                v[i] = s
-                roots.append(tuple(v))
-    return tuple(sorted(roots))
+        short = [(i, j) for i in range(3) for j in range(3) if i != j]
+        dense = [tuple((c == i) - (c == j) for c in range(3)) for i, j in short]
+        for i in range(3):  # the long roots +-(2e_i - e_j - e_k) = +-(3e_i - (1, 1, 1))
+            dense += [tuple(s * (3 * (c == i) - 1) for c in range(3)) for s in (1, -1)]
+        return tuple(tuple(z for c, x in enumerate(v) if x for z in (c, x)) for v in sorted(dense))
+    pos = []
+    for i in range(dim - 1, -1, -1):
+        pos += [(i, 1, j, -1) for j in range(i + 1, dim)]
+        if family != "A":
+            if family == "B":
+                pos.append((i, 1, i, 0))
+            pos += [(i, 1, j, 1) for j in range(dim - 1, i, -1)]
+            if family == "C":
+                pos.append((i, 2, i, 0))
+    return tuple((i, -x, j, -y) for i, x, j, y in reversed(pos)) + tuple(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ class RootSubsystem:
         True when ``levi_chain`` accepts members <= parent: the routes' one
         Levi test.  No route calls it; the tests and the benchmark do.
         """
-        rest = [i for i in range(len(self.parent.roots)) if i not in self.member_set]
+        rest = [i for i in range(len(self.parent.supports)) if i not in self.member_set]
         try:
             levi_chain(self.parent, [self.members, rest])
         except SubsystemError:
@@ -294,11 +294,18 @@ def root_values(a: CartanElement) -> list[int]:
     """alpha(a) for every root alpha, aligned with roots, times one positive int.
 
     Only zero/non-zero is read off these values, so the coordinates are
-    cleared of denominators once and each value is an integer sum over the
-    root's nonzero entries.
+    cleared of denominators once.  Each lex-positive root is evaluated on
+    its flat support, and its negative at the mirror index gets the negated
+    value: v(-alpha) = -v(alpha).
     """
     coords = linalg.integer_vector(a.coords)
-    return [sum(coords[c] * x for c, x in support) for support in a.rs.supports]
+    supports = a.rs.supports
+    positive = supports[len(supports) // 2 :]
+    if a.rs.family == "G2":
+        half = [sum(coords[s[t]] * s[t + 1] for t in range(0, len(s), 2)) for s in positive]
+    else:
+        half = [coords[i] * x + coords[j] * y for i, x, j, y in positive]
+    return [-v for v in reversed(half)] + half
 
 
 def levi_of_element(rs: RootSystem, a: CartanElement) -> RootSubsystem:
@@ -362,11 +369,12 @@ def _signed_classes(n: int, hyperplanes):
     return root, sign, {root[c] for c in conflicts}
 
 
-def _refine(fus: Fusion, hyperplanes) -> Fusion:
-    """Ker(fus) cut by hyperplanes on its parts (part k is the kernel's y_k):
-    the parts' signed classes are the new parts; pinned ones join the zeros.
+def _refine(fus: Fusion, classes) -> Fusion:
+    """Ker(fus) cut by hyperplanes on its parts (part k is the kernel's y_k),
+    given their ``_signed_classes`` on the parts: those classes are the new
+    parts; pinned ones join the zeros.
     """
-    root, sign, pinned = _signed_classes(len(fus.parts), hyperplanes)
+    root, sign, pinned = classes
     classes: dict[int, list[int]] = {}
     for k, r in enumerate(root):
         classes.setdefault(r, []).append(k)
@@ -383,13 +391,22 @@ def _refine(fus: Fusion, hyperplanes) -> Fusion:
 
 
 def fusion_of(sub: RootSubsystem) -> Fusion:
-    """The singletons refined by the subsystem's roots; classical families only."""
+    """The singletons refined by the subsystem's roots; classical families only.
+
+    Only the lex-positive members are read: a root and its negative cut the
+    same hyperplane, and sub is closed under negation, as every Levi
+    subsystem is (``levi_chain`` checks it before calling this).
+    """
     rs = sub.parent
     if rs.family == "G2":
         raise ValueError("fusion is defined for classical families only")
-    n = rs.ambient_dim
+    n, supports = rs.ambient_dim, rs.supports
+    positive = sub.members[bisect_left(sub.members, len(supports) // 2) :]
+    hyperplanes = [
+        ((i, x), (j, y)) if y else ((i, x),) for i, x, j, y in (supports[k] for k in positive)
+    ]
     singletons = Fusion(tuple((c,) for c in range(n)), ((1,),) * n, ())
-    return _refine(singletons, [rs.supports[k] for k in sub.members])
+    return _refine(singletons, _signed_classes(n, hyperplanes))
 
 
 # ---------------------------------------------------------------------------
@@ -451,48 +468,64 @@ class ArrangementType:
 
 def _restricted_covectors(
     rs: RootSystem, inner: RootSubsystem, new: list[int], fus: Fusion | None
-) -> list[tuple[int, ...]]:
-    """Deduplicated restrictions of the roots ``new``, ascending, to Ker(inner).
+) -> tuple[list[tuple[int, ...]], list | None]:
+    """Deduplicated restrictions of the roots ``new``, ascending, to Ker(inner):
+    the primitive covectors in order of first appearance, and on A-D each
+    one's nonzero (part, entry) pairs (None on G2).
 
+    Only the lex-positive roots of ``new`` are read (index at least half the
+    roots): ``new`` is closed under negation (``levi_chain`` checks it
+    first), and a negative restricts to minus the positive root's covector.
     On families A-D a root restricts to the signed sum of its entries over
-    each part of ``fus``, the fusion of inner; pinned coordinates drop
-    out.  G2 has no fusion (``fus`` is None): there the covector is the
+    each part of ``fus``, the fusion of inner; pinned coordinates (sign 0)
+    drop out.  G2 has no fusion (``fus`` is None): there the covector is the
     root's values on an integer basis of the trace-free kernel.  For family
     A the fused value vectors are differences of two unit entries; such
     covectors are never proportional modulo the trace relation, so
     deduplication on the value vectors equals deduplication on the
     trace-free kernel.
 
-    A root of ``new`` that restricts to zero, of either sign, lies in
-    span(inner) and raises ``SubsystemError``; only lex-positive ones enter.
+    A root that restricts to zero lies in span(inner) and raises
+    ``SubsystemError``.
     """
+    positive = new[bisect_left(new, len(rs.supports) // 2) :]
+    zero_error = "root restricts to zero on the kernel (inner is not Levi)"
     if rs.family == "G2":
         kernel = linalg.integer_nullspace(inner.vectors + ((1, 1, 1),), 3)
-        restrict = lambda i: [dot(rs.roots[i], k) for k in kernel]
-    else:
-        # (part, sign) of every coordinate that is not pinned to zero.
-        place = {
-            c: (k, s)
-            for k, (part, signs) in enumerate(zip(fus.parts, fus.signs))
-            for c, s in zip(part, signs)
-        }
-
-        def restrict(i: int) -> list[int]:
-            out = [0] * len(fus.parts)
-            for c, x in rs.supports[i]:
-                if c in place:
-                    k, s = place[c]
-                    out[k] += x * s
-            return out
-
-    seen: dict[tuple[int, ...], None] = {}
-    for i in new:
-        w = restrict(i)
-        if not any(w):
-            raise SubsystemError("root restricts to zero on the kernel (inner is not Levi)")
-        if _lex_positive(rs.roots[i]):
+        seen: dict[tuple[int, ...], None] = {}
+        for i in positive:
+            w = [dot(rs.roots[i], k) for k in kernel]
+            if not any(w):
+                raise SubsystemError(zero_error)
             seen[linalg.primitive(w)] = None
-    return list(seen)
+        return list(seen), None
+    # The part and sign of every coordinate; a pinned one keeps sign 0.
+    part, sign = [0] * rs.ambient_dim, [0] * rs.ambient_dim
+    for k, (cs, ss) in enumerate(zip(fus.parts, fus.signs)):
+        for c, s in zip(cs, ss):
+            part[c], sign[c] = k, s
+    # Each primitive covector by its nonzero pairs: y_k, or y_k + t y_l with
+    # k < l, where t = +-1 as two-entry roots have unit entries.
+    nonzero: dict[tuple, None] = {}
+    supports = rs.supports
+    for r in positive:
+        i, x, j, y = supports[r]
+        a, b, ka, kb = x * sign[i], y * sign[j], part[i], part[j]
+        if ka == kb:
+            a, b = a + b, 0
+        if a and b:
+            nonzero[((ka, 1), (kb, a * b)) if ka < kb else ((kb, 1), (ka, a * b))] = None
+        elif a or b:
+            nonzero[((ka if a else kb, 1),)] = None
+        else:
+            raise SubsystemError(zero_error)
+    covectors = []
+    for pairs in nonzero:
+        w = [0] * len(fus.parts)
+        for k, t in pairs:
+            w[k] = t
+        covectors.append(tuple(w))
+    return covectors, list(nonzero)
 
 
 def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
@@ -501,37 +534,49 @@ def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
     ``increments`` is a list of ascending lists of root indices that
     partition the roots: Phi_1 is the first, and Phi_{l+1} is Phi_l plus the
     l-th of the rest.  Returns each level's subsystem, its fusion (None for
-    G2) and, per increment after the first, its roots' restricted covectors
-    on Ker(Phi_l) (``_restricted_covectors``).  Phi_1 gets ``fusion_of``;
-    Phi_{l+1}'s fusion is Phi_l's refined by those covectors (``_refine``).
-    An empty increment repeats the level below and has no covectors.
+    G2) and, per increment after the first, its restriction to Ker(Phi_l):
+    the covectors and their supports (``_restricted_covectors``) and their
+    ``_signed_classes`` on Phi_l's parts (None on G2 and on an empty
+    increment, which repeats the level below and has no covectors).
+
+    Every increment, Phi_1 included, must first be closed under negation:
+    a root whose negative its level lacks lies in the level's span.  After
+    that only the positive half of each increment is read.  Phi_1 gets
+    ``fusion_of``; each nonempty increment then runs one signed union-find,
+    whose classes both refine Phi_l's fusion to Phi_{l+1}'s (``_refine``)
+    and are the restricted arrangement's blocks (``_arrangement_blocks``).
 
     This is the one Levi test, and it runs on every pair before any caller
-    classifies.  It raises ``SubsystemError`` on a root of Phi_{l+1} \\ Phi_l
-    that restricts to zero on Ker(Phi_l), negatives included (it lies in
-    span(Phi_l)), or whose negative Phi_{l+1} lacks (only lex-positive roots
-    give covectors, so the refinement would miss it).  Else Phi_l is Levi in
+    classifies.  It raises ``SubsystemError`` on an increment not closed
+    under negation, or on a root of Phi_{l+1} \\ Phi_l that restricts to zero
+    on Ker(Phi_l) (it lies in span(Phi_l)).  Else Phi_l is Levi in
     Phi_{l+1}, and Levi in Levi is Levi: every level is Levi in Phi, the top.
     """
+    last = len(rs.supports) - 1
+    for new in increments:
+        if [last - i for i in reversed(new)] != list(new):
+            raise SubsystemError("level lacks a root's negative (inner is not Levi)")
     sub = subsystem(rs, increments[0])
     fus = None if rs.family == "G2" else fusion_of(sub)
-    levels, fusions, covectors = [sub], [fus], []
+    levels, fusions, restrictions = [sub], [fus], []
     for new in increments[1:]:
-        covs = []
+        restriction = ([], None, None)
         if new:
-            covs = _restricted_covectors(rs, sub, new, fus)
-            sub = subsystem(rs, sub.members + tuple(new))
-            if {rs.negation[i] for i in new} != set(new):
-                raise SubsystemError("level lacks a root's negative (inner is not Levi)")
-            fus = fus if rs.family == "G2" else _refine(fus, _supports(covs))
+            covectors, supports = _restricted_covectors(rs, sub, new, fus)
+            sub = RootSubsystem(rs, tuple(sorted(sub.members + tuple(new))))  # two runs: one merge
+            classes = None
+            if fus is not None:
+                classes = _signed_classes(len(fus.parts), supports)
+                fus = _refine(fus, classes)
+            restriction = (covectors, supports, classes)
         levels.append(sub)
         fusions.append(fus)
-        covectors.append(covs)
-    return tuple(levels), tuple(fusions), covectors
+        restrictions.append(restriction)
+    return tuple(levels), tuple(fusions), restrictions
 
 
 def _classify_block(block: list, balanced: bool) -> ArrangementType:
-    """Pattern-match one block of restricted covectors, each with its ``_supports``.
+    """Pattern-match one block of restricted covectors, each with its nonzero pairs.
 
     Covectors are primitive and distinct, so a coordinate pair carries at
     most its difference and its sum: with k coordinates, k(k-1) pair
@@ -577,28 +622,27 @@ def restricted_arrangement_blocks(
     if not inner.member_set <= outer.member_set:
         raise SubsystemError("inner subsystem is not contained in the outer one")
     new = [i for i in outer.members if i not in inner.member_set]
-    rest = [i for i in range(len(rs.roots)) if i not in outer.member_set]
-    _, _, (covectors, _) = levi_chain(rs, [inner.members, new, rest])
-    return _arrangement_blocks(rs, covectors)
+    rest = [i for i in range(len(rs.supports)) if i not in outer.member_set]
+    _, _, (restriction, _) = levi_chain(rs, [inner.members, new, rest])
+    return _arrangement_blocks(rs, *restriction)
 
 
-def _arrangement_blocks(rs: RootSystem, covectors: list[tuple[int, ...]]) -> list[ArrangementType]:
-    """Classify restricted covectors (``levi_chain``'s, of one level pair) block by block."""
+def _arrangement_blocks(
+    rs: RootSystem, covectors: list[tuple[int, ...]], supports, classes
+) -> list[ArrangementType]:
+    """Classify one level pair's restricted covectors block by block, given
+    each one's nonzero (part, entry) pairs and their ``_signed_classes``, as
+    ``levi_chain`` hands them on: each class is one block.
+    """
     if not covectors:
         return []
     if rs.family == "G2":
         return [_classify_g2(covectors)]
-    supports = _supports(covectors)
-    root, _, unbalanced = _signed_classes(len(covectors[0]), supports)
+    root, _, unbalanced = classes
     blocks: dict[int, list] = {}  # class -> its (covector, support) pairs
     for cov, sup in zip(covectors, supports):
         blocks.setdefault(root[sup[0][0]], []).append((cov, sup))
     return [_classify_block(blocks[r], r not in unbalanced) for r in sorted(blocks)]
-
-
-def _supports(covectors: list[tuple[int, ...]]) -> list[list[tuple[int, int]]]:
-    """The nonzero (coordinate, entry) pairs of each covector."""
-    return [[(c, x) for c, x in enumerate(cov) if x] for cov in covectors]
 
 
 def _classify_g2(covectors: list[tuple[int, ...]]) -> ArrangementType:

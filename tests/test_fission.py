@@ -148,6 +148,43 @@ def test_root_values_runs_once_per_nonzero_coefficient(q, monkeypatch):
     assert seen == [a for a in q.coefficients if any(a.coords)]
 
 
+def every_level_type(rs, p):
+    """A_k = e_k for k = 1..p (on A, n e_k - (1, ..., 1), which has trace zero)."""
+    n = rs.ambient_dim
+    unit = [[int(c == k) for c in range(n)] for k in range(p)]
+    if rs.family == "A":
+        unit = [[n * x - 1 for x in row] for row in unit]
+    return irregular_type(rs, unit)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_root_route_builds_no_dense_roots(family):
+    # The root side of decompose(q, "check") reads only the flat supports,
+    # with every level changing and on a random type.
+    rng = random.Random(12)
+    for q in [
+        every_level_type(build_root_system(family, 12), 6),
+        random_irregular_type(build_root_system(family, 12), 3, rng),
+    ]:
+        decompose(q, "check")
+        assert "supports" in q.rs.__dict__ and "roots" not in q.rs.__dict__
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("G2", 2)])
+def test_root_values_mirror_the_positive_half(family, rank):
+    rs = build_root_system(family, rank)
+    rng = random.Random(7)
+    for _ in range(20):
+        values = [rng.choice(_PROFILE_POOL) for _ in range(rs.ambient_dim)]
+        if family in ("A", "G2"):
+            values = project_traceless(values)
+        a = cartan(rs, values)
+        got = rootsys.root_values(a)
+        assert all(got[-1 - i] == -got[i] for i in range(len(got)))
+        ints = rootsys.linalg.integer_vector(a.coords)
+        assert got == [rootsys.dot(root, ints) for root in rs.roots]
+
+
 def test_filtration_qi():
     q = a8_type(Q_I)
     filt = filtration(q)

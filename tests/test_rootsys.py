@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildbraid import rootsys
-from wildbraid.fission import enumerate_levi_subsystems, filtration, random_irregular_type
+from wildbraid.fission import (
+    decompose,
+    enumerate_filtration_chains,
+    enumerate_levi_subsystems,
+    filtration,
+    irregular_type_for_chain,
+    random_irregular_type,
+)
 from wildbraid.rootsys import (
     SubsystemError,
     UnsupportedRankError,
@@ -109,6 +116,74 @@ def test_unsupported_combinations_rejected(family, rank):
 def test_root_ordering_deterministic():
     rs = build_root_system("B", 3)
     assert list(rs.roots) == sorted(rs.roots)
+
+
+def dense_roots_reference(family, dim):
+    """All roots in ``dim`` ambient coordinates as dense vectors, lex-sorted:
+    the enumeration the sparse supports replaced."""
+    roots = []
+    if family == "G2":
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                short = [0, 0, 0]
+                short[i], short[j] = 1, -1
+                roots.append(tuple(short))
+            lng = [-1, -1, -1]
+            lng[i] = 2
+            roots.append(tuple(lng))
+            roots.append(tuple(-c for c in lng))
+        return tuple(sorted(set(roots)))
+    if family == "A":
+        for i in range(dim):
+            for j in range(dim):
+                if i != j:
+                    v = [0] * dim
+                    v[i], v[j] = 1, -1
+                    roots.append(tuple(v))
+        return tuple(sorted(roots))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    v = [0] * dim
+                    v[i], v[j] = si, sj
+                    roots.append(tuple(v))
+    if family in ("B", "C"):
+        unit = 1 if family == "B" else 2
+        for i in range(dim):
+            for s in (unit, -unit):
+                v = [0] * dim
+                v[i] = s
+                roots.append(tuple(v))
+    return tuple(sorted(roots))
+
+
+def lex_positive(r):
+    return next(c for c in r if c) > 0
+
+
+ORDER_SYSTEMS = (
+    [(f, r) for f in "ABC" for r in range(1, 11)] + [("D", r) for r in range(2, 11)] + [("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", ORDER_SYSTEMS)
+def test_sparse_supports_pin_the_dense_root_order(family, rank):
+    rs = build_root_system(family, rank)
+    reference = dense_roots_reference(family, rs.ambient_dim)
+    assert rs.roots == tuple(sorted(reference))
+    for support, root in zip(rs.supports, rs.roots, strict=True):
+        pairs = list(zip(support[::2], support[1::2]))
+        if family != "G2":  # (i, x, j, y), y = 0 only on a one-entry root at j = i
+            i, x, j, y = support
+            assert i < j if y else i == j
+        assert [(c, x) for c, x in pairs if x] == [(c, x) for c, x in enumerate(root) if x]
+    n = len(rs.roots)
+    assert rs.negation == tuple(reversed(range(n)))
+    assert [i >= n // 2 for i in range(n)] == [lex_positive(r) for r in rs.roots]
+    assert rs.positive_indices == tuple(i for i, r in enumerate(rs.roots) if lex_positive(r))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +573,7 @@ def test_refine_glues_parts_with_their_signs():
     # Parts (0, 2) with signs (1, -1), (1,), (3,) and (4,); y_1 = -y_0 joins
     # part 1 to part 0, and an axis on y_2 pins coordinate 3.
     fus = rootsys.Fusion(((0, 2), (1,), (3,), (4,)), ((1, -1), (1,), (1,), (1,)), (5,))
-    got = rootsys._refine(fus, [((0, 1), (1, 1)), ((2, -1),)])
+    got = rootsys._refine(fus, rootsys._signed_classes(4, [((0, 1), (1, 1)), ((2, -1),)]))
     assert got == rootsys.Fusion(((0, 1, 2), (4,)), ((1, -1, -1), (1,)), (3, 5))
 
 
@@ -770,7 +845,12 @@ def ref_blocks(covectors):
 def ref_arrangement_blocks(rs, inner, outer):
     """The reference blocks, smallest coordinate first."""
     new = [i for i in outer.members if i not in inner.member_set]
-    covectors = rootsys._restricted_covectors(rs, inner, new, fusion_of(inner))
+    covectors, _ = rootsys._restricted_covectors(rs, inner, new, fusion_of(inner))
+    return ref_classified(covectors)
+
+
+def ref_classified(covectors):
+    """The reference blocks of restricted covectors, smallest coordinate first."""
     blocks = [ref_classify_block(b) for b in ref_blocks(covectors)]
     return sorted(
         blocks,
@@ -804,6 +884,19 @@ def test_arrangement_blocks_match_reference_on_random_types():
             assert restricted_arrangement_blocks(rs, inner, outer) == want
 
 
+def nonzero_pairs(covectors):
+    """The nonzero (coordinate, entry) pairs of each covector."""
+    return [tuple((c, x) for c, x in enumerate(cov) if x) for cov in covectors]
+
+
+def classify(rs, covectors):
+    """The classifier on covectors, handed their nonzero pairs and signed
+    classes recomputed here, where ``levi_chain`` hands on its own."""
+    pairs = nonzero_pairs(covectors)
+    classes = rootsys._signed_classes(len(covectors[0]), pairs)
+    return rootsys._arrangement_blocks(rs, covectors, pairs, classes)
+
+
 @pytest.mark.parametrize(
     "covectors,message",
     [
@@ -816,11 +909,56 @@ def test_arrangement_blocks_match_reference_on_random_types():
 def test_arrangement_classifier_rejects(covectors, message):
     rs = build_root_system("B", 3)
     with pytest.raises(rootsys.ClassificationError, match=message):
-        rootsys._arrangement_blocks(rs, covectors)
+        classify(rs, covectors)
 
 
 def test_arrangement_balanced_triangle_is_type_a():
     # The triangle above with e_a + e_c turned into e_a - e_c is balanced.
     covectors = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
-    (arr,) = rootsys._arrangement_blocks(build_root_system("B", 3), covectors)
+    (arr,) = classify(build_root_system("B", 3), covectors)
     assert (arr.kind, arr.d) == ("TypeA", 2)
+
+
+def sweep_types():
+    """The exhaustive rank <= 3, p = 2 chains and seeded random rank <= 6
+    types of families A-D."""
+    for family, rank in [(f, r) for f in "ABCD" for r in range(2 if f == "D" else 1, 4)]:
+        rs = build_root_system(family, rank)
+        for chain in enumerate_filtration_chains(rs, 2):
+            yield irregular_type_for_chain(rs, chain)
+    rng = random.Random(20261019)
+    for family in "ABCD":
+        for rank in range(2 if family == "D" else 1, 7):
+            rs = build_root_system(family, rank)
+            for p in range(1, 5):
+                yield random_irregular_type(rs, p, rng)
+
+
+def test_one_signed_union_find_per_changing_level(monkeypatch):
+    # decompose(q, "check") runs _signed_classes once for Phi_1 (fusion_of)
+    # and once per nonempty increment, and the classifier is handed those
+    # classes: the same as rerunning the union-find on the covectors' pairs.
+    calls, handed = [], []
+    signed_classes, arrangement_blocks = rootsys._signed_classes, rootsys._arrangement_blocks
+    count = lambda *a: calls.append(a) or signed_classes(*a)
+    record = lambda *a: handed.append(a) or arrangement_blocks(*a)
+    monkeypatch.setattr(rootsys, "_signed_classes", count)
+    monkeypatch.setattr(rootsys, "_arrangement_blocks", record)
+    cases = blocks = 0
+    for q in sweep_types():
+        calls.clear()
+        handed.clear()
+        decompose(q, "check")
+        levels = filtration(q).levels
+        assert len(calls) == 1 + sum(a.members != b.members for a, b in zip(levels, levels[1:]))
+        for rs, covectors, pairs, classes in handed:
+            if not covectors:
+                continue
+            want = nonzero_pairs(covectors)
+            assert pairs == want
+            assert classes == signed_classes(len(covectors[0]), want)
+            got = arrangement_blocks(rs, covectors, pairs, classes)
+            assert got == ref_classified(covectors)
+            blocks += len(got)
+        cases += 1
+    assert cases > 400 and blocks > cases
