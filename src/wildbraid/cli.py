@@ -29,7 +29,9 @@ document (_tree_doc): tree --format json prints it, and decompose --json
 puts the same document in its "trees" list.  Trees are checked once, when
 they are built.  Exit codes: 0 success, 1 check failure, 2
 parse/validation error.  Error messages, input paths included, echo at most
-ECHO_LIMIT characters of an offending value.
+ECHO_LIMIT characters of an offending value.  Every indented JSON document
+(decompose --json, tree --format json, cable --json, stokes-verify --json)
+is written by _dumps.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import braid, fission, rootsys, stokes
+from . import braid, fission, linalg, rootsys, stokes
 from .fission import FissionTree
 
 
@@ -151,14 +154,14 @@ def _parse_block(
                 f"{loc}: expected {rs.ambient_dim} entries for {family}_{rank}"
             )
         values = [_parse_rational(v, loc) for v in vecdata]
-        if rs.family in ("A", "G2") and sum(values) != 0:
+        if rs.family in ("A", "G2") and sum(linalg.integer_vector(values)):
             warnings.warn(
                 f"{loc}: nonzero trace projected out", TraceProjectionWarning
             )
             values = list(rootsys.project_traceless(values))
         coeffs.append(rootsys.cartan(rs, values))
-    zero = rootsys.cartan(rs, [0] * rs.ambient_dim)
-    coeffs.extend([zero] * (p - len(coeffs)))
+    if p > len(coeffs):
+        coeffs.extend([rootsys.cartan(rs, [0] * rs.ambient_dim)] * (p - len(coeffs)))
     return rs, fission.IrregularType(rs, tuple(coeffs))
 
 
@@ -204,6 +207,36 @@ def parse_blocks(
 # Emitters
 # ---------------------------------------------------------------------------
 
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+            bool: lambda b: "true" if b else "false"}
+
+
+def _dumps(doc, depth: int = 0) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, on CLI documents.
+
+    json drops to its pure-Python encoder when indent is set; this walks dicts,
+    lists and tuples and encodes scalars by exact type (a bool is never an int)
+    with json's C encoders.  Any other value goes to plain json.dumps.
+    """
+    encode = _SCALARS.get(type(doc))
+    if encode is not None:
+        return encode(doc)
+    if type(doc) is dict:
+        keys = sorted(doc)
+        values, brackets = [doc[k] for k in keys], "{}"
+    elif type(doc) in (list, tuple):
+        keys, values, brackets = None, doc, "[]"
+    else:
+        return json.dumps(doc)
+    if not values:
+        return brackets
+    # Scalar values are encoded in place: no nested call for most of them.
+    items = [e(v) if (e := _SCALARS.get(type(v))) else _dumps(v, depth + 1) for v in values]
+    if keys is not None:
+        items = [encode_basestring_ascii(k) + ": " + x for k, x in zip(keys, items)]
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
 
 def _tree_doc(tree: FissionTree) -> dict:
     """The JSON document of a fission tree: its nodes and planar leaf order."""
@@ -226,7 +259,7 @@ def _tree_doc(tree: FissionTree) -> dict:
 def emit_tree(tree: FissionTree, format: str = "json") -> str:
     """Serialize a fission tree; byte-deterministic for a fixed input."""
     if format == "json":
-        return json.dumps(_tree_doc(tree), indent=2, sort_keys=True) + "\n"
+        return _dumps(_tree_doc(tree)) + "\n"
     if format == "dot":
         return _emit_dot(tree)
     raise ValueError(f"unknown tree format {format!r}")
@@ -309,7 +342,7 @@ def _cmd_decompose(args) -> int:
             "trees": [_tree_doc(t) if t is not None else None for t in trees],
             "warnings": notes,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         _print_warnings(notes)
         print(merged.canonical_string())
@@ -342,7 +375,7 @@ def _cmd_cable(args) -> int:
                 for node_id, gens in groups
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
         return 0
     print(f"strands {strands}")
     for node_id, gens in groups:
@@ -364,19 +397,8 @@ def _cmd_stokes_verify(args) -> int:
         if not report.passed:
             failures.append((i, report.failures()))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "tuples": args.count,
-                    "passed": not failures,
-                    "failures": [
-                        {"tuple": i, "checks": [n for n, _ in cs]} for i, cs in failures
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        failed = [{"tuple": i, "checks": [n for n, _ in cs]} for i, cs in failures]
+        print(_dumps({"tuples": args.count, "passed": not failures, "failures": failed}))
     else:
         print(f"stokes-verify: {args.count} tuples, {len(failures)} failures")
         for i, checks in failures:

@@ -46,6 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import lt
 
 from . import linalg
 
@@ -204,12 +205,12 @@ class CartanElement:
             raise ValueError(
                 f"coordinate length {len(self.coords)} != ambient dim {self.rs.ambient_dim}"
             )
-        if self.rs.family in ("A", "G2") and sum(self.coords) != 0:
+        if self.rs.family in ("A", "G2") and sum(linalg.integer_vector(self.coords)):
             raise ValueError("trace-free coordinates required for families A and G2")
 
 
 def cartan(rs: RootSystem, values) -> CartanElement:
-    return CartanElement(rs, tuple(Fraction(v) for v in values))
+    return CartanElement(rs, tuple(v if type(v) is Fraction else Fraction(v) for v in values))
 
 
 def project_traceless(values) -> tuple[Fraction, ...]:
@@ -230,7 +231,7 @@ class RootSubsystem:
     members: tuple[int, ...]  # sorted root indices
 
     def __post_init__(self):
-        if list(self.members) != sorted(set(self.members)):
+        if not all(map(lt, self.members, self.members[1:])):  # strictly increasing
             raise SubsystemError("members must be sorted and duplicate-free")
 
     @cached_property

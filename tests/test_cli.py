@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wildbraid import cli, fission, rootsys
+from wildbraid import cli, fission, rootsys, stokes
 from wildbraid.cli import (
     InputError,
     TraceProjectionWarning,
@@ -249,6 +249,32 @@ def test_emit_decomposition_strings():
     assert emit_decomposition(exotic) == "PB_BCD(1,1) [~ PB_3]"
 
 
+# Strings json escapes: quotes, backslashes, control and non-ASCII characters,
+# a line separator and a lone surrogate.
+json_strings = st.text() | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "\u00e9\u00fc", "\u2028", "\U0001f600", "\ud800"]
+)
+emitted_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | json_strings,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(emitted_docs)
+@example({"empty": {}, "list": [], "tuple": (), "nested": [[], [{}], {"k": ()}]})
+@example([True, 1, False, 0, None, -1, 2**70])
+def test_dumps_is_json_dumps_indented(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # Command-line pipeline
 # ---------------------------------------------------------------------------
@@ -461,6 +487,42 @@ def test_cmd_trace_warning_on_stderr(tmp_path, capsys):
     assert captured.out.strip() == "PB_2 x PB_2"
 
 
+def _corpus_trace_rows():
+    """The A/G2 coefficient rows of the golden corpus: as stored (rational
+    strings), as ints where every entry is an integer, and each shifted off
+    its trace by 1 (and the strings by 1/7 too)."""
+    corpus = Path(__file__).with_name("golden") / "cli_corpus.json"
+    for entry in json.loads(corpus.read_text()):
+        doc = json.loads(entry["input"])
+        for block in doc.get("points", [doc]):
+            if block["lie_type"] not in ("A", "G2"):
+                continue
+            rows = block["coefficients"]
+            yield block, rows
+            for shift in (1, Fraction(1, 7)):
+                yield block, [[str(Fraction(x) + shift * (c == 0)) for c, x in enumerate(r)] for r in rows]
+            if all(Fraction(x).denominator == 1 for r in rows for x in r):
+                ints = [[int(x) for x in r] for r in rows]
+                yield block, ints
+                yield block, [[x + (c == 0) for c, x in enumerate(r)] for r in ints]
+
+
+def test_parse_trace_warning_fires_where_the_fraction_sum_is_nonzero():
+    seen = set()
+    for block, rows in _corpus_trace_rows():
+        _, notes = cli._parse(json.dumps({**block, "coefficients": rows}), cli.MAX_RANK)
+        expected = [
+            f"input.coefficients[{i}]: nonzero trace projected out"
+            for i, row in enumerate(rows, start=1)
+            if sum(Fraction(x) for x in row) != 0
+        ]
+        assert notes == expected, rows
+        for row in rows:
+            kind = "int" if type(row[0]) is int else ("ratio" if any("/" in x for x in row) else "str")
+            seen.add((kind, sum(Fraction(x) for x in row) != 0))
+    assert seen == {(k, fires) for k in ("int", "ratio", "str") for fires in (False, True)}
+
+
 @pytest.mark.parametrize("field", ["rank", "p"])
 def test_cmd_rejects_bool_rank_and_p(field, capsys):
     doc = {"lie_type": "A", "rank": 1, "p": 1, "coefficients": [[1, -1]]}
@@ -630,6 +692,37 @@ def test_cmd_stokes_verify_json(capsys):
     assert main(["stokes-verify", "--count", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
+
+
+WARNED_DOC = json.dumps(
+    {"points": [json.loads(SL3_DOC), json.loads(G2_DOC), {**json.loads(SL3_DOC), "coefficients": [[1, 2, 3]]}]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--json", SL3_DOC],
+        ["decompose", "--json", "--oracle", QI_DOC],
+        ["decompose", "--json", "--check", WARNED_DOC],
+        ["tree", "--format", "json", QIII_DOC],
+        ["cable", "--json", QI_DOC],
+        ["stokes-verify", "--json", "--count", "3"],
+    ],
+)
+def test_cmd_json_output_is_json_dumps_indented(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_cmd_stokes_verify_json_failures_are_json_dumps_indented(monkeypatch, capsys):
+    failing = stokes.VerificationReport((("braid", False, "x"), ("order", True, ""), ("pure", False, "")))
+    monkeypatch.setattr(stokes, "verify_properties", lambda t, rng: failing)
+    assert main(["stokes-verify", "--json", "--count", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["failures"] == [{"tuple": i, "checks": ["braid", "pure"]} for i in (0, 1)]
 
 
 def test_cmd_selftest_fast(capsys):

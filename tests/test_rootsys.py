@@ -199,6 +199,32 @@ def test_cartan_element_traceless_enforced():
         cartan(rs, [1, -1])  # dimension mismatch
 
 
+@pytest.mark.parametrize("family", ["A", "G2"])
+def test_cartan_element_trace_test_is_exact_on_fractions(family):
+    rs = build_root_system(family, 2)
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    assert cartan(rs, [half, third, Fraction(-5, 6)]).coords == (half, third, Fraction(-5, 6))
+    with pytest.raises(ValueError, match="trace-free"):
+        cartan(rs, [half, third, -half])
+    with pytest.raises(ValueError, match="trace-free"):
+        rootsys.CartanElement(rs, (half, third, -half))
+
+
+def test_cartan_keeps_fraction_inputs():
+    rs = build_root_system("A", 2)
+    half = Fraction(1, 2)
+    coords = cartan(rs, [half, -half, 0]).coords
+    assert coords[0] is half
+    assert coords == (half, -half, 0) and type(coords[2]) is Fraction
+
+
+@pytest.mark.parametrize("members", [(0, 2, 1), (0, 1, 1, 2), (3, 3), (2, 1)])
+def test_root_subsystem_rejects_unsorted_or_repeated_members(members):
+    rs = build_root_system("A", 2)
+    with pytest.raises(SubsystemError, match="^members must be sorted and duplicate-free$"):
+        rootsys.RootSubsystem(rs, members)
+
+
 def test_levi_b2_short_a1():
     rs = build_root_system("B", 2)
     lev = levi_of_element(rs, cartan(rs, [1, 0]))
