@@ -137,7 +137,9 @@ def _parse_block(
     except rootsys.UnsupportedRankError as exc:
         raise InputError(f"{where}: {exc}") from exc
     vectors = block["coefficients"]
-    if not isinstance(vectors, list) or (not vectors and "p" not in block):
+    if not isinstance(vectors, list):
+        raise InputError(f"{where}.coefficients: expected a list of coefficient vectors")
+    if not vectors and "p" not in block:
         raise InputError(f"{where}.coefficients: p >= 1 required")
     p = block.get("p", len(vectors))
     if not _is_int(p) or p < 1:

@@ -15,10 +15,9 @@ implemented:
   from them and the factors are read off the nodes; no root is enumerated;
 * the arrangement oracle: enumerate the roots and bucket them by degree;
   the roots Phi_{l+1} adds to Phi_l are bucket l.  ``rootsys.levi_chain``
-  walks up the filtration once, restricting each nonempty bucket to the
-  kernel of the level below (the one Levi test) and refining that level's
-  fusion by the restrictions; each level's arrangement is then classified
-  block by block, in one pass kept on the instance (``_root_side``).
+  walks up the filtration once (the one Levi test), refining each fusion from
+  the level below and classifying each level's arrangement block by block:
+  one ``rootsys.Level`` per level, kept on the instance as a ``Filtration``.
 
 The two must agree on families A-D; ``decompose(..., method="check")``, the
 one comparison of the two, raises if they ever differ, level by level (tree
@@ -79,27 +78,14 @@ class IrregularType:
         return len(self.coefficients)
 
     @cached_property
-    def _root_side(self) -> tuple[Filtration, tuple[Fusion | None, ...], tuple]:
-        """(``filtration``, each level's fusion or None for G2,
-        ``level_factors``), from one walk up the levels Phi_1..Phi_{p+1}.
-
-        The roots are bucketed by degree once: Phi_1 is bucket 0 and
-        Phi_{l+1} is Phi_l plus bucket l.  ``rootsys.levi_chain`` walks the
-        buckets, proving every level Levi and refining each fusion from the
-        one below; each level's covectors are then classified by the blocks
-        that refinement's signed union-find found.
-        """
-        rs = self.rs
+    def _root_side(self) -> Filtration:
+        """The ``filtration``: the roots bucketed by degree once, Phi_1 is
+        bucket 0 and Phi_{l+1} is Phi_l plus bucket l, walked up by
+        ``rootsys.levi_chain``."""
         by_degree: list[list[int]] = [[] for _ in range(self.p + 1)]
         for j, d in enumerate(degree_profile(self)):
             by_degree[d].append(j)
-        levels, fusions, restrictions = rootsys.levi_chain(rs, by_degree)
-        per_level = []
-        for level, restriction in enumerate(restrictions, start=1):
-            blocks = rootsys._arrangement_blocks(rs, *restriction)
-            factors = [_factor_of_arrangement(arr, rs.family) for arr in blocks]
-            per_level.append((level, GroupDecomposition.from_factors(factors).factors))
-        return Filtration(rs, levels), fusions, tuple(per_level)
+        return Filtration(self.rs, rootsys.levi_chain(self.rs, by_degree))
 
 
 def irregular_type(rs: RootSystem, coefficient_vectors) -> IrregularType:
@@ -114,7 +100,7 @@ def degree_profile(q: IrregularType) -> tuple[int, ...]:
     read) and i is written on every lex-positive root it does not kill.
     Since d_alpha = d_{-alpha}, the negatives mirror the positive half.
     """
-    half = len(q.rs.supports) // 2
+    half = len(q.rs.positive_indices)
     degrees = [0] * half
     for i, coeff in enumerate(q.coefficients, start=1):
         if any(coeff.coords):
@@ -125,20 +111,35 @@ def degree_profile(q: IrregularType) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Filtration:
+    """The root side: ``chain[i]`` is the ``rootsys.Level`` of Phi_{i+1} (the
+    last is the full system); ``levels`` and the immutable per-level
+    ``factors`` (``level_factors``) are read off those records once."""
+
     rs: RootSystem
-    levels: tuple[RootSubsystem, ...]  # levels[i] = Phi_{i+1}, last = full system
+    chain: tuple[rootsys.Level, ...]
+
+    @cached_property
+    def levels(self) -> tuple[RootSubsystem, ...]:
+        return tuple(level.sub for level in self.chain)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[int, tuple[Factor, ...]], ...]:
+        out = []
+        for l, level in enumerate(self.chain[1:], start=1):
+            factors = [_factor_of_arrangement(arr, self.rs.family) for arr in level.blocks]
+            out.append((l, GroupDecomposition.from_factors(factors).factors))
+        return tuple(out)
 
 
 def filtration(q: IrregularType) -> Filtration:
     """Phi_1 <= ... <= Phi_{p+1} with Phi_i = {alpha : d_alpha < i}, all Levi.
 
-    Built by the root-side pass kept on q (``IrregularType._root_side``),
-    where Phi_{l+1} \\ Phi_l is bucket l, the roots of degree l (both signs
-    of each).  ``rootsys.levi_chain`` proves every level Levi, or raises
-    ``SubsystemError``.  The tree path does not use it (see
-    ``coordinate_fusions``).
+    Kept on q (``IrregularType._root_side``): Phi_{l+1} \\ Phi_l is bucket l,
+    the roots of degree l (both signs of each), and ``rootsys.levi_chain``
+    proves every level Levi or raises ``SubsystemError``.  The tree path
+    does not use it (see ``coordinate_fusions``).
     """
-    return q._root_side[0]
+    return q._root_side
 
 
 def coordinate_fusions(q: IrregularType) -> tuple[Fusion, ...]:
@@ -149,8 +150,8 @@ def coordinate_fusions(q: IrregularType) -> tuple[Fusion, ...]:
     they are opposite, and a one-entry root of B/C when column a is zero.
     So the fusion groups coordinates by suffix column, up to sign in B/C/D,
     where an all-zero column is pinned; D has no one-entry roots, so a lone
-    zero coordinate is a singleton part there.  The classes are refined from
-    level p+1 down to level 1, keyed by (class, entry * sign) per
+    zero coordinate is a singleton part there.  The parts are refined from
+    level p+1 down to level 1, keyed by (part, entry * sign) per
     coordinate; no root is enumerated.
     """
     family = q.rs.family
@@ -547,13 +548,9 @@ def _factor_of_arrangement(arr: ArrangementType, family: str) -> Factor | None:
 
 
 def level_factors(q: IrregularType) -> tuple[tuple[int, tuple[Factor, ...]], ...]:
-    """Canonical factors contributed by each filtration level (oracle path).
-
-    Read off the root-side pass kept on q, which classifies each changing
-    level pair once, after ``rootsys.levi_chain`` has proved every level
-    Levi and refined each level's fusion from the one below.
-    """
-    return q._root_side[2]
+    """Canonical factors contributed by each filtration level (oracle path),
+    read off the classified ``Level`` records of ``filtration(q)``."""
+    return filtration(q).factors
 
 
 def decomposition_via_arrangements(q: IrregularType) -> GroupDecomposition:
@@ -584,7 +581,7 @@ def decompose(
     via_tree = decomposition_from_tree(tree)
     if method == "tree":
         return via_tree
-    _check_tree_levels(tree, q._root_side[1])
+    _check_tree_levels(tree, filtration(q).chain)
     via_arr = decomposition_via_arrangements(q)
     if via_tree != via_arr:
         raise DecompositionMismatchError(
@@ -593,16 +590,16 @@ def decompose(
     return via_tree
 
 
-def _check_tree_levels(tree: FissionTree, fusions: tuple[Fusion, ...]) -> None:
+def _check_tree_levels(tree: FissionTree, chain: tuple[rootsys.Level, ...]) -> None:
     """Raise unless each tree level's (coords, colour) nodes are the parts
     (green) and the pinned block (blue) of that level's root fusion."""
     nodes: dict[int, set] = {}
     for n in tree.nodes:
         nodes.setdefault(n.level, set()).add((n.coords, n.colour))
-    for level, fus in enumerate(fusions, start=1):
-        expected = {(part, GREEN) for part in fus.parts}
-        if fus.zero:
-            expected.add((fus.zero, BLUE))
+    for level, record in enumerate(chain, start=1):
+        expected = {(part, GREEN) for part in record.fusion.parts}
+        if record.fusion.zero:
+            expected.add((record.fusion.zero, BLUE))
         got = nodes.get(level, set())
         if got != expected:
             raise DecompositionMismatchError(

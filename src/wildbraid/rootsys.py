@@ -30,14 +30,15 @@ against the model families A / BC / D / exotic (B_r/C_r)D_s.
 One signed union-find on hyperplane supports (``_signed_classes``) computes
 both, once per level.  ``levi_chain`` restricts each new level's positive
 roots to the kernel of the level below; the signed classes of those
-restricted covectors refine that level's fusion (``_refine``), and the same
-classes, handed on with the covectors, are the arrangement's blocks, each
-classified from its axes, pairs and balance (Zaslavsky, "Signed graphs",
-1982).
+restricted covectors refine that level's fusion (``_refine``) and are the
+arrangement's blocks, each classified from its axes, pairs and balance
+(Zaslavsky, "Signed graphs", 1982).  It returns one ``Level`` record per
+level (subsystem, fusion, classified blocks); supports and classes stay here.
 
 The one Levi test is ``levi_chain``, which the fission filtration,
-``restricted_arrangement_blocks`` and ``RootSubsystem.is_levi`` all call;
-``validate`` (closure) is kept only for the tests and the benchmark.
+``restricted_arrangement_blocks`` and ``RootSubsystem.is_levi`` all call
+(the last two classify their top increment too); ``validate`` (closure) is
+kept only for the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -114,11 +115,6 @@ class RootSystem:
         """Indices of the lexicographically positive roots: the upper half."""
         n = len(self.supports)
         return tuple(range(n // 2, n))
-
-    @cached_property
-    def negation(self) -> tuple[int, ...]:
-        """Each root's negative: negation reverses the lex-sorted, symmetric roots."""
-        return tuple(range(len(self.supports) - 1, -1, -1))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank})"
@@ -253,9 +249,9 @@ class RootSubsystem:
         reference and part of the benchmark's Levi check.
         """
         rs = self.parent
-        mset = self.member_set
+        mset, last = self.member_set, len(rs.supports) - 1
         for i in self.members:
-            if rs.negation[i] not in mset:
+            if last - i not in mset:  # the mirror index is the negative
                 raise SubsystemError("subsystem not closed under negation")
         for i in self.members:
             for j in self.members:
@@ -529,26 +525,32 @@ def _restricted_covectors(
     return covectors, list(nonzero)
 
 
-def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
+@dataclass(frozen=True, slots=True)
+class Level:
+    """One level Phi_l of ``levi_chain``: its subsystem, its fusion (None on
+    G2), and the blocks of Phi_l \\ Phi_{l-1} restricted to Ker(Phi_{l-1}),
+    classified; none on Phi_1 or on a level that repeats the one below."""
+
+    sub: RootSubsystem
+    fusion: Fusion | None
+    blocks: tuple[ArrangementType, ...]
+
+
+def levi_chain(rs: RootSystem, increments) -> tuple[Level, ...]:
     """Prove that Phi_1 <= ... <= Phi_k = Phi is a chain of Levi subsystems of rs.
 
     ``increments`` is a list of ascending lists of root indices that
     partition the roots: Phi_1 is the first, and Phi_{l+1} is Phi_l plus the
-    l-th of the rest.  Returns each level's subsystem, its fusion (None for
-    G2) and, per increment after the first, its restriction to Ker(Phi_l):
-    the covectors and their supports (``_restricted_covectors``) and their
-    ``_signed_classes`` on Phi_l's parts (None on G2 and on an empty
-    increment, which repeats the level below and has no covectors).
+    l-th of the rest.  Returns one ``Level`` per level, Phi_1 first.
 
-    Every increment, Phi_1 included, must first be closed under negation:
-    a root whose negative its level lacks lies in the level's span.  After
-    that only the positive half of each increment is read.  Phi_1 gets
-    ``fusion_of``; each nonempty increment then runs one signed union-find,
-    whose classes both refine Phi_l's fusion to Phi_{l+1}'s (``_refine``)
-    and are the restricted arrangement's blocks (``_arrangement_blocks``).
+    Every increment must first be closed under negation (a root whose
+    negative its level lacks lies in its span); then only its positive half
+    is read.  Phi_1 gets ``fusion_of``; each nonempty increment, restricted
+    to Ker(Phi_l), runs one signed union-find on the covectors' supports,
+    whose classes refine Phi_l's fusion (``_refine``) and are the blocks.
 
-    This is the one Levi test, and it runs on every pair before any caller
-    classifies.  It raises ``SubsystemError`` on an increment not closed
+    This is the one Levi test; every pair passes it before any is
+    classified.  It raises ``SubsystemError`` on an increment not closed
     under negation, or on a root of Phi_{l+1} \\ Phi_l that restricts to zero
     on Ker(Phi_l) (it lies in span(Phi_l)).  Else Phi_l is Levi in
     Phi_{l+1}, and Levi in Levi is Levi: every level is Levi in Phi, the top.
@@ -559,9 +561,9 @@ def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
             raise SubsystemError("level lacks a root's negative (inner is not Levi)")
     sub = subsystem(rs, increments[0])
     fus = None if rs.family == "G2" else fusion_of(sub)
-    levels, fusions, restrictions = [sub], [fus], []
+    walk = [(sub, fus, None)]  # per level: its (covectors, supports, classes), if any
     for new in increments[1:]:
-        restriction = ([], None, None)
+        restriction = None
         if new:
             covectors, supports = _restricted_covectors(rs, sub, new, fus)
             sub = RootSubsystem(rs, tuple(sorted(sub.members + tuple(new))))  # two runs: one merge
@@ -570,10 +572,8 @@ def levi_chain(rs: RootSystem, increments) -> tuple[tuple, tuple, list]:
                 classes = _signed_classes(len(fus.parts), supports)
                 fus = _refine(fus, classes)
             restriction = (covectors, supports, classes)
-        levels.append(sub)
-        fusions.append(fus)
-        restrictions.append(restriction)
-    return tuple(levels), tuple(fusions), restrictions
+        walk.append((sub, fus, restriction))
+    return tuple(Level(s, f, _arrangement_blocks(rs, *r) if r else ()) for s, f, r in walk)
 
 
 def _classify_block(block: list, balanced: bool) -> ArrangementType:
@@ -624,26 +624,23 @@ def restricted_arrangement_blocks(
         raise SubsystemError("inner subsystem is not contained in the outer one")
     new = [i for i in outer.members if i not in inner.member_set]
     rest = [i for i in range(len(rs.supports)) if i not in outer.member_set]
-    _, _, (restriction, _) = levi_chain(rs, [inner.members, new, rest])
-    return _arrangement_blocks(rs, *restriction)
+    return list(levi_chain(rs, [inner.members, new, rest])[1].blocks)
 
 
 def _arrangement_blocks(
     rs: RootSystem, covectors: list[tuple[int, ...]], supports, classes
-) -> list[ArrangementType]:
-    """Classify one level pair's restricted covectors block by block, given
-    each one's nonzero (part, entry) pairs and their ``_signed_classes``, as
+) -> tuple[ArrangementType, ...]:
+    """Classify one level pair's restricted covectors, given each one's
+    nonzero (part, entry) pairs and their ``_signed_classes`` as
     ``levi_chain`` hands them on: each class is one block.
     """
-    if not covectors:
-        return []
     if rs.family == "G2":
-        return [_classify_g2(covectors)]
+        return (_classify_g2(covectors),)
     root, _, unbalanced = classes
     blocks: dict[int, list] = {}  # class -> its (covector, support) pairs
     for cov, sup in zip(covectors, supports):
         blocks.setdefault(root[sup[0][0]], []).append((cov, sup))
-    return [_classify_block(blocks[r], r not in unbalanced) for r in sorted(blocks)]
+    return tuple(_classify_block(blocks[r], r not in unbalanced) for r in sorted(blocks))
 
 
 def _classify_g2(covectors: list[tuple[int, ...]]) -> ArrangementType:

@@ -1,0 +1,127 @@
+"""Mutation gate: each mutant breaks one piece of the root side, and a
+narrow selection of the tests must catch it.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+For each mutant, ``src/`` and ``tests/`` are copied to a fresh temporary
+directory, the mutant's old text, which must occur exactly once in its file,
+is replaced by its new text, and the mutant's pytest selection runs on the
+copy.  Before any mutant, every selection must pass on an unmutated copy.
+The gate passes (exit 0) when every mutant's selection fails; a mutant whose
+old text does not match once, or whose selection still passes, fails the
+gate (exit 1).
+
+Standard library only; pytest does not collect this file (its name does not
+start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest arguments, run from the copy's root
+
+
+MUTANTS = (
+    Mutant(
+        "levi_chain without the negation-closure check",
+        "src/wildbraid/rootsys.py",
+        "        if [last - i for i in reversed(new)] != list(new):\n",
+        "        if False:\n",
+        ("tests/test_rootsys.py", "-k", "not_closed_under_negation"),
+    ),
+    Mutant(
+        "_refine drops each part's sign",
+        "src/wildbraid/rootsys.py",
+        "cs = sorted((c, s * sign[k]) for k in ks",
+        "cs = sorted((c, s) for k in ks",
+        ("tests/test_rootsys.py", "-k", "refine_glues_parts"),
+    ),
+    Mutant(
+        "_classify_block reads balanced backwards",
+        "src/wildbraid/rootsys.py",
+        "    if pairs == k * (k - 1) // 2 and balanced:\n",
+        "    if pairs == k * (k - 1) // 2 and not balanced:\n",
+        ("tests/test_rootsys.py", "-k", "classifier_rejects or balanced_triangle"),
+    ),
+    Mutant(
+        "_check_tree_levels swaps GREEN and BLUE",
+        "src/wildbraid/fission.py",
+        "        expected = {(part, GREEN) for part in record.fusion.parts}\n"
+        "        if record.fusion.zero:\n"
+        "            expected.add((record.fusion.zero, BLUE))\n",
+        "        expected = {(part, BLUE) for part in record.fusion.parts}\n"
+        "        if record.fusion.zero:\n"
+        "            expected.add((record.fusion.zero, GREEN))\n",
+        ("tests/test_fission.py", "-k", "tree_level_mismatch or calls_no_is_levi"),
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+
+
+def run_pytest(copy: Path, args: tuple[str, ...]) -> int:
+    """Pytest's exit code on the copy, importing wildbraid from the copy's
+    src only: 0 when every selected test passed, 1 when some failed, and 5
+    when the selection is empty."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    probe = subprocess.run(
+        [sys.executable, "-c", "import wildbraid; print(wildbraid.__file__)"],
+        cwd=copy, env=env, capture_output=True, text=True, check=True,
+    )
+    if not Path(probe.stdout.strip()).resolve().is_relative_to(copy.resolve()):
+        raise SystemExit(f"wildbraid imports from {probe.stdout.strip()}, not the copy")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="wildbraid-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        for mutant in MUTANTS:
+            code = run_pytest(clean, mutant.tests)
+            if code != 0:
+                failures.append(f"{mutant.name}: its tests exit {code} without the mutant")
+        for k, mutant in enumerate(MUTANTS):
+            count = (ROOT / mutant.path).read_text().count(mutant.old)
+            if count != 1:
+                failures.append(f"{mutant.name}: old text matches {count} times, not once")
+                continue
+            copy = Path(tmp) / f"mutant{k}"
+            copy_tree(copy)
+            target = copy / mutant.path
+            target.write_text(target.read_text().replace(mutant.old, mutant.new))
+            caught = run_pytest(copy, mutant.tests) == 1  # a test failed
+            print(f"{'caught' if caught else 'SURVIVED'}: {mutant.name}")
+            if not caught:
+                failures.append(f"{mutant.name}: survived {' '.join(mutant.tests)}")
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -91,10 +91,17 @@ def test_parse_missing_file():
         parse_blocks("does/not/exist.json")
 
 
-def test_parse_empty_coefficients_rejected():
+def test_parse_empty_coefficients_rejected(capsys):
     doc = json.dumps({"lie_type": "A", "rank": 2, "coefficients": []})
     with pytest.raises(InputError, match="p >= 1 required"):
         parse_blocks(doc)
+    # A field that is not a list is malformed, not short of coefficients.
+    for coefficients in ("x", {"0": [1, -1, 0]}):
+        doc = json.dumps({"lie_type": "A", "rank": 2, "coefficients": coefficients})
+        assert main(["decompose", doc]) == 2
+        captured = capsys.readouterr()
+        assert "input.coefficients: expected a list of coefficient vectors" in captured.err
+        assert "p >= 1" not in captured.err and captured.out == ""
 
 
 def test_parse_qi_rank8():

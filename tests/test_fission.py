@@ -37,7 +37,14 @@ from wildbraid.fission import (
     merge_decompositions,
     random_irregular_type,
 )
-from wildbraid.rootsys import Fusion, build_root_system, cartan, fusion_of, project_traceless
+from wildbraid.rootsys import (
+    Fusion,
+    build_root_system,
+    cartan,
+    fusion_of,
+    project_traceless,
+    restricted_arrangement_blocks,
+)
 
 
 def sl3_example():
@@ -376,8 +383,17 @@ def types_with_planted_levels(draw):
 
 def assert_chain_fusions_are_level_fusions(q):
     # Each level's fusion, refined from the level below, is the fusion built
-    # from all of that level's roots.
-    assert q._root_side[1] == tuple(fusion_of(level) for level in filtration(q).levels)
+    # from all of that level's roots; each level's blocks are the classified
+    # arrangement over the level below, and none on a level that repeats it.
+    chain = filtration(q).chain
+    assert tuple(level.fusion for level in chain) == tuple(
+        fusion_of(level.sub) for level in chain
+    )
+    assert chain[0].blocks == ()
+    for below, level in zip(chain, chain[1:]):
+        assert list(level.blocks) == restricted_arrangement_blocks(q.rs, below.sub, level.sub)
+        if level.sub == below.sub:
+            assert level.blocks == ()
 
 
 @settings(max_examples=300, deadline=None)

@@ -70,8 +70,11 @@ def test_root_counts(family, rank):
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_negation_indexes_each_roots_negative(family, rank):
+    # The roots are lex-sorted and symmetric: root i's negative is the
+    # mirror index len - 1 - i.
     rs = build_root_system(family, rank)
-    assert [rs.roots[j] for j in rs.negation] == [tuple(-c for c in r) for r in rs.roots]
+    n = len(rs.roots)
+    assert [rs.roots[n - 1 - i] for i in range(n)] == [tuple(-c for c in r) for r in rs.roots]
 
 
 def test_a1_smallest_case():
@@ -181,7 +184,7 @@ def test_sparse_supports_pin_the_dense_root_order(family, rank):
             assert i < j if y else i == j
         assert [(c, x) for c, x in pairs if x] == [(c, x) for c, x in enumerate(root) if x]
     n = len(rs.roots)
-    assert rs.negation == tuple(reversed(range(n)))
+    assert all(rs.roots[n - 1 - i] == tuple(-c for c in r) for i, r in enumerate(rs.roots))
     assert [i >= n // 2 for i in range(n)] == [lex_positive(r) for r in rs.roots]
     assert rs.positive_indices == tuple(i for i, r in enumerate(rs.roots) if lex_positive(r))
 
@@ -322,7 +325,7 @@ def _rank_brute(vectors) -> int:
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("G2", 2), ("A", 3)])
 def test_is_levi_matches_brute_force_on_every_symmetric_subset(family, rank):
     rs = build_root_system(family, rank)
-    pairs = [(i, rs.negation[i]) for i in rs.positive_indices]
+    pairs = [(i, len(rs.roots) - 1 - i) for i in rs.positive_indices]
     levis = 0
     for mask in range(1 << len(pairs)):
         members = [i for k, pair in enumerate(pairs) if mask >> k & 1 for i in pair]
@@ -393,7 +396,7 @@ def test_arrangement_raises_exactly_off_levi_chains(family):
     # Levi subsystems by the brute-force span test, and on every pair that
     # the closure check rejects; every Levi chain classifies.
     rs = build_root_system(family, 2)
-    pairs = [(i, rs.negation[i]) for i in rs.positive_indices]
+    pairs = [(i, len(rs.roots) - 1 - i) for i in rs.positive_indices]
     subs = [
         subsystem(rs, [i for k, pair in enumerate(pairs) if mask >> k & 1 for i in pair])
         for mask in range(1 << len(pairs))
@@ -472,7 +475,7 @@ def test_levi_chain_raises_exactly_off_levi_chains_on_every_subset(family):
     full = full_subsystem(rs)
     levi = {sub.members: levi_in(sub, full) for sub in subs}
     assert [sub.is_levi() for sub in subs] == [levi[sub.members] for sub in subs]
-    symmetric = lambda sub: all(rs.negation[i] in sub.member_set for i in sub.members)
+    symmetric = lambda sub: all(len(rs.roots) - 1 - i in sub.member_set for i in sub.members)
     for inner in subs if family != "G2" else filter(symmetric, subs):
         for outer in subs:
             if not inner.member_set <= outer.member_set:
@@ -962,29 +965,36 @@ def sweep_types():
 
 def test_one_signed_union_find_per_changing_level(monkeypatch):
     # decompose(q, "check") runs _signed_classes once for Phi_1 (fusion_of)
-    # and once per nonempty increment, and the classifier is handed those
-    # classes: the same as rerunning the union-find on the covectors' pairs.
-    calls, handed = [], []
+    # and once per changing level, and the classifier is handed that
+    # level's own classes (the very object the union-find returned), on
+    # the covectors' nonzero pairs; each changing level's blocks are the
+    # reference classification of its restricted covectors.
+    found, handed = [], []
     signed_classes, arrangement_blocks = rootsys._signed_classes, rootsys._arrangement_blocks
-    count = lambda *a: calls.append(a) or signed_classes(*a)
-    record = lambda *a: handed.append(a) or arrangement_blocks(*a)
+
+    def count(*args):
+        found.append(signed_classes(*args))
+        return found[-1]
+
+    def record(rs, covectors, pairs, classes):
+        handed.append((covectors, pairs, classes))
+        return arrangement_blocks(rs, covectors, pairs, classes)
+
     monkeypatch.setattr(rootsys, "_signed_classes", count)
     monkeypatch.setattr(rootsys, "_arrangement_blocks", record)
     cases = blocks = 0
     for q in sweep_types():
-        calls.clear()
+        found.clear()
         handed.clear()
         decompose(q, "check")
-        levels = filtration(q).levels
-        assert len(calls) == 1 + sum(a.members != b.members for a, b in zip(levels, levels[1:]))
-        for rs, covectors, pairs, classes in handed:
-            if not covectors:
-                continue
-            want = nonzero_pairs(covectors)
-            assert pairs == want
-            assert classes == signed_classes(len(covectors[0]), want)
-            got = arrangement_blocks(rs, covectors, pairs, classes)
-            assert got == ref_classified(covectors)
-            blocks += len(got)
+        chain = filtration(q).chain
+        changing = [(a, b) for a, b in zip(chain, chain[1:]) if a.sub != b.sub]
+        assert len(found) == 1 + len(changing) == 1 + len(handed)
+        for (covectors, pairs, classes), own in zip(handed, found[1:]):
+            assert pairs == nonzero_pairs(covectors)
+            assert classes is own
+        for below, level in changing:
+            assert level.blocks == tuple(ref_arrangement_blocks(q.rs, below.sub, level.sub))
+            blocks += len(level.blocks)
         cases += 1
     assert cases > 400 and blocks > cases
