@@ -107,6 +107,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The name of each non-list value json.loads returns.
+_JSON_TYPES = {dict: "an object", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
 def _reject_unknown_keys(doc: dict, accepted, where: str) -> None:
     unknown = sorted(set(doc) - set(accepted))
     if unknown:
@@ -142,7 +147,9 @@ def _parse_block(
     if not vectors and "p" not in block:
         raise InputError(f"{where}.coefficients: p >= 1 required")
     p = block.get("p", len(vectors))
-    if not _is_int(p) or p < 1:
+    if not _is_int(p):
+        raise InputError(f"{where}.p: expected an integer")
+    if p < 1:
         raise InputError(f"{where}.p: p >= 1 required")
     if p > MAX_P:
         raise InputError(f"{where}.p: {_echo(p)} exceeds the bound {MAX_P}")
@@ -151,7 +158,9 @@ def _parse_block(
     coeffs = []
     for i, vecdata in enumerate(vectors, start=1):
         loc = f"{where}.coefficients[{i}]"
-        if not isinstance(vecdata, list) or len(vecdata) != rs.ambient_dim:
+        if not isinstance(vecdata, list):
+            raise InputError(f"{loc}: expected a list, not {_JSON_TYPES[type(vecdata)]}")
+        if len(vecdata) != rs.ambient_dim:
             raise InputError(
                 f"{loc}: expected {rs.ambient_dim} entries for {family}_{rank}"
             )

@@ -1,5 +1,5 @@
-"""Mutation gate: each mutant breaks one piece of the root side, and a
-narrow selection of the tests must catch it.
+"""Mutation gate: each mutant breaks one piece of the root side or of the
+braid engine, and a narrow selection of the tests must catch it.
 
 Run from anywhere, with pytest installed:
 
@@ -71,6 +71,20 @@ MUTANTS = (
         "        if record.fusion.zero:\n"
         "            expected.add((record.fusion.zero, GREEN))\n",
         ("tests/test_fission.py", "-k", "tree_level_mismatch or calls_no_is_levi"),
+    ),
+    Mutant(
+        "the Burau pass reads t for t^-1 on s_i^-1",
+        "src/wildbraid/braid.py",
+        "            z = u * y % p\n",
+        "            z = t * y % p\n",
+        ("tests/test_braid.py", "-k", "burau_pass_respects_the_relations"),
+    ),
+    Mutant(
+        "normal_form skips the owed Delta^-1",
+        "src/wildbraid/braid.py",
+        "            c, owes = (ident[:], 0) if s > 0 else (delta[:], 1)\n",
+        "            c, owes = (ident[:], 0) if s > 0 else (delta[:], 0)\n",
+        ("tests/test_braid.py", "-k", "delta_powers"),
     ),
 )
 

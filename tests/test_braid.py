@@ -431,6 +431,89 @@ def test_equality_on_1000_letter_words():
 
 
 # ---------------------------------------------------------------------------
+# The Burau pass: it can only say "different"
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def relation_sides(draw):
+    """(lhs, rhs) on 2-12 strands: the two sides of one braid relation, far
+    commutation or cancellation s s^-1 = s^-1 s = 1, between random words."""
+    n = draw(st.integers(2, 12))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    u, v = (BraidWord(n, tuple(draw(st.lists(letter, max_size=8)))) for _ in range(2))
+    kinds = ["cancel"] + ["braid"] * (n >= 3) + ["far"] * (n >= 4)
+    kind = draw(st.sampled_from(kinds))
+    e = draw(st.sampled_from((1, -1)))
+    if kind == "cancel":
+        i = draw(st.integers(1, n - 1))
+        lhs, rhs = word(n, (i, e), (i, -e)), identity(n)
+    elif kind == "braid":
+        i = draw(st.integers(1, n - 2))
+        lhs, rhs = word(n, (i, e), (i + 1, e), (i, e)), word(n, (i + 1, e), (i, e), (i + 1, e))
+    else:
+        i = draw(st.integers(1, n - 3))
+        j = draw(st.integers(i + 2, n - 1))
+        f = draw(st.sampled_from((1, -1)))
+        lhs, rhs = word(n, (i, e), (j, f)), word(n, (j, f), (i, e))
+    return u * lhs * v, u * rhs * v
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_sides())
+def test_burau_pass_respects_the_relations(sides):
+    lhs, rhs = sides
+    assert braid._burau_pass(lhs) == braid._burau_pass(rhs)
+
+
+def commutator_a12_a23(n):
+    a12, a23 = pure_generator(n, 1, 2), pure_generator(n, 2, 3)
+    return a12 * a23 * a12.inverse() * a23.inverse()
+
+
+def test_braids_equal_agrees_with_normal_form_on_3_to_33_strands():
+    rng = random.Random(33)
+    for n in list(range(3, 12)) + [17, 24, 33]:
+        for _ in range(4):
+            w = BraidWord(n, tuple(random_letters(rng, n, rng.randint(0, 40))))
+            pairs = [
+                (w, BraidWord(n, tuple(rewrite(w.letters, n, rng, rng.randint(1, 12))))),
+                (w, w * commutator_a12_a23(n)),
+            ]
+            for a, b in pairs:
+                same = normal_form(a) == normal_form(b)
+                assert braids_equal(a, b) == same
+                assert is_identity_braid(a * b.inverse()) == same
+            assert braids_equal(*pairs[0]) and not braids_equal(*pairs[1])
+
+
+def test_burau_pass_settles_a_long_unequal_pair_alone(monkeypatch):
+    # 1,000 letters on 33 strands, the width of cable at MAX_RANK: equal
+    # permutations, and the pass answers without a normal form.
+    rng = random.Random(1000)
+    w = BraidWord(33, tuple(random_letters(rng, 33, 1000)))
+    monkeypatch.setattr(braid, "normal_form", lambda b: pytest.fail("normal form called"))
+    assert not braids_equal(w, w * commutator_a12_a23(33))
+    assert not is_identity_braid(commutator_a12_a23(33))
+
+
+def test_equal_burau_passes_still_leave_unequal_braids_unequal(monkeypatch):
+    # With every pass forced equal, True can only come from the normal form.
+    monkeypatch.setattr(braid, "_burau_pass", lambda b: ((), ()))
+    rng = random.Random(7)
+    for n in (2, 3, 5, 8):
+        for _ in range(10):
+            w = BraidWord(n, tuple(random_letters(rng, n, rng.randint(0, 20))))
+            g = rng.randint(1, n - 1)
+            assert not braids_equal(w, w * word(n, (g, 1)))
+            assert not braids_equal(w, w * word(n, (g, 1), (g, 1)))
+            assert braids_equal(w, w * word(n, (g, 1), (g, -1)))
+            if n >= 3:
+                assert not braids_equal(w, w * commutator_a12_a23(n))
+                assert not is_identity_braid(commutator_a12_a23(n))
+
+
+# ---------------------------------------------------------------------------
 # direct_sum and block_braid
 # ---------------------------------------------------------------------------
 

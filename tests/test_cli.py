@@ -104,6 +104,28 @@ def test_parse_empty_coefficients_rejected(capsys):
         assert "p >= 1" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"p": "2"}, "input.p: expected an integer"),
+        ({"p": True}, "input.p: expected an integer"),
+        ({"p": 0}, "input.p: p >= 1 required"),
+        ({"coefficients": ["x"]}, "input.coefficients[1]: expected a list, not a string"),
+        ({"coefficients": [[1, -1, 0], {"0": 1}]},
+         "input.coefficients[2]: expected a list, not an object"),
+        ({"coefficients": [None]}, "input.coefficients[1]: expected a list, not null"),
+        ({"coefficients": [[1, -1]]}, "input.coefficients[1]: expected 3 entries for A_2"),
+    ],
+    ids=["p-string", "p-bool", "p-zero", "vector-string", "vector-object", "vector-null",
+         "vector-short"],
+)
+def test_parse_names_the_wrong_type(field, message, capsys):
+    doc = json.dumps({"lie_type": "A", "rank": 2, "coefficients": [[1, -1, 0]], **field})
+    assert main(["decompose", doc]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_parse_qi_rank8():
     [(rs, q)] = parse_blocks(QI_DOC)
     assert rs.rank == 8
