@@ -667,6 +667,62 @@ def test_main_builds_the_parser_once_and_keeps_no_flags(monkeypatch, capsys):
     assert built.count("wildbraid") == 1
 
 
+COMMANDS = ("decompose", "tree", "cable", "stokes-verify", "selftest")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # help
+        [],
+        ["-h"],
+        ["-h", "decompose"],
+        *([command, "-h"] for command in COMMANDS),
+        # usage errors
+        ["bogus"],
+        ["decompose"],
+        ["decompose", "--oracle", "--check", "x"],
+        ["decompose", "x", "--bogus"],
+        ["decompose", "x", "y"],
+        ["tree", "x", "--format", "svg"],
+        ["stokes-verify", "--count", "abc"],
+        # argv that parse; "--js" is a prefix of "--json"
+        ["decompose", "--", SL3_DOC],
+        ["decompose", "--js", SL3_DOC],
+    ],
+    ids=lambda argv: " ".join(a if len(a) < 20 else "<doc>" for a in argv) or "()",
+)
+def test_main_parses_as_the_whole_cli_parser(argv, monkeypatch, capsys):
+    # main gives the exit code, stdout, stderr and namespace of the whole
+    # CLI's parse_args followed by the handler it names, whichever parser it
+    # runs itself.  The help text is not pinned: argparse's layout varies
+    # between Python versions.
+    namespaces = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, args=None, namespace=None):
+        # The outermost call returns last, so it is recorded last.
+        result = parse_known_args(self, args, namespace)
+        namespaces.append(result[0])
+        return result
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    try:
+        code = main(list(argv))
+        parsed = namespaces[-1]
+    except SystemExit as exc:
+        code, parsed = exc.code, None
+    output = capsys.readouterr()
+    try:
+        expected = cli.build_parser().parse_args(list(argv))
+        expected_code = expected.fn(expected)
+    except SystemExit as exc:
+        expected, expected_code = None, exc.code
+    assert (code, output) == (expected_code, capsys.readouterr())
+    assert parsed == expected
+    assert (expected is not None) == (argv[-1:] == [SL3_DOC])
+
+
 def _long_entry_doc():
     return {"lie_type": "A", "rank": 2, "coefficients": [[1, -1, "9" * 5000]]}
 
