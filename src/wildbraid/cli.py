@@ -24,14 +24,17 @@ parse_blocks is the one parse entry point: a path or a JSON text in, one
 (RootSystem, IrregularType) pair per point out.
 
 Subcommands: decompose (--oracle or --check, not both), tree (--format
-json|dot), cable, stokes-verify, selftest.  Each fission tree has one JSON
-document (_tree_doc): tree --format json prints it, and decompose --json
-puts the same document in its "trees" list.  Trees are checked once, when
-they are built.  Exit codes: 0 success, 1 check failure, 2
-parse/validation error.  Error messages, input paths included, echo at most
-ECHO_LIMIT characters of an offending value.  Every indented JSON document
-(decompose --json, tree --format json, cable --json, stokes-verify --json)
-is written by _dumps.
+json|dot), cable, stokes-verify, selftest.  A call that starts with a
+command is parsed by that command's parser alone; help, usage errors and
+unknown commands come from the whole CLI's parser.  Each fission tree has
+one JSON document (_tree_doc): tree --format json prints it, and decompose
+--json puts the same document in its "trees" list.  Trees are checked
+once, when they are built.  Exit codes: 0 success, 1 check failure, 2
+parse/validation error, 141 stdout closed by its reader (as on SIGPIPE).
+Error messages, input paths included, echo at most ECHO_LIMIT characters
+of an offending value.  Every indented JSON document (decompose --json,
+tree --format json, cable --json, stokes-verify --json) is written by
+_dumps.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import re
 import sys
@@ -284,19 +288,10 @@ def _emit_dot(tree: FissionTree) -> str:
         members = [n for n in tree.nodes if n.level == level]
         lines.append("  { rank=same;")
         for n in members:
-            attrs = []
-            if n.level == 1:
-                attrs.append(f'label="{leaf_pos[n.id]}"')
-            else:
-                attrs.append('label=""')
-            if n.diameter == fission.SMALL:
-                attrs.append("shape=point")
-            else:
-                attrs.append("shape=circle")
-            if n.colour == fission.BLUE:
-                attrs.append("style=filled")
-                attrs.append("fillcolor=lightblue")
-            lines.append(f"    n{n.id} [{', '.join(attrs)}];")
+            label = leaf_pos[n.id] if n.level == 1 else ""
+            shape = "point" if n.diameter == fission.SMALL else "circle"
+            fill = ", style=filled, fillcolor=lightblue" if n.colour == fission.BLUE else ""
+            lines.append(f'    n{n.id} [label="{label}", shape={shape}{fill}];')
         lines.append("  }")
     for n in tree.nodes:
         if n.parent is not None:
@@ -434,64 +429,68 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+# Each command's help line and handler.
+_COMMANDS = {
+    "decompose": ("decomposition of the local WMCG", _cmd_decompose),
+    "tree": ("emit the fission tree", _cmd_tree),
+    "cable": ("emit cabled generators (family A)", _cmd_cable),
+    "stokes-verify": ("run the Stokes braiding verifier", _cmd_stokes_verify),
+    "selftest": ("run the acceptance property suites", _cmd_selftest),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; it keeps no state
-    between calls (each parse_args returns a fresh namespace)."""
-    parser = argparse.ArgumentParser(
-        prog="wildbraid",
-        description="fission trees, wild mapping class group decompositions, cabled braids",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="decomposition of the local WMCG")
-    p.add_argument("input", help="spec file path or inline JSON")
-    route = p.add_mutually_exclusive_group()
-    route.add_argument("--oracle", action="store_true", help="force the arrangement path")
-    route.add_argument("--check", action="store_true", help="run both paths and compare")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("tree", help="emit the fission tree")
-    p.add_argument("input")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(fn=_cmd_tree)
-
-    p = sub.add_parser("cable", help="emit cabled generators (family A)")
-    p.add_argument("input")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_cable)
-
-    p = sub.add_parser("stokes-verify", help="run the Stokes braiding verifier")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_stokes_verify)
-
-    p = sub.add_parser("selftest", help="run the acceptance property suites")
-    p.add_argument("--full", action="store_true", help="full-size sweeps")
-    p.set_defaults(fn=_cmd_selftest)
-    return parser
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole CLI's parser or, given a command, that command's own parser,
+    named "wildbraid <command>" as its subparser is; both read one grammar.
+    Each is built once per process and keeps no state between calls."""
+    if command:
+        parsers = {command: argparse.ArgumentParser(prog=f"wildbraid {command}")}
+    else:
+        parser = argparse.ArgumentParser(prog="wildbraid", description="fission trees, wild "
+                                         "mapping class group decompositions, cabled braids")
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
+    for name, p in parsers.items():
+        if name in ("decompose", "tree", "cable"):
+            p.add_argument("input", help="spec file path or inline JSON" if name == "decompose" else None)
+        if name == "decompose":
+            route = p.add_mutually_exclusive_group()
+            route.add_argument("--oracle", action="store_true", help="force the arrangement path")
+            route.add_argument("--check", action="store_true", help="run both paths and compare")
+        elif name == "tree":
+            p.add_argument("--format", choices=("json", "dot"), default="json")
+        elif name == "stokes-verify":
+            p.add_argument("--count", type=int, default=100)
+            p.add_argument("--seed", type=int, default=2024)
+        elif name == "selftest":
+            p.add_argument("--full", action="store_true", help="full-size sweeps")
+        if name in ("decompose", "cable", "stokes-verify"):
+            p.add_argument("--json", action="store_true")
+        p.set_defaults(command=name, fn=_COMMANDS[name][1])
+    return parsers[command] if command else parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    use_json = getattr(args, "json", False)
+    argv = sys.argv[1:] if argv is None else argv
+    known = bool(argv) and argv[0] in _COMMANDS
+    args, rest = build_parser(argv[0]).parse_known_args(argv[1:]) if known else (None, argv)
+    if args is None or rest:  # help and usage errors read as the whole CLI's parser prints them
+        args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except fission.DecompositionMismatchError as exc:
-        if use_json:
-            print(json.dumps({"error": str(exc), "kind": "check-failure"}))
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # quiet the interpreter's last flush; exit as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (fission.DecompositionMismatchError, ValueError) as exc:  # InputError is a ValueError
+        code, kind = (1, "check-failure") if isinstance(exc, AssertionError) else (2, "input-error")
+        if getattr(args, "json", False):
+            print(json.dumps({"error": str(exc), "kind": kind}))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InputError, rootsys.SubsystemError, rootsys.UnsupportedRankError, ValueError) as exc:
-        if use_json:
-            print(json.dumps({"error": str(exc), "kind": "input-error"}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

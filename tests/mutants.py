@@ -1,5 +1,5 @@
-"""Mutation gate: each mutant breaks one piece of the root side or of the
-braid engine, and a narrow selection of the tests must catch it.
+"""Mutation gate: each mutant breaks one piece of the root side, the braid
+engine or the command line, and a narrow selection of the tests must catch it.
 
 Run from anywhere, with pytest installed:
 
@@ -85,6 +85,27 @@ MUTANTS = (
         "            c, owes = (ident[:], 0) if s > 0 else (delta[:], 1)\n",
         "            c, owes = (ident[:], 0) if s > 0 else (delta[:], 0)\n",
         ("tests/test_braid.py", "-k", "delta_powers"),
+    ),
+    Mutant(
+        "_dumps keeps the keys in insertion order",
+        "src/wildbraid/cli.py",
+        "        keys = sorted(doc)\n",
+        "        keys = list(doc)\n",
+        ("tests/test_cli.py", "-k", "dumps_is_json_dumps_indented"),
+    ),
+    Mutant(
+        "degree_profile evaluates the roots on every coefficient",
+        "src/wildbraid/fission.py",
+        "        if any(coeff.coords):\n",
+        "        if True:\n",
+        ("tests/test_fission.py", "-k", "root_values_runs_once_per_nonzero_coefficient"),
+    ),
+    Mutant(
+        "main keeps the command's parse despite leftover arguments",
+        "src/wildbraid/cli.py",
+        "    if args is None or rest:",
+        "    if args is None:",
+        ("tests/test_cli.py", "-k", "whole_cli_parser"),
     ),
 )
 

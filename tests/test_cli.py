@@ -4,6 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -641,6 +644,9 @@ def test_cmd_tree_routes_take_rank_up_to_max_tree_rank(command, capsys):
         assert len(json.loads(out)["leaf_order"]) == cli.MAX_TREE_RANK + 1
 
 
+COMMAND_NAMES = ("decompose", "tree", "cable", "stokes-verify", "selftest")
+
+
 def test_main_builds_the_parser_once_and_keeps_no_flags(monkeypatch, capsys):
     cli.build_parser.cache_clear()
     built = []
@@ -664,10 +670,12 @@ def test_main_builds_the_parser_once_and_keeps_no_flags(monkeypatch, capsys):
     assert main(["decompose", SL3_DOC]) == 0
     assert capsys.readouterr().out == "PB_2 x PB_2\n"
     assert methods == ["check", "tree"]
-    assert built.count("wildbraid") == 1
-
-
-COMMANDS = ("decompose", "tree", "cable", "stokes-verify", "selftest")
+    # A call that starts with a command builds that command's parser alone.
+    assert built == ["wildbraid decompose"]
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert "decompose" in capsys.readouterr().out
+    assert built[1:] == ["wildbraid", *(f"wildbraid {command}" for command in COMMAND_NAMES)]
 
 
 @pytest.mark.parametrize(
@@ -677,7 +685,7 @@ COMMANDS = ("decompose", "tree", "cable", "stokes-verify", "selftest")
         [],
         ["-h"],
         ["-h", "decompose"],
-        *([command, "-h"] for command in COMMANDS),
+        *([command, "-h"] for command in COMMAND_NAMES),
         # usage errors
         ["bogus"],
         ["decompose"],
@@ -721,6 +729,34 @@ def test_main_parses_as_the_whole_cli_parser(argv, monkeypatch, capsys):
     assert (code, output) == (expected_code, capsys.readouterr())
     assert parsed == expected
     assert (expected is not None) == (argv[-1:] == [SL3_DOC])
+
+
+CABLE_A32_DOC = json.dumps(
+    {"lie_type": "A", "rank": 32, "coefficients": [[c - 16 for c in range(33)]]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose", SL3_DOC], ["cable", "--json", CABLE_A32_DOC]],
+    ids=["short-output", "long-output"],
+)
+def test_main_exits_141_quietly_when_stdout_is_closed(argv):
+    # The reader is gone before the first byte.  Short output meets the
+    # closed pipe at main's flush, long output inside the handler's print;
+    # either way the exit is a shell's SIGPIPE status with nothing on stderr.
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "wildbraid.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+            env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr.decode()) == (141, "")
 
 
 def _long_entry_doc():
