@@ -452,13 +452,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sub = parser.add_subparsers(dest="command", required=True)
         parsers = {name: sub.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
     for name, p in parsers.items():
-        if name in ("decompose", "tree", "cable"):
-            p.add_argument("input", help="spec file path or inline JSON" if name == "decompose" else None)
         if name == "decompose":
+            p.add_argument("input", help="spec file path or inline JSON")
             route = p.add_mutually_exclusive_group()
             route.add_argument("--oracle", action="store_true", help="force the arrangement path")
             route.add_argument("--check", action="store_true", help="run both paths and compare")
-        elif name == "tree":
+        elif name in ("tree", "cable"):
+            p.add_argument("input")
+        if name == "tree":
             p.add_argument("--format", choices=("json", "dot"), default="json")
         elif name == "stokes-verify":
             p.add_argument("--count", type=int, default=100)
@@ -475,22 +476,22 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     known = bool(argv) and argv[0] in _COMMANDS
     args, rest = build_parser(argv[0]).parse_known_args(argv[1:]) if known else (None, argv)
-    if args is None or rest:  # help and usage errors read as the whole CLI's parser prints them
+    if args is None or rest:  # help, usage errors, unknown commands: the whole CLI's parser
         args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        try:
+            code = args.fn(args)
+        except (fission.DecompositionMismatchError, ValueError) as exc:  # InputError is a ValueError
+            code, kind = (2, "input-error") if isinstance(exc, ValueError) else (1, "check-failure")
+            if getattr(args, "json", False):
+                print(json.dumps({"error": str(exc), "kind": kind}))
+            else:
+                print(f"error: {exc}", file=sys.stderr)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
     except BrokenPipeError:  # quiet the interpreter's last flush; exit as on SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (fission.DecompositionMismatchError, ValueError) as exc:  # InputError is a ValueError
-        code, kind = (1, "check-failure") if isinstance(exc, AssertionError) else (2, "input-error")
-        if getattr(args, "json", False):
-            print(json.dumps({"error": str(exc), "kind": kind}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -738,13 +738,14 @@ CABLE_A32_DOC = json.dumps(
 
 @pytest.mark.parametrize(
     "argv",
-    [["decompose", SL3_DOC], ["cable", "--json", CABLE_A32_DOC]],
-    ids=["short-output", "long-output"],
+    [["decompose", SL3_DOC], ["cable", "--json", CABLE_A32_DOC], ["decompose", "--json", "{"]],
+    ids=["short-output", "long-output", "json-error"],
 )
 def test_main_exits_141_quietly_when_stdout_is_closed(argv):
-    # The reader is gone before the first byte.  Short output meets the
-    # closed pipe at main's flush, long output inside the handler's print;
-    # either way the exit is a shell's SIGPIPE status with nothing on stderr.
+    # The reader is gone before the first byte.  Short output and the JSON
+    # error envelope meet the closed pipe at main's flush, long output inside
+    # the handler's print; either way the exit is a shell's SIGPIPE status
+    # with nothing on stderr.
     read, write = os.pipe()
     os.close(read)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
