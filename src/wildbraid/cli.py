@@ -475,10 +475,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     known = bool(argv) and argv[0] in _COMMANDS
-    args, rest = build_parser(argv[0]).parse_known_args(argv[1:]) if known else (None, argv)
-    if args is None or rest:  # help, usage errors, unknown commands: the whole CLI's parser
-        args = build_parser().parse_args(argv)
     try:
+        try:
+            args, rest = build_parser(argv[0]).parse_known_args(argv[1:]) if known else (None, argv)
+            if args is None or rest:  # help, usage errors, unknown commands: the whole CLI's parser
+                args = build_parser().parse_args(argv)
+        except SystemExit:  # help is printed to stdout: a closed pipe fails here
+            sys.stdout.flush()
+            raise
         try:
             code = args.fn(args)
         except (fission.DecompositionMismatchError, ValueError) as exc:  # InputError is a ValueError

@@ -36,7 +36,13 @@ solve_relation and random_tuple build their tuples from pairs
 The kernel (_mul, _det, _inv, _conj) takes and returns pairs, with one gcd
 per result in _canon.
 Fractions are built only at the edges: by _mat, when a public function
-returns a Mat, and in verify_properties' torus scalars and failure details.
+returns a Mat, and in verify_properties' failure details.
+
+verify_properties draws a and b of each torus scalar diag(a, b, 1/(ab)) as
+(num, den) int pairs and builds the scalar as a canonical pair directly
+(_torus).  For each scalar it conjugates each distinct entry of the tuple
+and of its two images once, and reads the three conjugated tuples from
+that one set of images.
 """
 
 from __future__ import annotations
@@ -319,24 +325,43 @@ def verify_properties(t: StokesTuple, rng: random.Random | None = None) -> Verif
             break
     else:
         check("determinants preserved", True)
+    # Conjugation by d acts entry by entry, so each scalar conjugates each
+    # distinct entry of e, st and tt once: st shares five entries with e,
+    # tt shares two.
+    distinct = tuple(dict.fromkeys(e + st + tt))
     for _ in range(3):
-        a, b = _nonzero_rational(rng), _nonzero_rational(rng)
-        c = 1 / (a * b)
-        d = _pair(((a, 0, 0), (0, b, 0), (0, 0, c)))
-        dt = _conj(d, e)
-        equi = _conj(d, st) == _sigma(dt) and _conj(d, tt) == _tau1(dt)
+        a, b = _nonzero_ratio(rng), _nonzero_ratio(rng)
+        image = dict(zip(distinct, _conj(_torus(a, b), distinct)))
+        dt = tuple([image[m] for m in e])
+        equi = (tuple([image[m] for m in st]) == _sigma(dt)
+                and tuple([image[m] for m in tt]) == _tau1(dt))
         if not equi:
-            check("torus equivariance", False, f"fails for d = diag({a},{b},{c})")
+            a, b = Fraction(*a), Fraction(*b)
+            check("torus equivariance", False, f"fails for d = diag({a},{b},{1 / (a * b)})")
             break
     else:
         check("torus equivariance", True)
     return VerificationReport(tuple(checks))
 
 
-def _nonzero_rational(rng: random.Random) -> Fraction:
+def _nonzero_ratio(rng: random.Random) -> tuple[int, int]:
+    """A random nonzero rational as an unreduced (num, den), den > 0."""
     num = rng.choice([-3, -2, -1, 1, 2, 3])
     den = rng.choice([1, 2, 3])
-    return Fraction(num, den)
+    return num, den
+
+
+def _nonzero_rational(rng: random.Random) -> Fraction:
+    return Fraction(*_nonzero_ratio(rng))
+
+
+def _torus(a: tuple[int, int], b: tuple[int, int]) -> Pair:
+    """The canonical pair of diag(a, b, 1/(ab)) for a = an/ad and b = bn/bd:
+    over the common denominator ad bd an bn its diagonal is
+    (an^2 bn bd, an bn^2 ad, (ad bd)^2)."""
+    (an, ad), (bn, bd) = a, b
+    x = an * bn
+    return _canon((an * bd * x, 0, 0, 0, bn * ad * x, 0, 0, 0, (ad * bd) ** 2), ad * bd * x)
 
 
 def _shear_product(rng: random.Random, factors: int = 3) -> Pair:

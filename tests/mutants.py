@@ -1,5 +1,6 @@
 """Mutation gate: each mutant breaks one piece of the root side, the braid
-engine or the command line, and a narrow selection of the tests must catch it.
+engine, the Stokes verifier or the command line, and a narrow selection of
+the tests must catch it.
 
 Run from anywhere, with pytest installed:
 
@@ -106,6 +107,13 @@ MUTANTS = (
         "    if args is None or rest:",
         "    if args is None:",
         ("tests/test_cli.py", "-k", "whole_cli_parser"),
+    ),
+    Mutant(
+        "conjugates of one torus scalar reused for the next",
+        "src/wildbraid/stokes.py",
+        "        image = dict(zip(distinct, _conj(_torus(a, b), distinct)))\n",
+        "        image = image if _ else dict(zip(distinct, _conj(_torus(a, b), distinct)))\n",
+        ("tests/test_stokes.py", "-k", "failure_from_a_later_scalar"),
     ),
 )
 

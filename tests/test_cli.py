@@ -738,14 +738,21 @@ CABLE_A32_DOC = json.dumps(
 
 @pytest.mark.parametrize(
     "argv",
-    [["decompose", SL3_DOC], ["cable", "--json", CABLE_A32_DOC], ["decompose", "--json", "{"]],
-    ids=["short-output", "long-output", "json-error"],
+    [
+        ["decompose", SL3_DOC],
+        ["cable", "--json", CABLE_A32_DOC],
+        ["decompose", "--json", "{"],
+        ["-h"],
+        ["decompose", "--help"],
+    ],
+    ids=["short-output", "long-output", "json-error", "help", "command-help"],
 )
 def test_main_exits_141_quietly_when_stdout_is_closed(argv):
     # The reader is gone before the first byte.  Short output and the JSON
     # error envelope meet the closed pipe at main's flush, long output inside
-    # the handler's print; either way the exit is a shell's SIGPIPE status
-    # with nothing on stderr.
+    # the handler's print, and help at the flush before argparse's exit
+    # leaves main; either way the exit is a shell's SIGPIPE status with
+    # nothing on stderr.
     read, write = os.pipe()
     os.close(read)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

@@ -456,6 +456,28 @@ def test_verifier_agrees_with_fraction_reference(seed, corrupt_at, c, negative):
     assert (corrupt_at is None) == all(ok for _, ok, _ in checks)
 
 
+@pytest.mark.parametrize("make_rng", [random.Random, NegativeTorus])
+def test_verifier_leaves_the_rng_where_the_reference_does(make_rng):
+    # stokes-verify draws each tuple and then its torus scalars from one rng,
+    # so the verifier's draws decide every later tuple of the run.
+    for seed in range(10):
+        t = random_tuple(random.Random(seed))
+        corrupted = StokesTuple(*t.matrices()[:6], ref_mmul(t.b42, shear(0, 1, 1)))
+        for u in (t, corrupted):
+            ours, ref = make_rng(seed), make_rng(seed)
+            verify_properties(u, ours)
+            ref_verify_properties(u, ref)
+            assert ours.getstate() == ref.getstate()
+
+
+def test_torus_scalar_is_built_as_its_canonical_pair():
+    ratios = [(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]
+    for a in ratios:
+        for b in ratios:
+            fa, fb = Fraction(*a), Fraction(*b)
+            assert stokes._torus(a, b) == P(diagonal(fa, fb, 1 / (fa * fb)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), rationals.filter(bool), rationals.filter(bool))
 def test_conj_agrees_with_reference(seed, a, b):
@@ -598,3 +620,16 @@ def test_every_check_can_fail(monkeypatch, case):
             assert failed[expected] == "B4^2 has det 2"
             with pytest.raises(ValueError, match="determinant of B4\\^2 must be 1"):
                 act_tau1(t)
+
+
+def test_torus_equivariance_failure_from_a_later_scalar(monkeypatch):
+    # The first scalar drawn from Random(4) is diag(-1,-1,1), which commutes
+    # with shear(0, 1, 1), so only the second one shows that the patched
+    # sigma is not equivariant; each scalar must conjugate afresh.
+    monkeypatch.setattr(stokes, "_sigma", _non_equivariant_sigma)
+    rng = random.Random(4)
+    report = verify_properties(random_tuple(random.Random(0)), rng)
+    assert report.failures() == [("torus equivariance", "fails for d = diag(1/2,-2,-1)")]
+    drawn = random.Random(4)
+    assert [stokes._nonzero_rational(drawn) for _ in range(4)][:2] == [-1, -1]
+    assert rng.getstate() == drawn.getstate()  # two scalars drawn, then the break
