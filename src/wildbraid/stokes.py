@@ -33,10 +33,13 @@ _pair checks a Mat's shape and clears its denominators, once per entry:
 a StokesTuple keeps its seven pairs as ``pairs``, and the actions,
 solve_relation and random_tuple build their tuples from pairs
 (``_from_pairs``, with the constructor's checks), clearing nothing again.
+random_tuple clears nothing at all: it draws and multiplies its shears on
+integer pairs (_shear_product) and builds h as a pair (_torus).
 The kernel (_mul, _det, _inv, _conj) takes and returns pairs, with one gcd
 per result in _canon.
 Fractions are built only at the edges: by _mat, when a public function
-returns a Mat, and in verify_properties' failure details.
+returns a Mat, in the public Mat API (mat, mmul) and in verify_properties'
+failure details.
 
 verify_properties draws a and b of each torus scalar diag(a, b, 1/(ab)) as
 (num, den) int pairs and builds the scalar as a canonical pair directly
@@ -63,7 +66,6 @@ def mat(rows) -> Mat:
     return m
 
 
-IDENTITY: Mat = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 _ID: Pair = ((1, 0, 0, 0, 1, 0, 0, 0, 1), 1)
 
 
@@ -153,10 +155,6 @@ def _is_diagonal(n: tuple[int, ...]) -> bool:
 
 def mmul(*ms: Mat) -> Mat:
     return _mat(_mul(*[_pair(m) for m in ms]))
-
-
-def diagonal(a, b, c) -> Mat:
-    return mat([[a, 0, 0], [0, b, 0], [0, 0, c]])
 
 
 _NAMES = ("h", "B1^1", "B3^1", "B1^2", "B2^2", "B3^2", "B4^2")
@@ -351,10 +349,6 @@ def _nonzero_ratio(rng: random.Random) -> tuple[int, int]:
     return num, den
 
 
-def _nonzero_rational(rng: random.Random) -> Fraction:
-    return Fraction(*_nonzero_ratio(rng))
-
-
 def _torus(a: tuple[int, int], b: tuple[int, int]) -> Pair:
     """The canonical pair of diag(a, b, 1/(ab)) for a = an/ad and b = bn/bd:
     over the common denominator ad bd an bn its diagonal is
@@ -366,18 +360,21 @@ def _torus(a: tuple[int, int], b: tuple[int, int]) -> Pair:
 
 def _shear_product(rng: random.Random, factors: int = 3) -> Pair:
     """Random determinant-1 matrix, as its canonical pair: a product of
-    elementary shears I + c E_ij."""
-    m = _ID
+    elementary shears I + (num/den) E_ij, multiplied on the integer
+    numerators.  Right-multiplying n / q by a shear scales n and q by den
+    and adds num times the old column i to column j; one gcd ends it."""
+    n, q = _ID
     for _ in range(factors):
         i, j = rng.sample(range(3), 2)
-        rows = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
-        rows[i][j] = _nonzero_rational(rng)
-        m = _mul(m, _pair(rows))
-    return m
+        num, den = _nonzero_ratio(rng)
+        m = [x * den for x in n]
+        for r in (0, 3, 6):
+            m[r + j] += num * n[r + i]
+        n, q = m, q * den
+    return _canon(tuple(n), q)
 
 
 def random_tuple(rng: random.Random) -> StokesTuple:
     """Random exact tuple satisfying the relation, solved as solve_relation does."""
-    a, b = _nonzero_rational(rng), _nonzero_rational(rng)
-    h = _pair(diagonal(a, b, 1 / (a * b)))
+    h = _torus(_nonzero_ratio(rng), _nonzero_ratio(rng))
     return _solve(h, *[_shear_product(rng) for _ in range(5)])

@@ -1,6 +1,6 @@
 """Mutation gate: each mutant breaks one piece of the root side, the braid
-engine, the Stokes verifier or the command line, and a narrow selection of
-the tests must catch it.
+engine, the Stokes verifier, its tuple generator or the command line, and a
+narrow selection of the tests must catch it.
 
 Run from anywhere, with pytest installed:
 
@@ -114,6 +114,13 @@ MUTANTS = (
         "        image = dict(zip(distinct, _conj(_torus(a, b), distinct)))\n",
         "        image = image if _ else dict(zip(distinct, _conj(_torus(a, b), distinct)))\n",
         ("tests/test_stokes.py", "-k", "failure_from_a_later_scalar"),
+    ),
+    Mutant(
+        "_shear_product adds column j to column i",
+        "src/wildbraid/stokes.py",
+        "            m[r + j] += num * n[r + i]\n",
+        "            m[r + i] += num * n[r + j]\n",
+        ("tests/test_stokes.py", "-k", "shear_product_matches_fraction_reference"),
     ),
 )
 

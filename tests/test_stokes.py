@@ -12,18 +12,28 @@ from hypothesis import strategies as st
 
 from wildbraid import stokes
 from wildbraid.stokes import (
-    IDENTITY,
     StokesTuple,
     act_sigma,
     act_tau1,
     conjugate_tuple,
-    diagonal,
     mat,
     mmul,
     random_tuple,
     solve_relation,
     verify_properties,
 )
+
+
+IDENTITY = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def diagonal(a, b, c):
+    return mat([[a, 0, 0], [0, b, 0], [0, 0, c]])
+
+
+def nonzero_rational(rng):
+    """The Fraction of stokes._nonzero_ratio's draw."""
+    return Fraction(*stokes._nonzero_ratio(rng))
 
 
 def shear(i, j, c):
@@ -167,7 +177,7 @@ def test_solve_all_identity():
 def test_solve_random_rational_inputs():
     rng = random.Random(1)
     for _ in range(30):
-        a, b = stokes._nonzero_rational(rng), stokes._nonzero_rational(rng)
+        a, b = nonzero_rational(rng), nonzero_rational(rng)
         h = diagonal(a, b, 1 / (a * b))
         t = solve_relation(
             h,
@@ -328,7 +338,7 @@ def test_torus_equivariance_random():
     rng = random.Random(8)
     for _ in range(25):
         t = random_tuple(rng)
-        a, b = stokes._nonzero_rational(rng), stokes._nonzero_rational(rng)
+        a, b = nonzero_rational(rng), nonzero_rational(rng)
         d = diagonal(a, b, 1 / (a * b))
         assert conjugate_tuple(d, act_sigma(t)) == act_sigma(conjugate_tuple(d, t))
         assert conjugate_tuple(d, act_tau1(t)) == act_tau1(conjugate_tuple(d, t))
@@ -417,7 +427,7 @@ def ref_verify_properties(t, rng):
     else:
         check("determinants preserved", True)
     for _ in range(3):
-        a, b = stokes._nonzero_rational(rng), stokes._nonzero_rational(rng)
+        a, b = nonzero_rational(rng), nonzero_rational(rng)
         d = diagonal(a, b, 1 / (a * b))
         dt = ref_conj(d, e)
         equi = ref_conj(d, st_) == ref_sigma(dt) and ref_conj(d, tt) == ref_tau1(dt)
@@ -494,15 +504,14 @@ def test_tuple_keeps_its_pairs_out_of_repr():
 
 
 def test_entries_are_cleared_to_pairs_once(monkeypatch):
-    # random_tuple clears h and the three shears of each of its five random
-    # entries (1 + 5 * 3); the tuple is then built from pairs, so no entry
-    # is cleared again.  The actions clear nothing, solve_relation its inputs.
+    # random_tuple draws h and every shear as integer pairs, so it clears
+    # nothing; the tuple is built from pairs, so no entry is cleared again.
+    # The actions clear nothing, solve_relation its six inputs.
     calls = []
     pair = stokes._pair
     monkeypatch.setattr(stokes, "_pair", lambda *args: calls.append(args) or pair(*args))
     t = random_tuple(random.Random(5))
-    assert len(calls) == 16
-    calls.clear()
+    assert calls == []
     act_sigma(t)
     act_tau1(t)
     assert calls == []
@@ -549,6 +558,72 @@ def test_verifier_transcript_pinned():
         lines.append(repr(verify_properties(t, random.Random(i)).checks))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The plain-Fraction generator: the reference for the integer one
+# ---------------------------------------------------------------------------
+
+
+def ref_shear_product(rng, factors=3):
+    """A product of Fraction shears, drawn as _shear_product draws them."""
+    m = IDENTITY
+    for _ in range(factors):
+        i, j = rng.sample(range(3), 2)
+        m = ref_mmul(m, shear(i, j, nonzero_rational(rng)))
+    return m
+
+
+def ref_random_tuple(rng):
+    a, b = nonzero_rational(rng), nonzero_rational(rng)
+    return solve_relation(diagonal(a, b, 1 / (a * b)), *[ref_shear_product(rng) for _ in range(5)])
+
+
+def test_shear_product_matches_fraction_reference():
+    for seed in range(200):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for factors in (3, 1, 6):
+            assert stokes._shear_product(ours, factors) == P(ref_shear_product(ref, factors))
+        assert ours.getstate() == ref.getstate()
+
+
+def test_random_tuple_matches_fraction_reference():
+    for seed in range(200):
+        ours, ref = random.Random(seed), random.Random(seed)
+        t, u = random_tuple(ours), ref_random_tuple(ref)
+        assert t == u and t.pairs == u.pairs
+        assert ours.getstate() == ref.getstate()
+
+
+class Scripted:
+    """Answers _shear_product's draws from a list of ((i, j), num, den)
+    shears: sample gives (i, j), then the two choices give num and den."""
+
+    def __init__(self, shears):
+        self.draws = iter([x for shear in shears for x in shear])
+
+    def sample(self, population, k):
+        return next(self.draws)
+
+    def choice(self, seq):
+        return next(self.draws)
+
+
+shears = st.tuples(
+    st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]),
+    st.integers(-40, 40),
+    st.integers(1, 12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(shears, max_size=8))
+def test_integer_shears_match_fraction_product(seq):
+    rng = Scripted(seq)
+    product = stokes._shear_product(rng, len(seq))
+    assert next(rng.draws, None) is None
+    factors = [shear(i, j, Fraction(num, den)) for (i, j), num, den in seq]
+    assert product == P(reduce(ref_mmul, factors, IDENTITY))
 
 
 # ---------------------------------------------------------------------------
@@ -631,5 +706,5 @@ def test_torus_equivariance_failure_from_a_later_scalar(monkeypatch):
     report = verify_properties(random_tuple(random.Random(0)), rng)
     assert report.failures() == [("torus equivariance", "fails for d = diag(1/2,-2,-1)")]
     drawn = random.Random(4)
-    assert [stokes._nonzero_rational(drawn) for _ in range(4)][:2] == [-1, -1]
+    assert [nonzero_rational(drawn) for _ in range(4)][:2] == [-1, -1]
     assert rng.getstate() == drawn.getstate()  # two scalars drawn, then the break
