@@ -102,7 +102,10 @@ def _parse_rational(value, where: str) -> Fraction:
             if text.isascii() and "_" not in text and "e" not in text.lower():
                 return Fraction(text)
         except (ValueError, ZeroDivisionError):
-            pass
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            if limit and re.search(f"[0-9]{{{limit + 1}}}", text):
+                raise InputError(f"{where}: entry {_echo(value)} exceeds the interpreter's"
+                                 f" limit of {limit} digits")
         raise InputError(f"{where}: invalid rational {_echo(value)}")
     raise InputError(f"{where}: entry {_echo(value)} is not an exact rational")
 
@@ -193,13 +196,12 @@ def parse_blocks(
         text = source
     elif isinstance(source, (str, Path)):
         try:
-            text = Path(source).read_text()
+            text = Path(source).read_text(encoding="utf-8")  # JSON is UTF-8
         except FileNotFoundError as exc:
             raise InputError(f"no such input file: {_echo(str(source))}") from exc
-        except OSError as exc:
-            raise InputError(
-                f"cannot read input file {_echo(str(source))}: {exc.strerror}"
-            ) from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            why = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 at byte {exc.start}"
+            raise InputError(f"cannot read input file {_echo(str(source))}: {why}") from exc
     else:
         raise InputError("expected a path or a JSON text")
     try:
@@ -208,6 +210,9 @@ def parse_blocks(
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise InputError("JSON nested too deeply") from exc
+    except ValueError as exc:  # an int past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"a JSON number exceeds the interpreter's limit of {limit} digits") from exc
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
     if "points" not in data:

@@ -12,7 +12,8 @@ implemented:
   signed coordinate fusion is the grouping of coordinates by their suffix
   column (A_i, ..., A_p)_c.  ``coordinate_fusions`` reads every level's
   fusion off the coefficients, ``fission_tree`` builds the decorated tree
-  from them and the factors are read off the nodes; no root is enumerated;
+  from them and ``decomposition_from_tree`` reads one factor per node, by
+  one rule for every family; no root is enumerated;
 * the arrangement oracle: enumerate the roots and bucket them by degree;
   the roots Phi_{l+1} adds to Phi_l are bucket l.  ``rootsys.levi_chain``
   walks up the filtration once (the one Levi test), refining each fusion from
@@ -494,41 +495,33 @@ class GroupDecomposition:
 
 def merge_decompositions(parts) -> GroupDecomposition:
     """Product across independent runs (the many-point case)."""
-    factors: list[Factor] = []
-    for d in parts:
-        factors.extend(d.factors)
-    return GroupDecomposition.from_factors(factors)
+    return GroupDecomposition.from_factors([f for d in parts for f in d.factors])
 
 
 def decomposition_from_tree(tree: FissionTree) -> GroupDecomposition:
-    """Read the factor multiset off a decorated fission tree."""
-    factors: list[Factor | None] = []
-    if tree.family == "A":
-        for n in tree.nodes:
-            factors.append(_canonical_factor("PB", tree.k(n.id)))
-        return GroupDecomposition.from_factors(factors)
-    blue = [n for n in tree.nodes if n.colour == BLUE]
-    deepest_blue = None
+    """Read one factor off each node: PB_k at a green node with k children,
+    PB_BC_d at a blue node with d green children and, in family D only,
+    PB_BCD(r, s) at the lowest blue node, with r large and s small children.
+    That node is unique: no green node has a blue child and no node has two
+    blue children (check_tree_invariants), so the blue nodes are one chain
+    down from the root, one per level.
+    """
+    exotic = None
     if tree.family == "D":
-        no_blue_child = [
-            n
-            for n in blue
-            if all(tree.by_id[c].colour != BLUE for c in tree.children(n.id))
-        ]
-        if len(no_blue_child) != 1:
+        exotic = min((n.level for n in tree.nodes if n.colour == BLUE), default=None)
+        if exotic is None:
             raise ValueError("family D tree must have a unique deepest blue node")
-        deepest_blue = no_blue_child[0]
+    factors: list[Factor | None] = []
     for n in tree.nodes:
-        kids = tree.children(n.id)
         if n.colour == GREEN:
-            factors.append(_canonical_factor("PB", len(kids)))
-        elif deepest_blue is not None and n.id == deepest_blue.id:
-            r0 = sum(1 for c in kids if tree.by_id[c].diameter == LARGE)
-            s0 = sum(1 for c in kids if tree.by_id[c].diameter == SMALL)
-            factors.append(_canonical_factor("PBBCD", r0, s0))
+            factors.append(_canonical_factor("PB", tree.k(n.id)))
+            continue
+        kids = [tree.by_id[c] for c in tree.children(n.id)]
+        if n.level == exotic:
+            r = sum(c.diameter == LARGE for c in kids)
+            factors.append(_canonical_factor("PBBCD", r, len(kids) - r))
         else:
-            greens = sum(1 for c in kids if tree.by_id[c].colour == GREEN)
-            factors.append(_canonical_factor("PBBC", greens))
+            factors.append(_canonical_factor("PBBC", sum(c.colour == GREEN for c in kids)))
     return GroupDecomposition.from_factors(factors)
 
 

@@ -1,6 +1,6 @@
-"""Mutation gate: each mutant breaks one piece of the root side, the braid
-engine, the Stokes verifier, its tuple generator or the command line, and a
-narrow selection of the tests must catch it.
+"""Mutation gate: each mutant breaks one piece of the root side, the tree
+reading, the braid engine, the Stokes verifier, its tuple generator or the
+command line, and a narrow selection of the tests must catch it.
 
 Run from anywhere, with pytest installed:
 
@@ -121,6 +121,13 @@ MUTANTS = (
         "            m[r + j] += num * n[r + i]\n",
         "            m[r + i] += num * n[r + j]\n",
         ("tests/test_stokes.py", "-k", "shear_product_matches_fraction_reference"),
+    ),
+    Mutant(
+        "the exotic D node is the highest blue node",
+        "src/wildbraid/fission.py",
+        "        exotic = min((n.level for n in tree.nodes if n.colour == BLUE), default=None)\n",
+        "        exotic = max((n.level for n in tree.nodes if n.colour == BLUE), default=None)\n",
+        ("tests/test_fission.py", "-k", "lowest_blue_node_of_a_long_chain"),
     ),
 )
 

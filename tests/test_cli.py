@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -449,6 +450,48 @@ def test_cmd_deeply_nested_json_exits_2(capsys):
     assert "error: JSON nested too deeply" in capsys.readouterr().err
 
 
+def assert_input_error_exits_2(source, expected, capsys):
+    with pytest.raises(InputError, match=re.escape(expected)):
+        parse_blocks(source)
+    for as_json in (False, True):
+        assert main(["decompose", *(["--json"] if as_json else []), source]) == 2
+        captured = capsys.readouterr()
+        message = json.loads(captured.out)["error"] if as_json else captured.err
+        assert expected in message
+        assert "set_int_max_str_digits" not in captured.out + captured.err
+
+
+def test_cmd_input_file_not_utf8_exits_2(tmp_path, monkeypatch, capsys):
+    # The file is read as UTF-8, whatever the locale's encoding.
+    monkeypatch.chdir(tmp_path)
+    Path("latin.json").write_bytes(SL3_DOC[:52].encode() + b"\xff" + SL3_DOC[52:].encode())
+    expected = "cannot read input file 'latin.json': not UTF-8 at byte 52"
+    assert_input_error_exits_2("latin.json", expected, capsys)
+    Path("half.json").write_text(SL3_DOC.replace('"2"', '"\u00bd"'), encoding="utf-8")
+    with pytest.raises(InputError, match="invalid rational '\u00bd'"):
+        parse_blocks("half.json")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter reads ints of any length",
+)
+@pytest.mark.parametrize("as_string", [False, True], ids=["number", "string"])
+def test_cmd_entry_past_the_digit_limit_exits_2(as_string, tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
+    entry = f'"{digits}"' if as_string else digits
+    doc = '{"lie_type": "A", "rank": 2, "coefficients": [[' + entry + ", -1, 0]]}"
+    where = "input.coefficients[1]: entry '1111" if as_string else "a JSON number"
+    expected = f"exceeds the interpreter's limit of {limit} digits"
+    path = tmp_path / "long.json"
+    path.write_text(doc)
+    for source in (doc, str(path)):
+        assert_input_error_exits_2(source, expected, capsys)
+        with pytest.raises(InputError, match=re.escape(where)):
+            parse_blocks(source)
+
+
 def test_cmd_decompose_exotic_annotation(tmp_path, capsys):
     doc = json.dumps(
         {"lie_type": "D", "rank": 3, "p": 2,
@@ -786,7 +829,10 @@ def test_cmd_error_echo_is_capped(make_doc, as_json, capsys):
     message = json.loads(captured.out)["error"] if as_json else captured.err
     assert len(message) < 150
     assert "..." in message
-    assert ("unknown key 'kkk" if make_doc is _long_key_doc else "invalid rational '999") in message
+    if make_doc is _long_key_doc:
+        assert "unknown key 'kkk" in message
+    else:  # 5,000 digits: past the interpreter's limit, which the message names
+        assert "entry '999" in message and "exceeds the interpreter's limit of" in message
 
 
 @pytest.mark.parametrize("entry", ["1e1000000", "1E2", "2.5e-1"])

@@ -708,6 +708,32 @@ def test_decomposition_generic_d4_tree():
     assert dec.factors == (Factor("PBBCD", 0, 4),)
 
 
+@pytest.mark.parametrize(
+    "rows, blue_levels, want",
+    [
+        # Three blue nodes; the exotic factor sits at the lowest, on level 2.
+        ([(5, 1, 1, 0), (0, 0, 0, 4), (0, 0, 0, 0)], [2, 3, 4], "PB_BC_1 x PB_BCD(1,1) [~ PB_3]"),
+        ([(1, 2, 0, 0), (0, 0, 3, 4)], [2, 3], "PB_BC_2 x PB_BCD(0,2) [~ Z^2]"),
+    ],
+)
+def test_decomposition_reads_the_lowest_blue_node_of_a_long_chain(rows, blue_levels, want):
+    q = irregular_type(build_root_system("D", 4), rows)
+    tree = fission_tree(q)
+    assert sorted(n.level for n in tree.nodes if n.colour == BLUE) == blue_levels
+    assert decomposition_from_tree(tree).canonical_string() == want
+    assert decompose(q, "check").canonical_string() == want
+
+
+def test_decomposition_of_a_family_d_tree_without_blue_nodes_is_rejected():
+    tree = FissionTree(
+        "D",
+        (TreeNode(0, 2, None, GREEN, LARGE), TreeNode(1, 1, 0, GREEN, LARGE),
+         TreeNode(2, 1, 0, GREEN, LARGE)),
+    )
+    with pytest.raises(ValueError, match="family D tree must have a unique deepest blue node"):
+        decomposition_from_tree(tree)
+
+
 def test_decomposition_via_arrangements_sl3():
     _, q = sl3_example()
     assert decomposition_via_arrangements(q).canonical_string() == "PB_2 x PB_2"
@@ -734,6 +760,81 @@ def test_decomposition_g2_two_rank_one_jumps():
 def test_decompose_check_agrees():
     _, q = sl3_example()
     assert decompose(q, method="check").canonical_string() == "PB_2 x PB_2"
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations of the tree route, up to rank 300
+# ---------------------------------------------------------------------------
+#
+# The group depends only on the filtration, up to automorphisms of the root
+# system.  Scaling one coefficient and adding a multiple of a higher one keep
+# every Phi_i, so the tree is the same; a Weyl move or D's diagram
+# automorphism relabels the coordinates, so only the product is the same.
+# Whole coefficients are moved, never single coordinates.
+
+_DEGENERATE_POOL = (0, 0, 1, -1, 2, Fraction(1, 2))
+
+
+@st.composite
+def degenerate_types(draw, min_p=1):
+    """Classical types up to rank 300 with entries from a small pool, so that
+    coordinates fuse at every level; many at rank <= 8, where the root route
+    checks them too."""
+    family = draw(st.sampled_from("ABCD"))
+    lo = 2 if family == "D" else 1
+    rs = build_root_system(family, draw(st.one_of(st.integers(lo, 8), st.integers(9, 300))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [
+        [rng.choice(_DEGENERATE_POOL) for _ in range(rs.ambient_dim)]
+        for _ in range(draw(st.sampled_from(range(min_p, 5))))
+    ]
+    return irregular_type(rs, [project_traceless(r) if family == "A" else r for r in rows])
+
+
+def assert_move_keeps_the_product(q, moved, same_tree):
+    tree, moved_tree = fission_tree(q), fission_tree(moved)
+    if same_tree:
+        assert cli.emit_tree(moved_tree) == cli.emit_tree(tree)
+    want = decomposition_from_tree(tree).canonical_string()
+    assert decomposition_from_tree(moved_tree).canonical_string() == want
+    if q.rs.rank <= 8:
+        checked = decompose(q, "check").canonical_string()
+        assert decompose(moved, "check").canonical_string() == checked
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_types(), st.data())
+def test_scaling_one_coefficient_keeps_the_tree(q, data):
+    i = data.draw(st.integers(0, q.p - 1))
+    c = data.draw(st.fractions(-5, 5, max_denominator=7).filter(bool))
+    rows = [a.coords for a in q.coefficients]
+    rows[i] = [c * x for x in rows[i]]
+    assert_move_keeps_the_product(q, irregular_type(q.rs, rows), same_tree=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_types(min_p=2), st.data())
+def test_adding_a_higher_coefficient_keeps_the_tree(q, data):
+    # A_i += c A_j for j > i: every root of degree < j kills A_j.
+    j = data.draw(st.integers(1, q.p - 1))
+    i = data.draw(st.integers(0, j - 1))
+    c = data.draw(st.fractions(-5, 5, max_denominator=7))
+    rows = [a.coords for a in q.coefficients]
+    rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    assert_move_keeps_the_product(q, irregular_type(q.rs, rows), same_tree=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_types(), st.integers(0, 2**32))
+def test_weyl_move_keeps_the_product(q, seed):
+    # A permutes the coordinates; B/C/D take a signed permutation, with any
+    # number of sign changes (an odd number on D is the diagram automorphism).
+    rng = random.Random(seed)
+    n = q.rs.ambient_dim
+    perm = rng.sample(range(n), n)
+    signs = [1 if q.rs.family == "A" else rng.choice((1, -1)) for _ in range(n)]
+    rows = [[s * a.coords[c] for s, c in zip(signs, perm)] for a in q.coefficients]
+    assert_move_keeps_the_product(q, irregular_type(q.rs, rows), same_tree=False)
 
 
 def test_equal_consecutive_levels_contribute_trivially():
