@@ -235,25 +235,29 @@ def _dumps(doc, depth: int = 0) -> str:
     """json.dumps(doc, indent=2, sort_keys=True), byte for byte, on CLI documents.
 
     json drops to its pure-Python encoder when indent is set; this walks dicts,
-    lists and tuples and encodes scalars by exact type (a bool is never an int)
-    with json's C encoders.  Any other value goes to plain json.dumps.
+    lists and tuples, one comprehension per container (a dict's over its
+    sorted items), and encodes scalars by exact type (a bool is never an int)
+    with json's C encoders, in place.  Any other value goes to plain json.dumps.
     """
     encode = _SCALARS.get(type(doc))
     if encode is not None:
         return encode(doc)
     if type(doc) is dict:
-        keys = sorted(doc)
-        values, brackets = [doc[k] for k in keys], "{}"
+        if not doc:
+            return "{}"
+        brackets = "{}"
+        items = [
+            encode_basestring_ascii(k) + ": "
+            + (e(v) if (e := _SCALARS.get(type(v))) else _dumps(v, depth + 1))
+            for k, v in sorted(doc.items())
+        ]
     elif type(doc) in (list, tuple):
-        keys, values, brackets = None, doc, "[]"
+        if not doc:
+            return "[]"
+        brackets = "[]"
+        items = [e(v) if (e := _SCALARS.get(type(v))) else _dumps(v, depth + 1) for v in doc]
     else:
         return json.dumps(doc)
-    if not values:
-        return brackets
-    # Scalar values are encoded in place: no nested call for most of them.
-    items = [e(v) if (e := _SCALARS.get(type(v))) else _dumps(v, depth + 1) for v in values]
-    if keys is not None:
-        items = [encode_basestring_ascii(k) + ": " + x for k, x in zip(keys, items)]
     pad = "\n" + "  " * (depth + 1)
     return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
 

@@ -10,10 +10,12 @@ implemented:
 
 * the tree fast path: Phi_i is the centraliser of (A_i, ..., A_p), so its
   signed coordinate fusion is the grouping of coordinates by their suffix
-  column (A_i, ..., A_p)_c.  ``coordinate_fusions`` reads every level's
-  fusion off the coefficients, ``fission_tree`` builds the decorated tree
-  from them and ``decomposition_from_tree`` reads one factor per node, by
-  one rule for every family; no root is enumerated;
+  column (A_i, ..., A_p)_c.  One refinement of the coordinates by suffix
+  column, from level p+1 down (``_suffix_classes``), is read by two
+  readers: ``coordinate_fusions`` packs each level into a ``Fusion``, and
+  ``fission_tree`` reads the decorated tree's nodes and parents straight
+  off the classes.  ``decomposition_from_tree`` reads one factor per node,
+  by one rule for every family; no root is enumerated;
 * the arrangement oracle: enumerate the roots and bucket them by degree;
   the roots Phi_{l+1} adds to Phi_l are bucket l.  ``rootsys.levi_chain``
   walks up the filtration once (the one Levi test), refining each fusion from
@@ -151,20 +153,30 @@ def coordinate_fusions(q: IrregularType) -> tuple[Fusion, ...]:
     they are opposite, and a one-entry root of B/C when column a is zero.
     So the fusion groups coordinates by suffix column, up to sign in B/C/D,
     where an all-zero column is pinned; D has no one-entry roots, so a lone
-    zero coordinate is a singleton part there.  The parts are refined from
-    level p+1 down to level 1, keyed by (part, entry * sign) per
-    coordinate; no root is enumerated.
+    zero coordinate is a singleton part there.  The classes and signs come
+    from ``_suffix_classes``; no root is enumerated.
     """
     family = q.rs.family
     if family == "G2":
         raise UnsupportedFamilyError("fusion is defined for classical families only")
+    fusions = [_level_fusion(cls, sign, family) for cls, sign in _suffix_classes(q)]
+    return tuple(reversed(fusions))
+
+
+def _suffix_classes(q: IrregularType):
+    """Each coordinate's class and sign at levels p+1, p, ..., 1 (classical q).
+
+    The class of a coordinate is None while its suffix column is all zero
+    (never in family A); otherwise classes are numbered by first coordinate,
+    and a sign is relative to the first coordinate of the class.  The parts
+    are refined from level p+1 down, keyed by (class, entry * sign) per
+    coordinate.  Yields the same two lists at every level, updated in place:
+    read each level before the next.
+    """
     n = q.rs.ambient_dim
-    # Per coordinate: its class at the current level, or None while its
-    # suffix column is all zero (never in family A), and its sign relative
-    # to the first coordinate of the class.
-    cls: list[int | None] = [0 if family == "A" else None] * n
+    cls: list[int | None] = [0 if q.rs.family == "A" else None] * n
     sign = [1] * n
-    fusions = [_level_fusion(cls, sign, family)]
+    yield cls, sign
     for coeff in reversed(q.coefficients):
         col = linalg.integer_vector(coeff.coords)
         ids: dict[tuple, int] = {}
@@ -184,8 +196,7 @@ def coordinate_fusions(q: IrregularType) -> tuple[Fusion, ...]:
                 flips.append(sign[c])
             cls[c] = j
             sign[c] *= flips[j]
-        fusions.append(_level_fusion(cls, sign, family))
-    return tuple(reversed(fusions))
+        yield cls, sign
 
 
 def _level_fusion(cls: list[int | None], sign: list[int], family: str) -> Fusion:
@@ -297,23 +308,35 @@ def check_tree_invariants(tree: FissionTree) -> None:
     nodes = tree.nodes
     if tree.family not in ("A", "B", "C", "D"):
         raise ValueError("family must be one of A, B, C, D")
-    if len(tree.by_id) != len(nodes):
+    by_id = tree.by_id
+    if len(by_id) != len(nodes):
         raise ValueError("node ids must be unique")
+    roots = []
+    top = nodes[0].level if nodes else None
+    plain = True  # every node green and large, as family A requires
     for n in nodes:
-        if n.colour not in (GREEN, BLUE):
-            raise ValueError(f"colour must be {GREEN} or {BLUE}")
-        if n.diameter not in (SMALL, LARGE):
-            raise ValueError(f"diameter must be {SMALL} or {LARGE}")
-        if n.parent is not None and n.parent not in tree.by_id:
+        if n.colour != GREEN:
+            if n.colour != BLUE:
+                raise ValueError(f"colour must be {GREEN} or {BLUE}")
+            plain = False
+        if n.diameter != LARGE:
+            if n.diameter != SMALL:
+                raise ValueError(f"diameter must be {SMALL} or {LARGE}")
+            plain = False
+        if n.parent is None:
+            roots.append(n)
+        elif n.parent not in by_id:
             raise ValueError("parent must be the id of a node")
-    roots = [n for n in nodes if n.parent is None]
+        if n.level > top:
+            top = n.level
     if len(roots) != 1:
         raise ValueError("tree must have a unique root")
-    if roots[0].level != max(n.level for n in nodes):
+    if roots[0].level != top:
         raise ValueError("root must sit at the top level")
+    children_map = tree.children_map
     for n in nodes:
         if n.parent is not None:
-            par = tree.by_id[n.parent]
+            par = by_id[n.parent]
             if par.level != n.level + 1:
                 raise ValueError("parent must sit one level above its child")
             if par.colour == GREEN and n.colour == BLUE:
@@ -322,17 +345,17 @@ def check_tree_invariants(tree: FissionTree) -> None:
                 raise ValueError("parent diameter must dominate child diameter")
         if n.colour == BLUE and n.diameter != LARGE:
             raise ValueError("blue nodes must be large")
-        kids = tree.children(n.id)
-        if sum(1 for c in kids if tree.by_id[c].colour == BLUE) > 1:
+        kids = children_map[n.id]
+        if len(kids) > 1 and sum(by_id[c].colour == BLUE for c in kids) > 1:
             raise ValueError("at most one blue child per node")
         if n.diameter == SMALL and len(kids) > 1:
             raise ValueError("small nodes have at most one child")
         if (n.level == 1) != (not kids):
             raise ValueError("exactly the level-1 nodes must be leaves")
-    if tree.family == "A" and any(
-        n.colour != GREEN or n.diameter != LARGE for n in nodes
-    ):
+    if tree.family == "A" and not plain:
         raise ValueError("family A trees are all green/large")
+    if tree.family != "A" and roots[0].colour != BLUE:
+        raise ValueError("B/C/D roots must be blue")
 
 
 def fission_tree(q: IrregularType) -> FissionTree:
@@ -340,38 +363,59 @@ def fission_tree(q: IrregularType) -> FissionTree:
 
     One node per part of the level-l coordinate fusion (type-A parts,
     singletons included) plus one blue node per level while the pinned
-    B/C/D block is nonempty; parents are given by part containment.  The
-    fusions come from ``coordinate_fusions``, so no root is enumerated.  Family
-    A trees carry the degenerate all-green/all-large decoration; in the
-    other families green nodes of singleton parts are small.
+    B/C/D block is nonempty; a node's parent is the node one level up that
+    holds its first coordinate.  Each level is read in one scan of the
+    classes of ``_suffix_classes``, so nodes come in first-coordinate order
+    and no root is enumerated.  Family A trees carry the degenerate
+    all-green/all-large decoration; in the other families green nodes of
+    singleton parts are small.
     """
     rs = q.rs
     if rs.family == "G2":
         raise UnsupportedFamilyError("no fission tree for G2; use the arrangement path")
-    per_level: list[list[tuple[tuple[int, ...], str]]] = []
-    for fus in coordinate_fusions(q):
-        entries = [(p, GREEN) for p in fus.parts]
-        if fus.zero:
-            entries.append((fus.zero, BLUE))
-        entries.sort(key=lambda e: e[0][0])
-        per_level.append(entries)
+    family = rs.family
+    # From level p+1 down: each level's entries (coordinate lists, the pinned
+    # block under class None), each entry's parent as an index into the
+    # level above, and the index of the pinned block.
+    levels = []
+    above: list[int] = []  # the entry of each coordinate one level up
+    for cls, _ in _suffix_classes(q):
+        index: dict[int | None, int] = {}
+        entries: list[list[int]] = []
+        owner = []
+        for c, k in enumerate(cls):
+            e = index.get(k)
+            if e is None:
+                e = index[k] = len(entries)
+                entries.append([c])
+            else:
+                entries[e].append(c)
+            owner.append(e)
+        parents = [above[coords[0]] for coords in entries] if above else [None]
+        levels.append((entries, parents, index.get(None)))
+        above = owner
 
-    # Ids run level by level, so the level above starts after this one; its
-    # entries (parts and pinned block) cover every coordinate once.
+    # Ids run level by level from level 1, so the level above starts after
+    # this one.
     nodes: list[TreeNode] = []
-    for level0, entries in enumerate(per_level):
-        above = per_level[level0 + 1] if level0 + 1 < len(per_level) else []
+    for level, (entries, parents, pinned) in enumerate(reversed(levels), start=1):
         first_above = len(nodes) + len(entries)
-        owner = {c: first_above + k for k, (coords, _) in enumerate(above) for c in coords}
-        for coords, colour in entries:
-            small = rs.family != "A" and colour == GREEN and len(coords) < 2
+        for e, coords in enumerate(entries):
+            # D has no one-entry roots, so a lone pinned coordinate is a part.
+            if e == pinned and (family != "D" or len(coords) > 1):
+                colour, diameter = BLUE, LARGE
+            elif family != "A" and len(coords) < 2:
+                colour, diameter = GREEN, SMALL
+            else:
+                colour, diameter = GREEN, LARGE
+            parent = parents[e]
             nodes.append(
                 TreeNode(
-                    len(nodes), level0 + 1, owner.get(coords[0]), colour,
-                    SMALL if small else LARGE, coords,
+                    len(nodes), level, None if parent is None else first_above + parent,
+                    colour, diameter, tuple(coords),
                 )
             )
-    return FissionTree(rs.family, tuple(nodes))
+    return FissionTree(family, tuple(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +546,13 @@ def decomposition_from_tree(tree: FissionTree) -> GroupDecomposition:
     """Read one factor off each node: PB_k at a green node with k children,
     PB_BC_d at a blue node with d green children and, in family D only,
     PB_BCD(r, s) at the lowest blue node, with r large and s small children.
-    That node is unique: no green node has a blue child and no node has two
-    blue children (check_tree_invariants), so the blue nodes are one chain
-    down from the root, one per level.
+    That node exists and is unique: the root is blue, no green node has a
+    blue child and no node has two blue children (check_tree_invariants), so
+    the blue nodes are one chain down from the root, one per level.
     """
     exotic = None
     if tree.family == "D":
-        exotic = min((n.level for n in tree.nodes if n.colour == BLUE), default=None)
-        if exotic is None:
-            raise ValueError("family D tree must have a unique deepest blue node")
+        exotic = min(n.level for n in tree.nodes if n.colour == BLUE)
     factors: list[Factor | None] = []
     for n in tree.nodes:
         if n.colour == GREEN:

@@ -90,8 +90,8 @@ MUTANTS = (
     Mutant(
         "_dumps keeps the keys in insertion order",
         "src/wildbraid/cli.py",
-        "        keys = sorted(doc)\n",
-        "        keys = list(doc)\n",
+        "            for k, v in sorted(doc.items())\n",
+        "            for k, v in doc.items()\n",
         ("tests/test_cli.py", "-k", "dumps_is_json_dumps_indented"),
     ),
     Mutant(
@@ -125,9 +125,23 @@ MUTANTS = (
     Mutant(
         "the exotic D node is the highest blue node",
         "src/wildbraid/fission.py",
-        "        exotic = min((n.level for n in tree.nodes if n.colour == BLUE), default=None)\n",
-        "        exotic = max((n.level for n in tree.nodes if n.colour == BLUE), default=None)\n",
+        "        exotic = min(n.level for n in tree.nodes if n.colour == BLUE)\n",
+        "        exotic = max(n.level for n in tree.nodes if n.colour == BLUE)\n",
         ("tests/test_fission.py", "-k", "lowest_blue_node_of_a_long_chain"),
+    ),
+    Mutant(
+        "fission_tree colours D's lone pinned coordinate blue",
+        "src/wildbraid/fission.py",
+        '            if e == pinned and (family != "D" or len(coords) > 1):\n',
+        "            if e == pinned:\n",
+        ("tests/test_fission.py", "-k", "equals_ref_fission_tree"),
+    ),
+    Mutant(
+        "check_tree_invariants accepts a green B/C/D root",
+        "src/wildbraid/fission.py",
+        '    if tree.family != "A" and roots[0].colour != BLUE:\n',
+        "    if False:\n",
+        ("tests/test_fission.py", "-k", "invalid_tree_is_rejected or without_blue_nodes"),
     ),
 )
 

@@ -424,13 +424,24 @@ def test_coordinate_fusions_d_lone_zero_is_a_part():
     assert (phi1, phi2, phi3) == tuple(fusion_of(level) for level in filtration(q).levels)
 
 
+def plant_wrong_level_2(monkeypatch):
+    """Make the shared refinement hand on a wrong level 2 of the sl3 example:
+    classes (0,) | (1, 2), where A_2 = (-1, -1, 2) gives (0, 1) | (2,)."""
+    real = fission._suffix_classes
+
+    def planted(q):
+        for level, classes in zip(range(q.p + 1, 0, -1), real(q)):
+            yield ([0, 1, 1], [1, 1, 1]) if level == 2 else classes
+
+    monkeypatch.setattr(fission, "_suffix_classes", planted)
+
+
 def test_tree_level_mismatch_names_the_level(monkeypatch):
     # The planted level-2 fusion gives a valid tree with the right product
     # (PB_2 x PB_2), so only the level-by-level check can catch it.
     _, q = sl3_example()
-    real = coordinate_fusions(q)
-    wrong = (real[0], Fusion(((0,), (1, 2)), ((1,), (1, 1)), ()), real[2])
-    monkeypatch.setattr(fission, "coordinate_fusions", lambda q: wrong)
+    plant_wrong_level_2(monkeypatch)
+    assert coordinate_fusions(q)[1] == Fusion(((0,), (1, 2)), ((1,), (1, 1)), ())
     assert decompose(q, method="tree").canonical_string() == "PB_2 x PB_2"
     with pytest.raises(DecompositionMismatchError, match="fission tree level 2 "):
         decompose(q, method="check")
@@ -440,9 +451,7 @@ def test_sweep_records_the_level_mismatch(monkeypatch):
     # The same planted level-2 fusion: the products agree, so the sweep
     # reports it only because it runs the level-by-level check.
     rs, q = sl3_example()
-    real = coordinate_fusions(q)
-    wrong = (real[0], Fusion(((0,), (1, 2)), ((1,), (1, 1)), ()), real[2])
-    monkeypatch.setattr(fission, "coordinate_fusions", lambda q: wrong)
+    plant_wrong_level_2(monkeypatch)
     result = selfcheck.SweepResult()
     selfcheck._sweep_case(rs, q, result)
     (mismatch,) = result.mismatches
@@ -620,6 +629,75 @@ def test_tree_invariants_on_random_inputs():
                 assert len(tree.leaf_order) <= rs.rank + 1
 
 
+def ref_fission_tree(q):
+    """The tree built from the Fusion of each level: parts and the pinned
+    block sorted by first coordinate, parents looked up in an owner dict of
+    the level above.  The reference for fission_tree's one-pass reading."""
+    per_level = []
+    for fus in coordinate_fusions(q):
+        entries = [(p, GREEN) for p in fus.parts]
+        if fus.zero:
+            entries.append((fus.zero, BLUE))
+        entries.sort(key=lambda e: e[0][0])
+        per_level.append(entries)
+    nodes = []
+    for level0, entries in enumerate(per_level):
+        above = per_level[level0 + 1] if level0 + 1 < len(per_level) else []
+        first_above = len(nodes) + len(entries)
+        owner = {c: first_above + k for k, (coords, _) in enumerate(above) for c in coords}
+        for coords, colour in entries:
+            small = q.rs.family != "A" and colour == GREEN and len(coords) < 2
+            nodes.append(
+                TreeNode(
+                    len(nodes), level0 + 1, owner.get(coords[0]), colour,
+                    SMALL if small else LARGE, coords,
+                )
+            )
+    return FissionTree(q.rs.family, tuple(nodes))
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_fission_tree_equals_ref_fission_tree_on_every_chain(family):
+    # Every weak chain of two and of three Levi subsystems, at every rank up
+    # to 4: zero, repeated and lone-zero (D) levels included.
+    chains = 0
+    for rank in range(2 if family == "D" else 1, 5):
+        rs = build_root_system(family, rank)
+        for p in (2, 3):
+            for chain in enumerate_filtration_chains(rs, p):
+                q = irregular_type_for_chain(rs, chain)
+                assert fission_tree(q) == ref_fission_tree(q), (rank, chain)
+                chains += 1
+    assert chains == {"A": 1917, "B": 4964, "C": 4964, "D": 2724}[family]
+
+
+@st.composite
+def types_with_zero_coefficients(draw):
+    """Classical types up to rank 40 from the degeneracy-prone pool, with some
+    coefficients set to zero."""
+    family = draw(st.sampled_from("ABCD"))
+    rs = build_root_system(family, draw(st.integers(2 if family == "D" else 1, 40)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    coeffs = list(random_irregular_type(rs, draw(st.integers(1, 5)), rng).coefficients)
+    for i in range(len(coeffs)):
+        if draw(st.booleans()):
+            coeffs[i] = cartan(rs, [0] * rs.ambient_dim)
+    return IrregularType(rs, tuple(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(types_with_zero_coefficients())
+def test_fission_tree_equals_ref_fission_tree_on_random_types(q):
+    assert fission_tree(q) == ref_fission_tree(q)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_fission_tree_equals_ref_fission_tree_at_rank_1000(family):
+    doc = _rank_1000_doc(family)
+    q = irregular_type(build_root_system(family, 1000), doc["coefficients"])
+    assert fission_tree(q) == ref_fission_tree(q)
+
+
 # One hand-built tree per rule of check_tree_invariants: (family, rows of
 # (id, level, parent, colour, diameter), the rule's message).
 BAD_TREES = {
@@ -677,6 +755,11 @@ BAD_TREES = {
         "exactly the level-1 nodes must be leaves",
     ),
     "family-a-decoration": ("A", [(0, 1, None, GREEN, SMALL)], "family A trees are all"),
+    "green-root": (
+        "B",
+        [(0, 2, None, GREEN, LARGE), (1, 1, 0, GREEN, SMALL), (2, 1, 0, GREEN, SMALL)],
+        "B/C/D roots must be blue",
+    ),
 }
 
 
@@ -725,13 +808,11 @@ def test_decomposition_reads_the_lowest_blue_node_of_a_long_chain(rows, blue_lev
 
 
 def test_decomposition_of_a_family_d_tree_without_blue_nodes_is_rejected():
-    tree = FissionTree(
-        "D",
-        (TreeNode(0, 2, None, GREEN, LARGE), TreeNode(1, 1, 0, GREEN, LARGE),
-         TreeNode(2, 1, 0, GREEN, LARGE)),
-    )
-    with pytest.raises(ValueError, match="family D tree must have a unique deepest blue node"):
-        decomposition_from_tree(tree)
+    # Rejected at construction, so decomposition_from_tree never sees it.
+    nodes = (TreeNode(0, 2, None, GREEN, LARGE), TreeNode(1, 1, 0, GREEN, LARGE),
+             TreeNode(2, 1, 0, GREEN, LARGE))
+    with pytest.raises(ValueError, match="B/C/D roots must be blue"):
+        FissionTree("D", nodes)
 
 
 def test_decomposition_via_arrangements_sl3():
