@@ -2,13 +2,17 @@
 
 Words in the Artin generators s_1..s_{n-1} compose left to right.  Equality
 is decided by the Garside left normal form Delta^k A_1 ... A_r over simple
-(permutation) braids.  First one linear pass per word compares the
-permutations and the row vector (1, ..., n) times the unreduced Burau image
-of the word at t = 3 over F_P, P = 2^61 - 1.  Evaluating at t = 3 mod P is a
-ring homomorphism Z[t^+-1] -> F_P, so equal braids have equal vectors and a
-difference proves the braids differ; Burau is not faithful for n >= 5, so
-equal vectors prove nothing, and the normal form decides every "equal".
-On a word of l letters on n strands the pass costs O(l + n).
+(permutation) braids, on windows only: each word is first reduced freely
+(every adjacent s_i^e s_i^-e dropped) in one O(l) stack pass, and the
+longest common prefix and suffix of the two reduced words are cut off, an
+exact step since P x S = P y S exactly when x = y.  Then one linear pass per
+window compares the permutations and the row vector (1, ..., n) times the
+unreduced Burau image of the window at t = 3 over F_P, P = 2^61 - 1.
+Evaluating at t = 3 mod P is a ring homomorphism Z[t^+-1] -> F_P, so equal
+braids have equal vectors and a difference proves the braids differ; Burau
+is not faithful for n >= 5, so equal vectors prove nothing, and the normal
+forms of the windows decide every "equal".  On a word of l letters on n
+strands the reduction costs O(l) and the pass O(l + n).
 
 For the normal form the word is cut into simple factors, letters of either
 sign extending a factor while it stays simple; only an inverse letter that
@@ -231,18 +235,40 @@ def _burau_pass(b: BraidWord) -> tuple[list[int], list[int]]:
     return c, v
 
 
-def braids_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Word problem: equal normal forms, after the permutation and Burau pass.
+def _free_reduce(letters: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """The letters with every adjacent s_i^e s_i^-e cancelled, in one stack pass."""
+    out = []
+    for g, s in letters:
+        if out and out[-1] == (g, -s):
+            out.pop()
+        else:
+            out.append((g, s))
+    return out
 
-    The pass can only say "different"; True comes from the normal form."""
+
+def braids_equal(a: BraidWord, b: BraidWord) -> bool:
+    """Word problem on the windows where the freely reduced words differ.
+
+    P x S = P y S exactly when x = y, so after free reduction the longest
+    common prefix and then suffix (never reaching into the prefix) are cut
+    off.  On the two windows left, the permutation and Burau pass can only
+    say "different"; True comes from their normal forms."""
     if a.strands != b.strands:
         raise ValueError("strand-count mismatch")
+    x, y = _free_reduce(a.letters), _free_reduce(b.letters)
+    lo, hx, hy = 0, len(x), len(y)
+    while lo < hx and lo < hy and x[lo] == y[lo]:
+        lo += 1
+    while lo < hx and lo < hy and x[hx - 1] == y[hy - 1]:
+        hx -= 1
+        hy -= 1
+    a, b = BraidWord(a.strands, tuple(x[lo:hx])), BraidWord(b.strands, tuple(y[lo:hy]))
     return _burau_pass(a) == _burau_pass(b) and normal_form(a) == normal_form(b)
 
 
 def is_identity_braid(b: BraidWord) -> bool:
-    """The empty word's Burau pass, then the normal form (0, ())."""
-    return _burau_pass(b) == _burau_pass(identity(b.strands)) and normal_form(b) == (0, ())
+    """braids_equal against the empty word."""
+    return braids_equal(b, identity(b.strands))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,20 @@ MUTANTS = (
         ("tests/test_braid.py", "-k", "delta_powers"),
     ),
     Mutant(
+        "free reduction also cancels s_i^e s_i^e",
+        "src/wildbraid/braid.py",
+        "        if out and out[-1] == (g, -s):\n",
+        "        if out and out[-1][0] == g:\n",
+        ("tests/test_braid.py", "-k", "windows"),
+    ),
+    Mutant(
+        "the suffix scan runs into the stripped prefix",
+        "src/wildbraid/braid.py",
+        "    while lo < hx and lo < hy and x[hx - 1] == y[hy - 1]:\n",
+        "    while hx and hy and x[hx - 1] == y[hy - 1]:\n",
+        ("tests/test_braid.py", "-k", "windows"),
+    ),
+    Mutant(
         "_dumps keeps the keys in insertion order",
         "src/wildbraid/cli.py",
         "            for k, v in sorted(doc.items())\n",

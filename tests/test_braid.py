@@ -514,6 +514,101 @@ def test_equal_burau_passes_still_leave_unequal_braids_unequal(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Windows: free reduction, then the common prefix and suffix cut off
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def framed_pairs(draw):
+    """(P x S, P y S) on 2-6 strands, each word with up to three cancelling
+    pairs s s^-1 inserted at random places.  y is x rewritten by relations,
+    x with one letter's generator or sign changed, x with a prefix or suffix
+    of itself added or cut off (so one reduced word can hold the other at
+    both ends, and the windows overlap), or an unrelated word."""
+    n = draw(st.integers(2, 6))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    words = st.lists(letter, max_size=8)
+    p, x, s = draw(words), draw(words), draw(words)
+    kind = draw(st.sampled_from(("relations", "generator", "sign", "repeat", "other")))
+    if kind == "relations":
+        y = rewrite(x, n, random.Random(draw(st.integers(0, 2**32))), draw(st.integers(1, 4)))
+    elif kind in ("generator", "sign") and x:
+        at = draw(st.integers(0, len(x) - 1))
+        g, e = x[at]
+        x_at = (g, -e) if kind == "sign" else (draw(st.integers(1, n - 1)), e)
+        y = x[:at] + [x_at] + x[at + 1:]
+    elif kind == "repeat":
+        k = draw(st.integers(0, len(x)))
+        y = draw(st.sampled_from((x + x[:k], x[k:] + x, x[:k], x[k:])))
+    else:
+        y = draw(words)
+
+    def pad(w):
+        for _ in range(draw(st.integers(0, 3))):
+            at, (g, e) = draw(st.integers(0, len(w))), draw(letter)
+            w = w[:at] + [(g, e), (g, -e)] + w[at:]
+        return BraidWord(n, tuple(w))
+
+    return pad(p + x + s), pad(p + y + s)
+
+
+def assert_decided_as_whole_words(a, b):
+    same = normal_form(a) == normal_form(b)
+    assert braids_equal(a, b) == same
+    assert braids_equal(b, a) == same
+    assert is_identity_braid(a * b.inverse()) == same
+
+
+@settings(max_examples=400, deadline=None)
+@given(framed_pairs())
+def test_braids_equal_on_windows_agrees_with_whole_normal_forms(pair):
+    assert_decided_as_whole_words(*pair)
+
+
+def test_windows_that_overlap_or_differ_in_one_letter():
+    # One reduced word a prefix or suffix of the other, so the suffix scan
+    # would run into the stripped prefix; and pairs one letter or sign apart.
+    cases = [
+        ("s1 s1", "s1", False),
+        ("s1 s2 s1", "s1", False),
+        ("s1 s1 s1", "s1", False),
+        ("s1 s2 s1", "s1 s2", False),
+        ("s1 s2 s1", "s2 s1 s2", True),
+        ("s1 s1^-1 s1", "s1", True),
+        ("s2 s1 s1^-1 s1 s1^-1", "s2^-1 s2 s2", True),
+        ("s1 s2 s3 s1", "s1 s2^-1 s3 s1", False),
+        ("s1 s2 s3 s1", "s1 s1 s3 s1", False),
+        ("s1 s3 s2", "s3 s1 s2", True),
+        ("s1 s3 s2 s2^-1", "s3 s1", True),
+    ]
+    for left, right, equal in cases:
+        a, b = parse_word(left, 4), parse_word(right, 4)
+        assert braids_equal(a, b) == braids_equal(b, a) == equal, (left, right)
+        assert_decided_as_whole_words(a, b)
+    assert not is_identity_braid(parse_word("s1 s1", 2))
+    assert is_identity_braid(parse_word("s1 s2 s2^-1 s1^-1", 3))
+
+
+def test_a_cancelling_pair_leaves_two_empty_windows(monkeypatch):
+    # 1,000 letters on 33 strands against the same with one s s^-1 inserted:
+    # the reduced words agree, so every word the normal form sees is empty.
+    rng = random.Random(1000)
+    w = BraidWord(33, tuple(random_letters(rng, 33, 1000)))
+    seen = []
+    form = braid.normal_form
+    monkeypatch.setattr(braid, "normal_form", lambda b: seen.append(len(b)) or form(b))
+    for at in (0, 1, 500, 999, 1000):
+        g = rng.randint(1, 32)
+        padded = BraidWord(33, w.letters[:at] + ((g, 1), (g, -1)) + w.letters[at:])
+        assert braids_equal(w, padded) and braids_equal(padded, w)
+    assert seen and set(seen) == {0}
+    with pytest.raises(ValueError):
+        braids_equal(identity(2), identity(3))
+    with pytest.raises(ValueError):
+        braids_equal(BraidWord(2, ((1, 1),)), BraidWord(3, ((1, 1),)))
+
+
+# ---------------------------------------------------------------------------
 # direct_sum and block_braid
 # ---------------------------------------------------------------------------
 
