@@ -30,26 +30,26 @@ depends on the order cites this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fission import FissionTree
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in signed Artin generators on ``strands`` strands."""
+class BraidWord(namedtuple("BraidWord", "strands letters")):
+    """A word in signed Artin generators on ``strands`` strands; ``letters``
+    are (generator index 1..n-1, sign +-1) pairs."""
 
-    strands: int
-    letters: tuple[tuple[int, int], ...]  # (generator index 1..n-1, sign +-1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strands < 0:
+    def __new__(cls, strands: int, letters: tuple[tuple[int, int], ...]):
+        if strands < 0:
             raise ValueError("strand count must be nonnegative")
-        for g, s in self.letters:
-            if not 1 <= g <= self.strands - 1:
+        for g, s in letters:
+            if not 1 <= g <= strands - 1:
                 raise ValueError(f"generator s{g} needs at least {g + 1} strands")
             if s not in (1, -1):
                 raise ValueError("signs must be +-1")
+        return super().__new__(cls, strands, letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:

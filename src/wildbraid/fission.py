@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -62,19 +62,16 @@ class UnsupportedFamilyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IrregularType:
+class IrregularType(namedtuple("IrregularType", "rs coefficients")):
     """Coefficients A_1..A_p, listed by ascending power of x."""
 
-    rs: RootSystem
-    coefficients: tuple[CartanElement, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) < 1:
+    def __new__(cls, rs: RootSystem, coefficients: tuple[CartanElement, ...]):
+        if len(coefficients) < 1:
             raise ValueError("p >= 1 required")
-        for c in self.coefficients:
-            if c.rs != self.rs:
+        for c in coefficients:
+            if c.rs != rs:
                 raise ValueError("coefficient belongs to a different root system")
+        return super().__new__(cls, rs, coefficients)
 
     @property
     def p(self) -> int:
@@ -112,14 +109,10 @@ def degree_profile(q: IrregularType) -> tuple[int, ...]:
     return tuple(degrees[::-1] + degrees)
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(namedtuple("Filtration", "rs chain")):
     """The root side: ``chain[i]`` is the ``rootsys.Level`` of Phi_{i+1} (the
     last is the full system); ``levels`` and the immutable per-level
     ``factors`` (``level_factors``) are read off those records once."""
-
-    rs: RootSystem
-    chain: tuple[rootsys.Level, ...]
 
     @cached_property
     def levels(self) -> tuple[RootSubsystem, ...]:
@@ -226,25 +219,20 @@ GREEN, BLUE = "green", "blue"
 SMALL, LARGE = "small", "large"
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    id: int
-    level: int
-    parent: int | None
-    colour: str
-    diameter: str
-    coords: tuple[int, ...] | None = None
+class TreeNode(namedtuple("TreeNode", "id level parent colour diameter coords", defaults=(None,))):
+    """One node: ``parent`` is None at the root; ``coords`` (its coordinate
+    part) is optional."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FissionTree:
+class FissionTree(namedtuple("FissionTree", "family nodes")):
     """A decorated fission tree, valid by construction (check_tree_invariants)."""
 
-    family: str
-    nodes: tuple[TreeNode, ...]
-
-    def __post_init__(self):
+    def __new__(cls, family: str, nodes: tuple[TreeNode, ...]):
+        self = super().__new__(cls, family, nodes)
         check_tree_invariants(self)
+        return self
 
     @cached_property
     def by_id(self) -> dict[int, TreeNode]:
@@ -425,11 +413,8 @@ def fission_tree(q: IrregularType) -> FissionTree:
 _KIND_ORDER = {"Z": 0, "PB": 1, "PBBC": 2, "PBBCD": 3, "G2BRAID": 4}
 
 
-@dataclass(frozen=True)
-class Factor:
-    kind: str
-    a: int = 0
-    b: int = 0
+class Factor(namedtuple("Factor", "kind a b", defaults=(0, 0))):
+    __slots__ = ()
 
     def sort_key(self) -> tuple[int, int, int]:
         return (_KIND_ORDER[self.kind], self.a, self.b)
@@ -480,9 +465,10 @@ def _canonical_factor(kind: str, a: int = 0, b: int = 0) -> Factor | None:
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class GroupDecomposition:
-    factors: tuple[Factor, ...]  # canonical, sorted, no trivial entries
+class GroupDecomposition(namedtuple("GroupDecomposition", "factors")):
+    """``factors``: canonical, sorted, no trivial entries."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_factors(raw: list[Factor | None]) -> "GroupDecomposition":

@@ -44,7 +44,7 @@ kept only for the tests and the benchmark.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import lt
@@ -73,19 +73,15 @@ class ClassificationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(namedtuple("RootSystem", "family rank ambient_dim")):
     """A root system by family and rank; its roots are enumerated on first use.
 
     Routes that only read coordinates (the fission tree) never touch
     ``supports``, so a large-rank system costs nothing until a route asks
     for its roots.  ``supports`` is the one stored form; ``roots`` and
-    ``index_of`` are dense views built on demand.
+    ``index_of`` are dense views built on demand, cached in the instance
+    ``__dict__`` (no ``__slots__``).
     """
-
-    family: str
-    rank: int
-    ambient_dim: int
 
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
@@ -191,18 +187,17 @@ def _enumerate_roots(family: str, dim: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CartanElement:
-    rs: RootSystem
-    coords: tuple[Fraction, ...]
+class CartanElement(namedtuple("CartanElement", "rs coords")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coords) != self.rs.ambient_dim:
+    def __new__(cls, rs: RootSystem, coords: tuple[Fraction, ...]):
+        if len(coords) != rs.ambient_dim:
             raise ValueError(
-                f"coordinate length {len(self.coords)} != ambient dim {self.rs.ambient_dim}"
+                f"coordinate length {len(coords)} != ambient dim {rs.ambient_dim}"
             )
-        if self.rs.family in ("A", "G2") and sum(linalg.integer_vector(self.coords)):
+        if rs.family in ("A", "G2") and sum(linalg.integer_vector(coords)):
             raise ValueError("trace-free coordinates required for families A and G2")
+        return super().__new__(cls, rs, coords)
 
 
 def cartan(rs: RootSystem, values) -> CartanElement:
@@ -221,14 +216,13 @@ def project_traceless(values) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootSubsystem:
-    parent: RootSystem
-    members: tuple[int, ...]  # sorted root indices
+class RootSubsystem(namedtuple("RootSubsystem", "parent members")):
+    """Sorted root indices ``members`` of ``parent``."""
 
-    def __post_init__(self):
-        if not all(map(lt, self.members, self.members[1:])):  # strictly increasing
+    def __new__(cls, parent: RootSystem, members: tuple[int, ...]):
+        if not all(map(lt, members, members[1:])):  # strictly increasing
             raise SubsystemError("members must be sorted and duplicate-free")
+        return super().__new__(cls, parent, members)
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -317,8 +311,7 @@ def levi_of_element(rs: RootSystem, a: CartanElement) -> RootSubsystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Fusion:
+class Fusion(namedtuple("Fusion", "parts signs zero")):
     """Coordinate relations cut out by a subsystem on the Cartan subalgebra.
 
     ``parts`` are the fused coordinate classes (including untouched
@@ -327,9 +320,7 @@ class Fusion:
     coordinates pinned to 0.  Parts are sorted by smallest coordinate.
     """
 
-    parts: tuple[tuple[int, ...], ...]
-    signs: tuple[tuple[int, ...], ...]
-    zero: tuple[int, ...]
+    __slots__ = ()
 
 
 def _signed_classes(n: int, hyperplanes):
@@ -411,8 +402,7 @@ def fusion_of(sub: RootSubsystem) -> Fusion:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArrangementType:
+class ArrangementType(namedtuple("ArrangementType", "kind d r s raw_hyperplanes")):
     """Classification of a restricted hyperplane arrangement.
 
     ``raw_hyperplanes`` are the deduplicated restricted covectors written on
@@ -421,21 +411,20 @@ class ArrangementType:
     pattern match.
     """
 
-    kind: str
-    d: int = 0
-    r: int = 0
-    s: int = 0
-    raw_hyperplanes: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ARRANGEMENT_KINDS:
-            raise ValueError(f"unknown arrangement kind {self.kind!r}")
+    def __new__(cls, kind: str, d: int = 0, r: int = 0, s: int = 0,
+                raw_hyperplanes: tuple[tuple[int, ...], ...] = ()):
+        if kind not in ARRANGEMENT_KINDS:
+            raise ValueError(f"unknown arrangement kind {kind!r}")
+        self = super().__new__(cls, kind, d, r, s, raw_hyperplanes)
         expected = self.expected_count()
-        if expected is not None and len(self.raw_hyperplanes) != expected:
+        if expected is not None and len(raw_hyperplanes) != expected:
             raise ClassificationError(
                 f"{self.describe()} expects {expected} hyperplanes, "
-                f"got {len(self.raw_hyperplanes)}"
+                f"got {len(raw_hyperplanes)}"
             )
+        return self
 
     def expected_count(self) -> int | None:
         if self.kind == "TypeA":
@@ -525,15 +514,12 @@ def _restricted_covectors(
     return covectors, list(nonzero)
 
 
-@dataclass(frozen=True, slots=True)
-class Level:
+class Level(namedtuple("Level", "sub fusion blocks")):
     """One level Phi_l of ``levi_chain``: its subsystem, its fusion (None on
     G2), and the blocks of Phi_l \\ Phi_{l-1} restricted to Ker(Phi_{l-1}),
     classified; none on Phi_1 or on a level that repeats the one below."""
 
-    sub: RootSubsystem
-    fusion: Fusion | None
-    blocks: tuple[ArrangementType, ...]
+    __slots__ = ()
 
 
 def levi_chain(rs: RootSystem, increments) -> tuple[Level, ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import braid, fission, rootsys, stokes
@@ -128,15 +127,18 @@ def criterion_generic_sweep(max_rank: int = 6) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SweepResult:
-    cases: int = 0
-    mismatches: list[str] = field(default_factory=list)
-    bound_violations: list[str] = field(default_factory=list)
-    jump_violations: list[str] = field(default_factory=list)
-    rank2_violations: list[str] = field(default_factory=list)
-    a_trees: dict[tuple, "fission.FissionTree"] = field(default_factory=dict)
-    elapsed: float = 0.0
+    """What run_sweep records for criteria 4, 5 and 8: the failures found, and
+    one type-A fission tree per tree shape."""
+
+    def __init__(self, a_trees: dict[tuple, fission.FissionTree] | None = None):
+        self.cases = 0
+        self.mismatches: list[str] = []
+        self.bound_violations: list[str] = []
+        self.jump_violations: list[str] = []
+        self.rank2_violations: list[str] = []
+        self.a_trees = {} if a_trees is None else a_trees
+        self.elapsed = 0.0
 
 
 _RANK2_ALLOWED = {

@@ -51,7 +51,7 @@ that one set of images.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -158,31 +158,22 @@ def mmul(*ms: Mat) -> Mat:
 
 
 _NAMES = ("h", "B1^1", "B3^1", "B1^2", "B2^2", "B3^2", "B4^2")
-_FIELDS = ("h", "b11", "b31", "b12", "b22", "b32", "b42")
 
 
-@dataclass(frozen=True)
-class StokesTuple:
-    """(h, B^1_1, B^1_3, B^2_1, B^2_2, B^2_3, B^2_4), 3x3, dets 1, h diagonal.
+class StokesTuple(namedtuple("StokesTuple", "h b11 b31 b12 b22 b32 b42")):
+    """(h, B^1_1, B^1_3, B^2_1, B^2_2, B^2_3, B^2_4), 3x3 Mats, dets 1, h diagonal.
 
     The quasi moment-map relation is checked by relation_holds(); it is not
     enforced at construction so that deliberately corrupted tuples can be run
     through the verifier as negative controls.  ``pairs`` holds the seven
-    entries' canonical pairs, cleared once here.
+    entries' canonical pairs, cleared once here; it is an instance attribute,
+    not a field, so it stays out of the repr and of equality.
     """
 
-    h: Mat
-    b11: Mat
-    b31: Mat
-    b12: Mat
-    b22: Mat
-    b32: Mat
-    b42: Mat
-    pairs: tuple[Pair, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pairs = _checked(_pair(m, name) for name, m in self.entries())
-        object.__setattr__(self, "pairs", pairs)
+    def __new__(cls, h: Mat, b11: Mat, b31: Mat, b12: Mat, b22: Mat, b32: Mat, b42: Mat):
+        self = super().__new__(cls, h, b11, b31, b12, b22, b32, b42)
+        self.pairs = _checked(_pair(m, name) for name, m in self.entries())
+        return self
 
     def matrices(self) -> tuple[Mat, ...]:
         return (self.h, self.b11, self.b31, self.b12, self.b22, self.b32, self.b42)
@@ -215,8 +206,8 @@ def _from_pairs(e: tuple[Pair, ...]) -> StokesTuple:
     """The StokesTuple of seven canonical pairs, checked as the constructor
     checks its Mats, without clearing any entry to a pair again."""
     pairs = _checked(e)
-    t = object.__new__(StokesTuple)
-    vars(t).update(zip(_FIELDS, map(_mat, pairs)), pairs=pairs)
+    t = tuple.__new__(StokesTuple, map(_mat, pairs))
+    t.pairs = pairs
     return t
 
 
@@ -289,9 +280,10 @@ def conjugate_tuple(d: Mat, t: StokesTuple) -> StokesTuple:
     return _from_pairs(_conj(p, t.pairs))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[tuple[str, bool, str], ...]
+class VerificationReport(namedtuple("VerificationReport", "checks")):
+    """``checks``: one (name, passed, detail) triple per check."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

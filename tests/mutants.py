@@ -1,6 +1,7 @@
 """Mutation gate: each mutant breaks one piece of the root side, the tree
-reading, the braid engine, the Stokes verifier, its tuple generator or the
-command line, and a narrow selection of the tests must catch it.
+reading, the braid engine, the Stokes verifier, its tuple generator, the
+command line or a record's constructor check, and a narrow selection of the
+tests must catch it.
 
 Run from anywhere, with pytest installed:
 
@@ -156,6 +157,21 @@ MUTANTS = (
         '    if tree.family != "A" and roots[0].colour != BLUE:\n',
         "    if False:\n",
         ("tests/test_fission.py", "-k", "invalid_tree_is_rejected or without_blue_nodes"),
+    ),
+    Mutant(
+        "FissionTree.__new__ skips check_tree_invariants",
+        "src/wildbraid/fission.py",
+        "        check_tree_invariants(self)\n",
+        "",
+        ("tests/test_fission.py", "-k", "rejected_at_construction"),
+    ),
+    Mutant(
+        "BraidWord.__new__ skips the generator-range check",
+        "src/wildbraid/braid.py",
+        "            if not 1 <= g <= strands - 1:\n"
+        '                raise ValueError(f"generator s{g} needs at least {g + 1} strands")\n',
+        "",
+        ("tests/test_records.py", "-k", "braid-generator"),
     ),
 )
 
