@@ -2,17 +2,21 @@
 
 Words in the Artin generators s_1..s_{n-1} compose left to right.  Equality
 is decided by the Garside left normal form Delta^k A_1 ... A_r over simple
-(permutation) braids, on windows only: each word is first reduced freely
-(every adjacent s_i^e s_i^-e dropped) in one O(l) stack pass, and the
-longest common prefix and suffix of the two reduced words are cut off, an
-exact step since P x S = P y S exactly when x = y.  Then one linear pass per
-window compares the permutations and the row vector (1, ..., n) times the
-unreduced Burau image of the window at t = 3 over F_P, P = 2^61 - 1.
+(permutation) braids, on windows only.  The longest common prefix and then
+suffix of the two raw words are cut off, an exact step since P x S = P y S
+exactly when x = y; only the two windows left are reduced freely (every
+adjacent s_i^e s_i^-e dropped, in one stack pass), and their common ends
+are cut off again.  A cancellation across a cut only leaves a longer
+window.  When both windows are then empty, the freely reduced windows agree
+letter for letter and the braids are equal, with no pass or normal form.
+Otherwise one linear pass per window compares the permutations and the row
+vector (1, ..., n) times the unreduced Burau image of the window at t = 3
+over F_P, P = 2^61 - 1.
 Evaluating at t = 3 mod P is a ring homomorphism Z[t^+-1] -> F_P, so equal
 braids have equal vectors and a difference proves the braids differ; Burau
 is not faithful for n >= 5, so equal vectors prove nothing, and the normal
-forms of the windows decide every "equal".  On a word of l letters on n
-strands the reduction costs O(l) and the pass O(l + n).
+forms of the windows decide every other "equal".  On words of l letters on
+n strands the cuts and the reduction cost O(l) and the pass O(l + n).
 
 For the normal form the word is cut into simple factors, letters of either
 sign extending a factor while it stays simple; only an inverse letter that
@@ -82,9 +86,10 @@ def parse_word(text: str, strands: int) -> BraidWord:
         if tok.endswith("^-1"):
             sign = -1
             body = tok[:-3]
-        if not body.startswith("s") or not body[1:].isdigit():
+        digits = body[1:]
+        if not body.startswith("s") or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad braid token {tok!r}")
-        letters.append((int(body[1:]), sign))
+        letters.append((int(digits), sign))
     return BraidWord(strands, tuple(letters))
 
 
@@ -246,23 +251,36 @@ def _free_reduce(letters: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     return out
 
 
-def braids_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Word problem on the windows where the freely reduced words differ.
-
-    P x S = P y S exactly when x = y, so after free reduction the longest
-    common prefix and then suffix (never reaching into the prefix) are cut
-    off.  On the two windows left, the permutation and Burau pass can only
-    say "different"; True comes from their normal forms."""
-    if a.strands != b.strands:
-        raise ValueError("strand-count mismatch")
-    x, y = _free_reduce(a.letters), _free_reduce(b.letters)
+def _cut(x, y):
+    """x and y without their longest common prefix and then their longest
+    common suffix, which never reaches into the prefix."""
     lo, hx, hy = 0, len(x), len(y)
     while lo < hx and lo < hy and x[lo] == y[lo]:
         lo += 1
     while lo < hx and lo < hy and x[hx - 1] == y[hy - 1]:
         hx -= 1
         hy -= 1
-    a, b = BraidWord(a.strands, tuple(x[lo:hx])), BraidWord(b.strands, tuple(y[lo:hy]))
+    return x[lo:hx], y[lo:hy]
+
+
+def braids_equal(a: BraidWord, b: BraidWord) -> bool:
+    """Word problem on the windows where the two words differ.
+
+    P x S = P y S exactly when x = y, so the common ends of the raw letters
+    are cut off, the two windows reduced freely and their common ends cut
+    off again.  Two empty windows mean the freely reduced windows agree
+    letter for letter: True at once.  Otherwise the permutation and Burau
+    pass of the windows can only say "different", and True comes from their
+    normal forms."""
+    if a.strands != b.strands:
+        raise ValueError("strand-count mismatch")
+    x, y = _cut(a.letters, b.letters)
+    x, y = _cut(_free_reduce(x), _free_reduce(y))
+    if not x and not y:
+        return True
+    # The letters come from valid words on a.strands, so they are not re-checked.
+    a = tuple.__new__(BraidWord, (a.strands, tuple(x)))
+    b = tuple.__new__(BraidWord, (b.strands, tuple(y)))
     return _burau_pass(a) == _burau_pass(b) and normal_form(a) == normal_form(b)
 
 

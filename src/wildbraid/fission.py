@@ -302,43 +302,46 @@ def check_tree_invariants(tree: FissionTree) -> None:
     roots = []
     top = nodes[0].level if nodes else None
     plain = True  # every node green and large, as family A requires
+    # Each node is unpacked once: a namedtuple field read costs more than
+    # its share of one tuple unpacking.
     for n in nodes:
-        if n.colour != GREEN:
-            if n.colour != BLUE:
+        _, level, parent, colour, diameter, _ = n
+        if colour != GREEN:
+            if colour != BLUE:
                 raise ValueError(f"colour must be {GREEN} or {BLUE}")
             plain = False
-        if n.diameter != LARGE:
-            if n.diameter != SMALL:
+        if diameter != LARGE:
+            if diameter != SMALL:
                 raise ValueError(f"diameter must be {SMALL} or {LARGE}")
             plain = False
-        if n.parent is None:
+        if parent is None:
             roots.append(n)
-        elif n.parent not in by_id:
+        elif parent not in by_id:
             raise ValueError("parent must be the id of a node")
-        if n.level > top:
-            top = n.level
+        if level > top:
+            top = level
     if len(roots) != 1:
         raise ValueError("tree must have a unique root")
     if roots[0].level != top:
         raise ValueError("root must sit at the top level")
     children_map = tree.children_map
-    for n in nodes:
-        if n.parent is not None:
-            par = by_id[n.parent]
-            if par.level != n.level + 1:
+    for node_id, level, parent, colour, diameter, _ in nodes:
+        if parent is not None:
+            _, par_level, _, par_colour, par_diameter, _ = by_id[parent]
+            if par_level != level + 1:
                 raise ValueError("parent must sit one level above its child")
-            if par.colour == GREEN and n.colour == BLUE:
+            if par_colour == GREEN and colour == BLUE:
                 raise ValueError("parent colour must dominate child colour")
-            if par.diameter == SMALL and n.diameter == LARGE:
+            if par_diameter == SMALL and diameter == LARGE:
                 raise ValueError("parent diameter must dominate child diameter")
-        if n.colour == BLUE and n.diameter != LARGE:
+        if colour == BLUE and diameter != LARGE:
             raise ValueError("blue nodes must be large")
-        kids = children_map[n.id]
+        kids = children_map[node_id]
         if len(kids) > 1 and sum(by_id[c].colour == BLUE for c in kids) > 1:
             raise ValueError("at most one blue child per node")
-        if n.diameter == SMALL and len(kids) > 1:
+        if diameter == SMALL and len(kids) > 1:
             raise ValueError("small nodes have at most one child")
-        if (n.level == 1) != (not kids):
+        if (level == 1) != (not kids):
             raise ValueError("exactly the level-1 nodes must be leaves")
     if tree.family == "A" and not plain:
         raise ValueError("family A trees are all green/large")

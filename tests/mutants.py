@@ -103,6 +103,13 @@ MUTANTS = (
         ("tests/test_braid.py", "-k", "windows"),
     ),
     Mutant(
+        "one empty window settles the pair as equal",
+        "src/wildbraid/braid.py",
+        "    if not x and not y:\n",
+        "    if not x or not y:\n",
+        ("tests/test_braid.py", "-k", "windows"),
+    ),
+    Mutant(
         "_dumps keeps the keys in insertion order",
         "src/wildbraid/cli.py",
         "            for k, v in sorted(doc.items())\n",
