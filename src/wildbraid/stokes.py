@@ -29,23 +29,25 @@ Arithmetic runs on one canonical integer form.  A matrix m is the pair
 m = n / q and gcd(q, *n) == 1.  Each rational matrix has exactly one such
 pair, so matrix equality is tuple equality, the identity is
 ((1, 0, 0, 0, 1, 0, 0, 0, 1), 1) and det(m) = 1 reads det(n) == q**3.
-_pair checks a Mat's shape and clears its denominators, once per entry:
+_pair checks a Mat's shape, refuses float and bool entries (so does mat)
+and clears its denominators, once per entry:
 a StokesTuple keeps its seven pairs as ``pairs``, and the actions,
 solve_relation and random_tuple build their tuples from pairs
 (``_from_pairs``, with the constructor's checks), clearing nothing again.
 random_tuple clears nothing at all: it draws and multiplies its shears on
 integer pairs (_shear_product) and builds h as a pair (_torus).
 The kernel (_mul, _det, _inv, _conj) takes and returns pairs, with one gcd
-per result in _canon.
+per result in _canon.  Each unpacks its 9-tuples and builds its results
+unrolled, entry by entry: on small ints, interpreter steps set the cost.
 Fractions are built only at the edges: by _mat, when a public function
 returns a Mat, in the public Mat API (mat, mmul) and in verify_properties'
 failure details.
 
 verify_properties draws a and b of each torus scalar diag(a, b, 1/(ab)) as
 (num, den) int pairs and builds the scalar as a canonical pair directly
-(_torus).  For each scalar it conjugates each distinct entry of the tuple
-and of its two images once, and reads the three conjugated tuples from
-that one set of images.
+(_torus).  It numbers the 21 entries of the tuple and of its two images
+once by slot, one slot per distinct entry; each scalar conjugates every
+distinct entry once and reads the three conjugated tuples by slot.
 """
 
 from __future__ import annotations
@@ -59,8 +61,15 @@ Mat = tuple[tuple[Fraction, ...], ...]
 Pair = tuple[tuple[int, ...], int]
 
 
+def _exact(x, name: str):
+    """x itself, unless it is a float (inexact) or a bool (not a number)."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{name} entry {x!r} is not an exact rational")
+    return x
+
+
 def mat(rows) -> Mat:
-    m = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    m = tuple(tuple(Fraction(_exact(x, "matrix")) for x in row) for row in rows)
     if len(m) != 3 or any(len(r) != 3 for r in m):
         raise ValueError("3x3 matrix required")
     return m
@@ -83,7 +92,7 @@ def _pair(m: Mat, name: str = "matrix") -> Pair:
     """
     if len(m) != 3 or any(len(row) != 3 for row in m):
         raise ValueError(f"{name} must be 3x3")
-    ratios = [x.as_integer_ratio() for row in m for x in row]
+    ratios = [_exact(x, name).as_integer_ratio() for row in m for x in row]
     # A list, not a generator: unpacking a generator builds an oversized
     # tuple and shrinks it, which fills CPython's tuple free list (+0.2 MB).
     q = lcm(*[d for _, d in ratios])
@@ -103,24 +112,22 @@ def _canon(n: tuple[int, ...], q: int) -> Pair:
         g = -g
     if g == 1:
         return n, q
-    return tuple([x // g for x in n]), q // g
-
-
-def _prod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
-        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
-        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
-    )
+    n0, n1, n2, n3, n4, n5, n6, n7, n8 = n
+    return (n0 // g, n1 // g, n2 // g, n3 // g, n4 // g,
+            n5 // g, n6 // g, n7 // g, n8 // g), q // g
 
 
 def _mul(*ps: Pair) -> Pair:
     """Exact product: the integer matrices multiply, and one gcd ends it."""
     n, q = ps[0]
-    for m, r in ps[1:]:
-        n, q = _prod(n, m), q * r
+    for (b0, b1, b2, b3, b4, b5, b6, b7, b8), r in ps[1:]:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = n
+        n = (
+            a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+        )
+        q *= r
     return _canon(n, q)
 
 
@@ -136,12 +143,11 @@ def _inv(p: Pair) -> Pair:
     det = a * c0 + b * c1 + c * c2
     if det == 0:
         raise ZeroDivisionError("singular matrix")
-    adj = (
-        c0, c * h - b * i, b * f - c * e,
-        c1, a * i - c * g, c * d - a * f,
-        c2, b * g - a * h, a * e - b * d,
-    )
-    return _canon(tuple([q * x for x in adj]), det)
+    return _canon((
+        q * c0, q * (c * h - b * i), q * (b * f - c * e),
+        q * c1, q * (a * i - c * g), q * (c * d - a * f),
+        q * c2, q * (b * g - a * h), q * (a * e - b * d),
+    ), det)
 
 
 def _is_diagonal(n: tuple[int, ...]) -> bool:
@@ -190,8 +196,8 @@ class StokesTuple(namedtuple("StokesTuple", "h b11 b31 b12 b22 b32 b42")):
 
 
 def _checked(pairs) -> tuple[Pair, ...]:
-    """The seven entries' pairs, each checked for determinant 1 as it comes,
-    then h for being diagonal: the checks of the StokesTuple constructor."""
+    """The entries' pairs (seven, or solve_relation's six), each checked for
+    determinant 1 as it comes, then h for being diagonal, as the constructor does."""
     out = []
     for name, (n, q) in zip(_NAMES, pairs):
         if _det(n) != q**3:
@@ -240,16 +246,22 @@ def _conj(d: Pair, e: tuple[Pair, ...]) -> tuple[Pair, ...]:
     With D the integer diagonal of d and L = lcm(D) > 0, entry (i, j) scales
     by d_i / d_j = D_i (L / D_j) / L, so n_ij gains D_i (L / D_j) and q gains L.
     """
-    dn = d[0]
-    diag = (dn[0], dn[4], dn[8])
-    big = lcm(*diag)
-    s = [di * (big // dj) for di in diag for dj in diag]
-    return tuple([_canon(tuple([x * y for x, y in zip(n, s)]), q * big) for n, q in e])
+    x, _, _, _, y, _, _, _, z = d[0]
+    big = lcm(x, y, z)  # the diagonal's scale D_i (L / D_i) is L itself
+    bx, by, bz = big // x, big // y, big // z
+    xy, xz, yx, yz, zx, zy = x * by, x * bz, y * bx, y * bz, z * bx, z * by
+    return tuple([
+        _canon((n0 * big, n1 * xy, n2 * xz, n3 * yx, n4 * big,
+                n5 * yz, n6 * zx, n7 * zy, n8 * big), q * big)
+        for (n0, n1, n2, n3, n4, n5, n6, n7, n8), q in e
+    ])
 
 
 def solve_relation(h: Mat, b11: Mat, b31: Mat, b12: Mat, b22: Mat, b32: Mat) -> StokesTuple:
-    """Fill in B^2_4 so the relation holds exactly."""
-    return _solve(*[_pair(m, name) for name, m in zip(_NAMES, (h, b11, b31, b12, b22, b32))])
+    """Fill in B^2_4 so the relation holds exactly.  The six given entries are
+    checked first, as the constructor checks them: a singular one is a ValueError."""
+    given = (h, b11, b31, b12, b22, b32)
+    return _solve(*_checked(_pair(m, name) for name, m in zip(_NAMES, given)))
 
 
 def _solve(h: Pair, b11: Pair, b31: Pair, b12: Pair, b22: Pair, b32: Pair) -> StokesTuple:
@@ -316,15 +328,18 @@ def verify_properties(t: StokesTuple, rng: random.Random | None = None) -> Verif
     else:
         check("determinants preserved", True)
     # Conjugation by d acts entry by entry, so each scalar conjugates each
-    # distinct entry of e, st and tt once: st shares five entries with e,
-    # tt shares two.
-    distinct = tuple(dict.fromkeys(e + st + tt))
+    # distinct entry of e, st and tt once (st shares five entries with e, tt
+    # two); each of the 21 positions holds the slot of its distinct entry,
+    # and each scalar reads its three conjugated tuples by slot.
+    slots: dict[Pair, int] = {}
+    index = [slots.setdefault(m, len(slots)) for m in e + st + tt]
+    distinct = tuple(slots)
     for _ in range(3):
         a, b = _nonzero_ratio(rng), _nonzero_ratio(rng)
-        image = dict(zip(distinct, _conj(_torus(a, b), distinct)))
-        dt = tuple([image[m] for m in e])
-        equi = (tuple([image[m] for m in st]) == _sigma(dt)
-                and tuple([image[m] for m in tt]) == _tau1(dt))
+        image = _conj(_torus(a, b), distinct)
+        c = [image[k] for k in index]
+        dt = tuple(c[:7])
+        equi = tuple(c[7:14]) == _sigma(dt) and tuple(c[14:]) == _tau1(dt)
         if not equi:
             a, b = Fraction(*a), Fraction(*b)
             check("torus equivariance", False, f"fails for d = diag({a},{b},{1 / (a * b)})")

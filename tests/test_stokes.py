@@ -151,9 +151,47 @@ def test_canonical_pair_is_unique(a, k):
     assert stokes._canon(tuple(-x for x in n), -q) == (n, q)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(matrices, st.integers(-30, 30).filter(bool)), min_size=1, max_size=7))
+def test_mul_matches_fraction_product_at_every_arity(factors):
+    # Each factor as a pair (k n, k q) of the matrix n / q, canonical only
+    # when k = 1: a single factor is put in canonical form, more factors
+    # multiply, and the relation's product has seven.
+    pairs = []
+    for m, k in factors:
+        n, q = P(m)
+        pairs.append((tuple(k * x for x in n), k * q))
+    product = stokes._mul(*pairs)
+    assert product == P(reduce(ref_mmul, [m for m, _ in factors]))
+    n, q = product
+    assert q > 0 and gcd(q, *n) == 1
+
+
 def test_minv_singular_raises():
     with pytest.raises(ZeroDivisionError):
         minv(mat([[1, Fraction(1, 2), 0], [2, 1, 0], [0, 0, Fraction(1, 3)]]))
+
+
+def test_float_and_bool_entries_are_refused():
+    # A float is not exact and a bool is not a number; ints, Fractions and
+    # the strings Fraction reads stay accepted.
+    floats = ((1.0, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="^h entry 1.0 is not an exact rational$"):
+        StokesTuple(*[floats] * 7)
+    with pytest.raises(ValueError, match="^B4\\^2 entry True is not an exact rational$"):
+        StokesTuple(*[IDENTITY] * 6, ((True, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="^matrix entry 0.1 is not an exact rational$"):
+        mmul(((0.1, 0, 0), (0, 1, 0), (0, 0, 1)), IDENTITY)
+    with pytest.raises(ValueError, match="^matrix entry 0.5 is not an exact rational$"):
+        mat([[1, 0, 0], [0, 0.5, 0], [0, 0, 2]])
+    with pytest.raises(ValueError, match="^matrix entry False is not an exact rational$"):
+        mat([[1, False, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="^d entry 2.0 is not an exact rational$"):
+        conjugate_tuple(((2.0, 0, 0), (0, 1, 0), (0, 0, 0.5)), identity_tuple())
+    ints = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert StokesTuple(*[ints] * 7) == identity_tuple()
+    assert mat([[Fraction(1, 2), 0, 0], [0, "2", 0], [0, 0, 1]]) == diagonal(Fraction(1, 2), 2, 1)
+    assert mmul(ints, diagonal(Fraction(1, 2), 2, 1)) == diagonal(Fraction(1, 2), 2, 1)
 
 
 def test_mat_shape_checked():
@@ -212,6 +250,23 @@ def test_solve_scale_case_explicit_inverse():
     b22 = shear(1, 0, 1)
     t = solve_relation(IDENTITY, IDENTITY, IDENTITY, b12, b22, IDENTITY)
     assert t.b42 == mat([[2, -1, 0], [-1, 1, 0], [0, 0, 1]])
+
+
+def test_solve_rejects_singular_entries_before_inverting():
+    # Singular entries fail the constructor's checks, in its order (every
+    # determinant, then h diagonal), not the kernel's inverse, as a
+    # determinant other than 0 or 1 does.
+    singular = mat([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="^determinant of h must be 1$"):
+        solve_relation(singular, *[IDENTITY] * 5)
+    with pytest.raises(ValueError, match="^determinant of B3\\^2 must be 1$"):
+        solve_relation(*[IDENTITY] * 5, mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+    with pytest.raises(ValueError, match="^determinant of B1\\^2 must be 1$"):
+        solve_relation(*[IDENTITY] * 3, diagonal(2, 1, 1), IDENTITY, singular)
+    with pytest.raises(ValueError, match="^determinant of B3\\^2 must be 1$"):
+        solve_relation(shear(0, 1, 1), *[IDENTITY] * 4, singular)
+    with pytest.raises(ValueError, match="^h must be diagonal$"):
+        solve_relation(shear(0, 1, 1), *[IDENTITY] * 5)
 
 
 def test_constructor_rejects_bad_determinant():
