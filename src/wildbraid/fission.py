@@ -35,6 +35,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from operator import lt
 
 from . import linalg, rootsys
 from .rootsys import (
@@ -96,8 +97,9 @@ def degree_profile(q: IrregularType) -> tuple[int, ...]:
     """d_alpha = max{ i : alpha(A_i) != 0 } (0 if none), aligned with ``q.rs.roots``.
 
     Walks the coefficients bottom-up, skipping zero ones: each nonzero A_i
-    is evaluated once by ``rootsys.root_values`` (only zero/non-zero is
-    read) and i is written on every lex-positive root it does not kill.
+    is evaluated once by ``rootsys.root_values``, on its integer column
+    ``A_i.ints`` (only zero/non-zero is read), and i is written on every
+    lex-positive root it does not kill.
     Since d_alpha = d_{-alpha}, the negatives mirror the positive half.
     """
     half = len(q.rs.positive_indices)
@@ -163,15 +165,17 @@ def _suffix_classes(q: IrregularType):
     (never in family A); otherwise classes are numbered by first coordinate,
     and a sign is relative to the first coordinate of the class.  The parts
     are refined from level p+1 down, keyed by (class, entry * sign) per
-    coordinate.  Yields the same two lists at every level, updated in place:
-    read each level before the next.
+    coordinate, where the entries are each coefficient's integer column
+    ``ints`` (cleared of denominators when the coefficient was built).
+    Yields the same two lists at every level, updated in place: read each
+    level before the next.
     """
     n = q.rs.ambient_dim
     cls: list[int | None] = [0 if q.rs.family == "A" else None] * n
     sign = [1] * n
     yield cls, sign
     for coeff in reversed(q.coefficients):
-        col = linalg.integer_vector(coeff.coords)
+        col = coeff.ints
         ids: dict[tuple, int] = {}
         flips: list[int] = []
         for c in range(n):
@@ -227,24 +231,34 @@ class TreeNode(namedtuple("TreeNode", "id level parent colour diameter coords", 
 
 
 class FissionTree(namedtuple("FissionTree", "family nodes")):
-    """A decorated fission tree, valid by construction (check_tree_invariants)."""
+    """A decorated fission tree, valid by construction (check_tree_invariants).
+
+    ``by_id`` (each node by its id) and ``children_map`` (each node's
+    children's ids, ascending) are built here, in one pass over the nodes;
+    they are instance attributes, not fields.
+    """
 
     def __new__(cls, family: str, nodes: tuple[TreeNode, ...]):
         self = super().__new__(cls, family, nodes)
+        by_id: dict[int, TreeNode] = {}
+        kids: dict[int, list[int]] = {}
+        for n in nodes:
+            node_id, _, parent, _, _, _ = n
+            by_id[node_id] = n
+            if parent is not None:
+                if parent in kids:
+                    kids[parent].append(node_id)
+                else:
+                    kids[parent] = [node_id]
+        # Appended in node order, so each node's children ascend when the ids do.
+        ids = list(by_id)
+        if not all(map(lt, ids, ids[1:])):
+            for v in kids.values():
+                v.sort()
+        self.by_id = by_id
+        self.children_map = {i: tuple(kids[i]) if i in kids else () for i in ids}
         check_tree_invariants(self)
         return self
-
-    @cached_property
-    def by_id(self) -> dict[int, TreeNode]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
-    def children_map(self) -> dict[int, tuple[int, ...]]:
-        kids: dict[int, list[int]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            if n.parent is not None:
-                kids[n.parent].append(n.id)
-        return {i: tuple(sorted(v)) for i, v in kids.items()}
 
     def children(self, node_id: int) -> tuple[int, ...]:
         return self.children_map[node_id]
@@ -542,13 +556,14 @@ def decomposition_from_tree(tree: FissionTree) -> GroupDecomposition:
     exotic = None
     if tree.family == "D":
         exotic = min(n.level for n in tree.nodes if n.colour == BLUE)
+    by_id, children_map = tree.by_id, tree.children_map
     factors: list[Factor | None] = []
-    for n in tree.nodes:
-        if n.colour == GREEN:
-            factors.append(_canonical_factor("PB", tree.k(n.id)))
+    for node_id, level, _, colour, _, _ in tree.nodes:
+        if colour == GREEN:
+            factors.append(_canonical_factor("PB", len(children_map[node_id])))
             continue
-        kids = [tree.by_id[c] for c in tree.children(n.id)]
-        if n.level == exotic:
+        kids = [by_id[c] for c in children_map[node_id]]
+        if level == exotic:
             r = sum(c.diameter == LARGE for c in kids)
             factors.append(_canonical_factor("PBBCD", r, len(kids) - r))
         else:

@@ -6,8 +6,10 @@ root-system computations: at most a few hundred rows and a few dozen
 columns.  Rank, span and kernel questions must be decided exactly because
 they encode discrete invariants; they only ask whether a quantity is zero,
 so the elimination runs fraction-free.  ``integer_vector`` clears the
-denominators of a rational coefficient vector; it is the one place where
-``fractions.Fraction`` input is accepted.
+denominators of a rational coefficient vector, the one place here where
+``fractions.Fraction`` input is accepted; ``rootsys.CartanElement`` calls it
+once per coefficient, when the coefficient is built, and the parser once
+per parsed A/G2 vector for its trace check.
 """
 
 from __future__ import annotations

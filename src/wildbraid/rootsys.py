@@ -47,6 +47,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import lt
 
 from . import linalg
@@ -188,16 +189,30 @@ def _enumerate_roots(family: str, dim: int) -> tuple[tuple[int, ...], ...]:
 
 
 class CartanElement(namedtuple("CartanElement", "rs coords")):
-    __slots__ = ()
+    """A point of the Cartan subalgebra by its coordinates.
+
+    ``ints`` is ``coords`` cleared of denominators (times the lcm of their
+    denominators), once here: every route asks of a coefficient only which
+    of its root values are zero, and reads them off ``ints``.  It is an
+    instance attribute, not a field, so it stays out of the repr, equality
+    and hash.
+    """
 
     def __new__(cls, rs: RootSystem, coords: tuple[Fraction, ...]):
         if len(coords) != rs.ambient_dim:
             raise ValueError(
                 f"coordinate length {len(coords)} != ambient dim {rs.ambient_dim}"
             )
-        if rs.family in ("A", "G2") and sum(linalg.integer_vector(coords)):
+        try:
+            ints = tuple(linalg.integer_vector(coords))
+        except AttributeError:  # an entry without as_integer_ratio
+            bad = next(x for x in coords if not hasattr(x, "as_integer_ratio"))
+            raise ValueError(f"coordinate entry {bad!r} is not an exact rational") from None
+        if rs.family in ("A", "G2") and sum(ints):
             raise ValueError("trace-free coordinates required for families A and G2")
-        return super().__new__(cls, rs, coords)
+        self = super().__new__(cls, rs, coords)
+        self.ints = ints
+        return self
 
 
 def cartan(rs: RootSystem, values) -> CartanElement:
@@ -205,10 +220,18 @@ def cartan(rs: RootSystem, values) -> CartanElement:
 
 
 def project_traceless(values) -> tuple[Fraction, ...]:
-    """Project onto the sum-zero subspace (families A and G2)."""
-    vals = [Fraction(v) for v in values]
-    shift = sum(vals) / len(vals)
-    return tuple(v - shift for v in vals)
+    """Project a sequence of rationals onto the sum-zero subspace (families
+    A and G2), in integers: with the n values written a_c / d over their
+    common denominator d, entry c is (n a_c - sum(a)) / (n d).
+    """
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:  # a string, which Fraction reads
+        ratios = [Fraction(v).as_integer_ratio() for v in values]
+    d = lcm(*[q for _, q in ratios])
+    ints = [a * (d // q) for a, q in ratios]
+    n, total = len(ints), sum(ints)
+    return tuple([Fraction(n * a - total, n * d) for a in ints])
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +307,12 @@ def subsystem_from_vectors(rs: RootSystem, vectors) -> RootSubsystem:
 def root_values(a: CartanElement) -> list[int]:
     """alpha(a) for every root alpha, aligned with roots, times one positive int.
 
-    Only zero/non-zero is read off these values, so the coordinates are
-    cleared of denominators once.  Each lex-positive root is evaluated on
-    its flat support, and its negative at the mirror index gets the negated
-    value: v(-alpha) = -v(alpha).
+    Only zero/non-zero is read off these values, so they are taken on
+    ``a.ints``, the coordinates cleared of denominators when a was built.
+    Each lex-positive root is evaluated on its flat support, and its
+    negative at the mirror index gets the negated value: v(-alpha) = -v(alpha).
     """
-    coords = linalg.integer_vector(a.coords)
+    coords = a.ints
     supports = a.rs.supports
     positive = supports[len(supports) // 2 :]
     if a.rs.family == "G2":

@@ -64,8 +64,12 @@ Pair = tuple[tuple[int, ...], int]
 def _exact(x, name: str):
     """x itself, unless it is a float (inexact) or a bool (not a number)."""
     if isinstance(x, (float, bool)):
-        raise ValueError(f"{name} entry {x!r} is not an exact rational")
+        raise _inexact(x, name)
     return x
+
+
+def _inexact(x, name: str) -> ValueError:
+    return ValueError(f"{name} entry {x!r} is not an exact rational")
 
 
 def mat(rows) -> Mat:
@@ -92,7 +96,11 @@ def _pair(m: Mat, name: str = "matrix") -> Pair:
     """
     if len(m) != 3 or any(len(row) != 3 for row in m):
         raise ValueError(f"{name} must be 3x3")
-    ratios = [_exact(x, name).as_integer_ratio() for row in m for x in row]
+    try:
+        ratios = [_exact(x, name).as_integer_ratio() for row in m for x in row]
+    except AttributeError:  # a str (which mat reads) or a complex
+        bad = next(x for row in m for x in row if not hasattr(x, "as_integer_ratio"))
+        raise _inexact(bad, name) from None
     # A list, not a generator: unpacking a generator builds an oversized
     # tuple and shrinks it, which fills CPython's tuple free list (+0.2 MB).
     q = lcm(*[d for _, d in ratios])

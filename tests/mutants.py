@@ -117,6 +117,13 @@ MUTANTS = (
         ("tests/test_cli.py", "-k", "dumps_is_json_dumps_indented"),
     ),
     Mutant(
+        "CartanElement keeps the unscaled numerators as ints",
+        "src/wildbraid/rootsys.py",
+        "            ints = tuple(linalg.integer_vector(coords))\n",
+        "            ints = tuple(x.as_integer_ratio()[0] for x in coords)\n",
+        ("tests/test_records.py", "-k", "cartan_ints"),
+    ),
+    Mutant(
         "degree_profile evaluates the roots on every coefficient",
         "src/wildbraid/fission.py",
         "        if any(coeff.coords):\n",
@@ -173,6 +180,13 @@ MUTANTS = (
         '    if tree.family != "A" and roots[0].colour != BLUE:\n',
         "    if False:\n",
         ("tests/test_fission.py", "-k", "invalid_tree_is_rejected or without_blue_nodes"),
+    ),
+    Mutant(
+        "FissionTree.__new__ leaves the children unsorted when ids do not ascend",
+        "src/wildbraid/fission.py",
+        "        if not all(map(lt, ids, ids[1:])):\n",
+        "        if False:\n",
+        ("tests/test_fission.py", "-k", "non_ascending_ids"),
     ),
     Mutant(
         "FissionTree.__new__ skips check_tree_invariants",

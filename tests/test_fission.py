@@ -155,6 +155,26 @@ def test_root_values_runs_once_per_nonzero_coefficient(q, monkeypatch):
     assert seen == [a for a in q.coefficients if any(a.coords)]
 
 
+@pytest.mark.parametrize("family", ["A", "B", "C", "D", "G2"])
+def test_no_coefficient_is_cleared_again_once_built(family, monkeypatch):
+    # Both routes read each coefficient's integer column ``ints``, cleared
+    # of denominators when the coefficient was built, and never clear again.
+    rs = build_root_system(family, 2 if family == "G2" else 4)
+    rng = random.Random(23)
+    qs = [random_irregular_type(rs, p, rng) for p in (1, 2, 3, 3)]
+    assert any(type(x) is Fraction and x.denominator > 1 for q in qs for a in q.coefficients
+               for x in a.coords)
+    calls = []
+    integer_vector = rootsys.linalg.integer_vector
+    monkeypatch.setattr(rootsys.linalg, "integer_vector", lambda v: calls.append(v) or integer_vector(v))
+    for q in qs:
+        decompose(q, "check")
+        if family != "G2":
+            fission_tree(q)
+        level_factors(q)
+    assert calls == []
+
+
 def every_level_type(rs, p):
     """A_k = e_k for k = 1..p (on A, n e_k - (1, ..., 1), which has trace zero)."""
     n = rs.ambient_dim
@@ -768,6 +788,29 @@ def test_invalid_tree_is_rejected_at_construction(family, rows, rule):
     nodes = tuple(TreeNode(*row) for row in rows)
     with pytest.raises(ValueError, match=rule):
         FissionTree(family, nodes)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_tree_with_non_ascending_ids_sorts_each_nodes_children(family):
+    # fission_tree numbers its nodes in order; a tree whose ids do not ascend
+    # gets the same maps, planar order and decomposition as its nodes in id order.
+    rs = build_root_system(family, 6)
+    rng = random.Random(31)
+    for _ in range(8):
+        nodes = fission_tree(random_irregular_type(rs, 3, rng)).nodes
+        ids = [n.id for n in nodes]
+        new = dict(zip(ids, rng.sample(ids, len(ids))))
+        nodes = tuple(
+            n._replace(id=new[n.id], parent=None if n.parent is None else new[n.parent])
+            for n in nodes
+        )
+        shuffled = FissionTree(family, nodes)
+        in_order = FissionTree(family, tuple(sorted(nodes, key=lambda n: n.id)))
+        want = {n.id: tuple(sorted(m.id for m in nodes if m.parent == n.id)) for n in nodes}
+        assert shuffled.children_map == in_order.children_map == want
+        assert shuffled.by_id == in_order.by_id == {n.id: n for n in nodes}
+        assert shuffled.leaf_order == in_order.leaf_order
+        assert decomposition_from_tree(shuffled) == decomposition_from_tree(in_order)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import wildbraid
 from wildbraid import fission, stokes
 from wildbraid.braid import BraidWord
 from wildbraid.fission import Factor, FissionTree, IrregularType, TreeNode
+from wildbraid.linalg import integer_vector
 from wildbraid.rootsys import (
     ArrangementType,
     CartanElement,
@@ -125,6 +127,11 @@ def _a2():
     [
         (lambda: CartanElement(_a2(), (0, 0)), ValueError, "coordinate length 2 != ambient dim 3"),
         (lambda: cartan(_a2(), (1, 0, 0)), ValueError, "trace-free coordinates required"),
+        (
+            lambda: CartanElement(build_root_system("B", 2), ("1", "2")),
+            ValueError,
+            "coordinate entry '1' is not an exact rational",
+        ),
         (lambda: RootSubsystem(_a2(), (2, 1)), SubsystemError, "sorted and duplicate-free"),
         (lambda: ArrangementType("TypeE"), ValueError, "unknown arrangement kind 'TypeE'"),
         (
@@ -159,7 +166,7 @@ def _a2():
         ),
     ],
     ids=[
-        "cartan-length", "cartan-trace", "subsystem-order", "arrangement-kind",
+        "cartan-length", "cartan-trace", "cartan-entry", "subsystem-order", "arrangement-kind",
         "arrangement-count", "irregular-p", "irregular-root-system", "tree-invariants",
         "braid-strands", "braid-generator-above", "braid-generator-below", "braid-sign",
         "stokes-determinant", "stokes-diagonal",
@@ -175,6 +182,30 @@ def test_stokes_pairs_stay_out_of_equality():
     u = stokes.StokesTuple(*(getattr(t, f) for f in RECORDS["StokesTuple"][0].split()))
     vars(u)["pairs"] = ()
     assert u == t and hash(u) == hash(t)
+
+
+def test_cartan_ints_are_the_cleared_coordinates():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    b2 = build_root_system("B", 2)
+    elements = [
+        _sl3().coefficients[1],
+        CartanElement(_a2(), (half, third, Fraction(-5, 6))),
+        CartanElement(b2, (Fraction(-3, 4), Fraction(5, 6))),
+        CartanElement(b2, (0, 0)),
+    ]
+    for c in elements:
+        assert type(c.ints) is tuple
+        assert c.ints == tuple(integer_vector(c.coords))
+    assert elements[1].ints == (3, 2, -5) and elements[2].ints == (-9, 10)
+
+
+def test_cartan_ints_stay_out_of_repr_and_equality():
+    c = CartanElement(_a2(), (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)))
+    d = CartanElement(_a2(), c.coords)
+    vars(d)["ints"] = ()
+    assert d == c and hash(d) == hash(c) == hash((c.rs, c.coords))
+    assert repr(c) == f"CartanElement(rs={c.rs!r}, coords={c.coords!r})"
+    assert "ints" not in repr(c)
 
 
 GUARDED = ("dataclasses", "inspect", "ast", "dis", "tokenize")

@@ -221,6 +221,34 @@ def test_cartan_keeps_fraction_inputs():
     assert coords == (half, -half, 0) and type(coords[2]) is Fraction
 
 
+@pytest.mark.parametrize("family", ["A", "B", "C", "D", "G2"])
+@pytest.mark.parametrize("bad, text", [("1", "'1'"), (1j, "1j"), (None, "None")])
+def test_cartan_element_refuses_entries_without_a_ratio(family, bad, text):
+    # Refused when the element is built, on every family, naming the entry;
+    # cartan() still reads a string through Fraction.
+    rs = build_root_system(family, 2)
+    rest = rs.ambient_dim - 2
+    message = f"^coordinate entry {re.escape(text)} is not an exact rational$"
+    with pytest.raises(ValueError, match=message):
+        rootsys.CartanElement(rs, (Fraction(1, 2), bad) + (Fraction(-1, 2),) * rest)
+    assert cartan(rs, ["1/2", "-1/2"] + ["0"] * rest).ints == (1, -1) + (0,) * rest
+
+
+_RATIONALS = st.one_of(
+    st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=30)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RATIONALS, min_size=1, max_size=9))
+def test_project_traceless_matches_fraction_reference(values):
+    vals = [Fraction(v) for v in values]
+    shift = sum(vals) / len(vals)
+    got = rootsys.project_traceless(values)
+    assert got == tuple(v - shift for v in vals)
+    assert all(type(x) is Fraction for x in got) and sum(got) == 0
+
+
 @pytest.mark.parametrize("members", [(0, 2, 1), (0, 1, 1, 2), (3, 3), (2, 1)])
 def test_root_subsystem_rejects_unsorted_or_repeated_members(members):
     rs = build_root_system("A", 2)

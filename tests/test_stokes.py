@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -192,6 +193,19 @@ def test_float_and_bool_entries_are_refused():
     assert StokesTuple(*[ints] * 7) == identity_tuple()
     assert mat([[Fraction(1, 2), 0, 0], [0, "2", 0], [0, 0, 1]]) == diagonal(Fraction(1, 2), 2, 1)
     assert mmul(ints, diagonal(Fraction(1, 2), 2, 1)) == diagonal(Fraction(1, 2), 2, 1)
+
+
+@pytest.mark.parametrize("entry, text", [("1", "'1'"), (1j, "1j")], ids=["str", "complex"])
+def test_entries_without_a_ratio_are_refused_as_pairs(entry, text):
+    # A pair needs as_integer_ratio: a str or a complex is refused with the
+    # float/bool message, naming the entry.
+    bad = ((entry, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match=f"^h entry {re.escape(text)} is not an exact rational$"):
+        StokesTuple(*[bad] * 7)
+    with pytest.raises(ValueError, match=f"^B2\\^2 entry {re.escape(text)} is not an exact rational$"):
+        StokesTuple(*[IDENTITY] * 4, bad, IDENTITY, IDENTITY)
+    with pytest.raises(ValueError, match=f"^matrix entry {re.escape(text)} is not an exact rational$"):
+        mmul(IDENTITY, bad)
 
 
 def test_mat_shape_checked():
