@@ -35,7 +35,6 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from operator import lt
 
 from . import linalg, rootsys
 from .rootsys import (
@@ -250,13 +249,10 @@ class FissionTree(namedtuple("FissionTree", "family nodes")):
                     kids[parent].append(node_id)
                 else:
                     kids[parent] = [node_id]
-        # Appended in node order, so each node's children ascend when the ids do.
-        ids = list(by_id)
-        if not all(map(lt, ids, ids[1:])):
-            for v in kids.values():
-                v.sort()
+        for v in kids.values():  # appended in node order, whatever the ids
+            v.sort()
         self.by_id = by_id
-        self.children_map = {i: tuple(kids[i]) if i in kids else () for i in ids}
+        self.children_map = {i: tuple(kids[i]) if i in kids else () for i in by_id}
         check_tree_invariants(self)
         return self
 

@@ -5,11 +5,13 @@ restrictions to a kernel, and the G2 trace row.  Matrices are sized for
 root-system computations: at most a few hundred rows and a few dozen
 columns.  Rank, span and kernel questions must be decided exactly because
 they encode discrete invariants; they only ask whether a quantity is zero,
-so the elimination runs fraction-free.  ``integer_vector`` clears the
-denominators of a rational coefficient vector, the one place here where
-``fractions.Fraction`` input is accepted; ``rootsys.CartanElement`` calls it
-once per coefficient, when the coefficient is built, and the parser once
-per parsed A/G2 vector for its trace check.
+so the elimination runs fraction-free.  ``cleared`` (and its
+``integer_vector``) clears the denominators of a rational vector, the one
+place here where ``fractions.Fraction`` input is accepted, and refuses an
+entry that is not an exact rational.  ``rootsys.CartanElement`` calls it
+once per coefficient, when the coefficient is built, the parser once per
+parsed A/G2 vector for its trace check, ``rootsys.project_traceless`` once
+per projection and ``stokes`` once per matrix it reads as a pair.
 """
 
 from __future__ import annotations
@@ -17,11 +19,27 @@ from __future__ import annotations
 from math import gcd, lcm
 
 
+def cleared(v, name: str) -> tuple[list[int], int]:
+    """The sequence v (ints or Fractions) times the lcm d of its
+    denominators, and d.
+
+    An entry without ``as_integer_ratio`` (a str, a complex, None) raises
+    a ValueError that names it, as "<name> entry ...".
+    """
+    try:
+        ratios = [x.as_integer_ratio() for x in v]
+    except AttributeError:
+        bad = next(x for x in v if not hasattr(x, "as_integer_ratio"))
+        raise ValueError(f"{name} entry {bad!r} is not an exact rational") from None
+    # A list, not a generator: unpacking a generator builds an oversized
+    # tuple and shrinks it, which fills CPython's tuple free list.
+    d = lcm(*[q for _, q in ratios])
+    return [a * (d // q) for a, q in ratios], d
+
+
 def integer_vector(v) -> list[int]:
-    """v (ints or Fractions) scaled by the lcm of its denominators."""
-    ratios = [x.as_integer_ratio() for x in v]
-    den = lcm(*[d for _, d in ratios])
-    return [a * (den // d) for a, d in ratios]
+    """The coordinate sequence v cleared of denominators (``cleared``)."""
+    return cleared(v, "coordinate")[0]
 
 
 def _normalized(v, pivot: int) -> list[int]:

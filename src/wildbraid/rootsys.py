@@ -47,7 +47,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import lt
 
 from . import linalg
@@ -203,11 +202,7 @@ class CartanElement(namedtuple("CartanElement", "rs coords")):
             raise ValueError(
                 f"coordinate length {len(coords)} != ambient dim {rs.ambient_dim}"
             )
-        try:
-            ints = tuple(linalg.integer_vector(coords))
-        except AttributeError:  # an entry without as_integer_ratio
-            bad = next(x for x in coords if not hasattr(x, "as_integer_ratio"))
-            raise ValueError(f"coordinate entry {bad!r} is not an exact rational") from None
+        ints = tuple(linalg.integer_vector(coords))
         if rs.family in ("A", "G2") and sum(ints):
             raise ValueError("trace-free coordinates required for families A and G2")
         self = super().__new__(cls, rs, coords)
@@ -224,12 +219,11 @@ def project_traceless(values) -> tuple[Fraction, ...]:
     A and G2), in integers: with the n values written a_c / d over their
     common denominator d, entry c is (n a_c - sum(a)) / (n d).
     """
-    try:
-        ratios = [v.as_integer_ratio() for v in values]
-    except AttributeError:  # a string, which Fraction reads
-        ratios = [Fraction(v).as_integer_ratio() for v in values]
-    d = lcm(*[q for _, q in ratios])
-    ints = [a * (d // q) for a, q in ratios]
+    # One pass over values, which may be an iterator; a string goes through
+    # Fraction, which reads it.
+    ints, d = linalg.cleared(
+        [v if hasattr(v, "as_integer_ratio") else Fraction(v) for v in values], "value"
+    )
     n, total = len(ints), sum(ints)
     return tuple([Fraction(n * a - total, n * d) for a in ints])
 

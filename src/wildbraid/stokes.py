@@ -30,7 +30,8 @@ m = n / q and gcd(q, *n) == 1.  Each rational matrix has exactly one such
 pair, so matrix equality is tuple equality, the identity is
 ((1, 0, 0, 0, 1, 0, 0, 0, 1), 1) and det(m) = 1 reads det(n) == q**3.
 _pair checks a Mat's shape, refuses float and bool entries (so does mat)
-and clears its denominators, once per entry:
+and clears its denominators, once per entry, with linalg.cleared, which
+refuses a str or a complex:
 a StokesTuple keeps its seven pairs as ``pairs``, and the actions,
 solve_relation and random_tuple build their tuples from pairs
 (``_from_pairs``, with the constructor's checks), clearing nothing again.
@@ -57,6 +58,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import linalg
+
 Mat = tuple[tuple[Fraction, ...], ...]
 Pair = tuple[tuple[int, ...], int]
 
@@ -64,12 +67,8 @@ Pair = tuple[tuple[int, ...], int]
 def _exact(x, name: str):
     """x itself, unless it is a float (inexact) or a bool (not a number)."""
     if isinstance(x, (float, bool)):
-        raise _inexact(x, name)
+        raise ValueError(f"{name} entry {x!r} is not an exact rational")
     return x
-
-
-def _inexact(x, name: str) -> ValueError:
-    return ValueError(f"{name} entry {x!r} is not an exact rational")
 
 
 def mat(rows) -> Mat:
@@ -96,15 +95,8 @@ def _pair(m: Mat, name: str = "matrix") -> Pair:
     """
     if len(m) != 3 or any(len(row) != 3 for row in m):
         raise ValueError(f"{name} must be 3x3")
-    try:
-        ratios = [_exact(x, name).as_integer_ratio() for row in m for x in row]
-    except AttributeError:  # a str (which mat reads) or a complex
-        bad = next(x for row in m for x in row if not hasattr(x, "as_integer_ratio"))
-        raise _inexact(bad, name) from None
-    # A list, not a generator: unpacking a generator builds an oversized
-    # tuple and shrinks it, which fills CPython's tuple free list (+0.2 MB).
-    q = lcm(*[d for _, d in ratios])
-    return tuple([a * (q // d) for a, d in ratios]), q
+    n, q = linalg.cleared([_exact(x, name) for row in m for x in row], name)
+    return tuple(n), q
 
 
 def _mat(p: Pair) -> Mat:

@@ -165,8 +165,9 @@ def test_no_coefficient_is_cleared_again_once_built(family, monkeypatch):
     assert any(type(x) is Fraction and x.denominator > 1 for q in qs for a in q.coefficients
                for x in a.coords)
     calls = []
-    integer_vector = rootsys.linalg.integer_vector
+    integer_vector, cleared = rootsys.linalg.integer_vector, rootsys.linalg.cleared
     monkeypatch.setattr(rootsys.linalg, "integer_vector", lambda v: calls.append(v) or integer_vector(v))
+    monkeypatch.setattr(rootsys.linalg, "cleared", lambda v, name: calls.append(v) or cleared(v, name))
     for q in qs:
         decompose(q, "check")
         if family != "G2":

@@ -247,6 +247,8 @@ def test_project_traceless_matches_fraction_reference(values):
     got = rootsys.project_traceless(values)
     assert got == tuple(v - shift for v in vals)
     assert all(type(x) is Fraction for x in got) and sum(got) == 0
+    # Strings are read through Fraction, and an iterator is read once.
+    assert rootsys.project_traceless(iter([str(v) for v in vals])) == got
 
 
 @pytest.mark.parametrize("members", [(0, 2, 1), (0, 1, 1, 2), (3, 3), (2, 1)])
