@@ -18,7 +18,6 @@ from .fission import (
     FissionTree,
     GroupDecomposition,
     IrregularType,
-    coordinate_fusions,
     decompose,
     decomposition_from_tree,
     decomposition_via_arrangements,

@@ -51,7 +51,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import braid, fission, linalg, rootsys, stokes
+from . import braid, fission, rootsys, stokes
 from .fission import FissionTree
 
 
@@ -172,12 +172,15 @@ def _parse_block(
                 f"{loc}: expected {rs.ambient_dim} entries for {family}_{rank}"
             )
         values = [_parse_rational(v, loc) for v in vecdata]
-        if rs.family in ("A", "G2") and sum(linalg.integer_vector(values)):
+        try:
+            coeffs.append(rootsys.cartan(rs, values))
+        except ValueError:
+            # Length and entries are checked above, so the A/G2 trace rule
+            # is the one refusal left.
             warnings.warn(
                 f"{loc}: nonzero trace projected out", TraceProjectionWarning
             )
-            values = list(rootsys.project_traceless(values))
-        coeffs.append(rootsys.cartan(rs, values))
+            coeffs.append(rootsys.cartan(rs, rootsys.project_traceless(values)))
     if p > len(coeffs):
         coeffs.extend([rootsys.cartan(rs, [0] * rs.ambient_dim)] * (p - len(coeffs)))
     return rs, fission.IrregularType(rs, tuple(coeffs))

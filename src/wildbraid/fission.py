@@ -10,12 +10,11 @@ implemented:
 
 * the tree fast path: Phi_i is the centraliser of (A_i, ..., A_p), so its
   signed coordinate fusion is the grouping of coordinates by their suffix
-  column (A_i, ..., A_p)_c.  One refinement of the coordinates by suffix
-  column, from level p+1 down (``_suffix_classes``), is read by two
-  readers: ``coordinate_fusions`` packs each level into a ``Fusion``, and
-  ``fission_tree`` reads the decorated tree's nodes and parents straight
-  off the classes.  ``decomposition_from_tree`` reads one factor per node,
-  by one rule for every family; no root is enumerated;
+  column (A_i, ..., A_p)_c.  ``fission_tree`` refines the coordinates by
+  suffix column from level p+1 down, one scan per coefficient, and reads
+  each level's nodes and parents straight off that refinement.
+  ``decomposition_from_tree`` reads one factor per node, by one rule for
+  every family; no root is enumerated;
 * the arrangement oracle: enumerate the roots and bucket them by degree;
   the roots Phi_{l+1} adds to Phi_l are bucket l.  ``rootsys.levi_chain``
   walks up the filtration once (the one Levi test), refining each fusion from
@@ -40,7 +39,6 @@ from . import linalg, rootsys
 from .rootsys import (
     ArrangementType,
     CartanElement,
-    Fusion,
     RootSubsystem,
     RootSystem,
     cartan,
@@ -134,84 +132,9 @@ def filtration(q: IrregularType) -> Filtration:
     Kept on q (``IrregularType._root_side``): Phi_{l+1} \\ Phi_l is bucket l,
     the roots of degree l (both signs of each), and ``rootsys.levi_chain``
     proves every level Levi or raises ``SubsystemError``.  The tree path
-    does not use it (see ``coordinate_fusions``).
+    does not use it (see ``fission_tree``).
     """
     return q._root_side
-
-
-def coordinate_fusions(q: IrregularType) -> tuple[Fusion, ...]:
-    """``fusion_of`` of every level Phi_1..Phi_{p+1}, read off the coefficients.
-
-    Phi_i is the centraliser of (A_i, ..., A_p): e_a - e_b lies in it when
-    the suffix columns (A_i..A_p)_a and (A_i..A_p)_b agree, e_a + e_b when
-    they are opposite, and a one-entry root of B/C when column a is zero.
-    So the fusion groups coordinates by suffix column, up to sign in B/C/D,
-    where an all-zero column is pinned; D has no one-entry roots, so a lone
-    zero coordinate is a singleton part there.  The classes and signs come
-    from ``_suffix_classes``; no root is enumerated.
-    """
-    family = q.rs.family
-    if family == "G2":
-        raise UnsupportedFamilyError("fusion is defined for classical families only")
-    fusions = [_level_fusion(cls, sign, family) for cls, sign in _suffix_classes(q)]
-    return tuple(reversed(fusions))
-
-
-def _suffix_classes(q: IrregularType):
-    """Each coordinate's class and sign at levels p+1, p, ..., 1 (classical q).
-
-    The class of a coordinate is None while its suffix column is all zero
-    (never in family A); otherwise classes are numbered by first coordinate,
-    and a sign is relative to the first coordinate of the class.  The parts
-    are refined from level p+1 down, keyed by (class, entry * sign) per
-    coordinate, where the entries are each coefficient's integer column
-    ``ints`` (cleared of denominators when the coefficient was built).
-    Yields the same two lists at every level, updated in place: read each
-    level before the next.
-    """
-    n = q.rs.ambient_dim
-    cls: list[int | None] = [0 if q.rs.family == "A" else None] * n
-    sign = [1] * n
-    yield cls, sign
-    for coeff in reversed(q.coefficients):
-        col = coeff.ints
-        ids: dict[tuple, int] = {}
-        flips: list[int] = []
-        for c in range(n):
-            x = col[c] * sign[c]
-            if cls[c] is not None:
-                key = (cls[c], x)
-            elif x:
-                sign[c] = 1 if x > 0 else -1
-                key = (None, abs(x))
-            else:
-                continue
-            j = ids.get(key)
-            if j is None:
-                j = ids[key] = len(flips)
-                flips.append(sign[c])
-            cls[c] = j
-            sign[c] *= flips[j]
-        yield cls, sign
-
-
-def _level_fusion(cls: list[int | None], sign: list[int], family: str) -> Fusion:
-    """The Fusion of one level from the class and sign of each coordinate."""
-    parts: dict[int, list[int]] = {}
-    zero = []
-    for c, k in enumerate(cls):
-        if k is None:
-            zero.append(c)
-        else:
-            parts.setdefault(k, []).append(c)
-    # Class ids are numbered by first coordinate, so parts come sorted.
-    ordered = [tuple(p) for p in parts.values()]
-    if family == "D" and len(zero) == 1:
-        ordered = sorted(ordered + [tuple(zero)])
-        zero = []
-    return Fusion(
-        tuple(ordered), tuple(tuple(sign[c] for c in p) for p in ordered), tuple(zero)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +285,18 @@ def check_tree_invariants(tree: FissionTree) -> None:
 def fission_tree(q: IrregularType) -> FissionTree:
     """Decorated fission tree of an irregular type over a classical family.
 
-    One node per part of the level-l coordinate fusion (type-A parts,
-    singletons included) plus one blue node per level while the pinned
-    B/C/D block is nonempty; a node's parent is the node one level up that
-    holds its first coordinate.  Each level is read in one scan of the
-    classes of ``_suffix_classes``, so nodes come in first-coordinate order
-    and no root is enumerated.  Family A trees carry the degenerate
+    Phi_l is the centraliser of (A_l, ..., A_p): e_a - e_b lies in it when
+    the suffix columns (A_l..A_p)_a and (A_l..A_p)_b agree, e_a + e_b when
+    they are opposite, and a one-entry root of B/C when column a is zero.
+    So level l has one node per part of the coordinates grouped by suffix
+    column (type-A parts, singletons included), up to sign in B/C/D, plus
+    one blue node while the pinned block of all-zero columns is nonempty
+    (D has no one-entry roots, so a lone pinned coordinate is a part).
+    The parts are refined from level p+1 down, one scan of each
+    coefficient's integer column ``ints`` per level, keying each
+    coordinate by (its part one level up, entry * sign), so a node's
+    parent is the part it was made from, nodes come in first-coordinate
+    order and no root is enumerated.  Family A trees carry the degenerate
     all-green/all-large decoration; in the other families green nodes of
     singleton parts are small.
     """
@@ -375,26 +304,40 @@ def fission_tree(q: IrregularType) -> FissionTree:
     if rs.family == "G2":
         raise UnsupportedFamilyError("no fission tree for G2; use the arrangement path")
     family = rs.family
-    # From level p+1 down: each level's entries (coordinate lists, the pinned
-    # block under class None), each entry's parent as an index into the
-    # level above, and the index of the pinned block.
-    levels = []
-    above: list[int] = []  # the entry of each coordinate one level up
-    for cls, _ in _suffix_classes(q):
-        index: dict[int | None, int] = {}
+    # From level p+1 down, each coordinate's part one level up (an index
+    # into that level's entries) and its sign relative to the part's first
+    # coordinate.  A level is kept as its entries (coordinate lists), each
+    # entry's parent (the part it was made from) and the index of the
+    # pinned block (None in family A or once it is empty).
+    n = rs.ambient_dim
+    part, sign = [0] * n, [1] * n
+    pinned = None if family == "A" else 0
+    levels = [([list(range(n))], [None], pinned)]
+    for coeff in reversed(q.coefficients):
+        col = coeff.ints
+        ids: dict[tuple[int, int], int] = {}
         entries: list[list[int]] = []
-        owner = []
-        for c, k in enumerate(cls):
-            e = index.get(k)
+        parents: list[int] = []
+        flips: list[int] = []
+        for c in range(n):
+            k = part[c]
+            x = col[c] * sign[c]
+            # A pinned coordinate has sign 1; one whose entry is nonzero
+            # leaves the block with that entry's sign.
+            if x < 0 and k == pinned:
+                sign[c], x = -1, -x
+            e = ids.get((k, x))
             if e is None:
-                e = index[k] = len(entries)
+                e = ids[k, x] = len(entries)
                 entries.append([c])
+                parents.append(k)
+                flips.append(sign[c])
             else:
                 entries[e].append(c)
-            owner.append(e)
-        parents = [above[coords[0]] for coords in entries] if above else [None]
-        levels.append((entries, parents, index.get(None)))
-        above = owner
+            part[c] = e
+            sign[c] *= flips[e]
+        pinned = ids.get((pinned, 0))
+        levels.append((entries, parents, pinned))
 
     # Ids run level by level from level 1, so the level above starts after
     # this one.

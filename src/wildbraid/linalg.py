@@ -9,9 +9,10 @@ so the elimination runs fraction-free.  ``cleared`` (and its
 ``integer_vector``) clears the denominators of a rational vector, the one
 place here where ``fractions.Fraction`` input is accepted, and refuses an
 entry that is not an exact rational.  ``rootsys.CartanElement`` calls it
-once per coefficient, when the coefficient is built, the parser once per
-parsed A/G2 vector for its trace check, ``rootsys.project_traceless`` once
-per projection and ``stokes`` once per matrix it reads as a pair.
+once per coefficient, when the coefficient is built (the parser builds each
+parsed vector first and projects only on the trace refusal),
+``rootsys.project_traceless`` once per projection and ``stokes`` once per
+matrix it reads as a pair.
 """
 
 from __future__ import annotations

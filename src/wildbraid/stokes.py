@@ -18,11 +18,11 @@ enforced): the relation and the commutation/equivariance properties do not
 depend on triangularity, so the verifier checks them in full generality.
 
 Validation: the StokesTuple constructor checks every shape and determinant
-and a diagonal h, so act_sigma, act_tau1, conjugate_tuple and solve_relation
-only return valid tuples.  verify_properties runs the same actions on the
-seven raw entries (_sigma, _tau1, _conj), which build no StokesTuple, and
-checks every image's determinant itself: a broken determinant is a failed
-check in the report, not an exception.
+and a diagonal h, so act_sigma, act_tau1 and solve_relation only return
+valid tuples.  verify_properties runs the same actions on the seven raw
+entries (_sigma, _tau1, _conj), which build no StokesTuple, and checks
+every image's determinant itself: a broken determinant is a failed check
+in the report, not an exception.
 
 Arithmetic runs on one canonical integer form.  A matrix m is the pair
 (n, q): n the flat row-major 9-tuple of ints and q > 0 an int with
@@ -280,16 +280,6 @@ def act_sigma(t: StokesTuple) -> StokesTuple:
 def act_tau1(t: StokesTuple) -> StokesTuple:
     """Level-1 generator: (B^1_1, B^1_3) -> (B^1_3, h^-1 b1 h), level 2 conjugated by b1."""
     return _from_pairs(_tau1(t.pairs))
-
-
-def conjugate_tuple(d: Mat, t: StokesTuple) -> StokesTuple:
-    """Simultaneous conjugation of every entry by an invertible diagonal d."""
-    p = _pair(d, "d")
-    if not _is_diagonal(p[0]):
-        raise ValueError("d must be diagonal")
-    if not (p[0][0] and p[0][4] and p[0][8]):
-        raise ValueError("d must be invertible diagonal")
-    return _from_pairs(_conj(p, t.pairs))
 
 
 class VerificationReport(namedtuple("VerificationReport", "checks")):

@@ -175,6 +175,13 @@ MUTANTS = (
         ("tests/test_fission.py", "-k", "equals_ref_fission_tree"),
     ),
     Mutant(
+        "fission_tree keys a part by its entry without the sign",
+        "src/wildbraid/fission.py",
+        "            x = col[c] * sign[c]\n",
+        "            x = col[c]\n",
+        ("tests/test_fission.py", "-k", "equals_ref_fission_tree"),
+    ),
+    Mutant(
         "check_tree_invariants accepts a green B/C/D root",
         "src/wildbraid/fission.py",
         '    if tree.family != "A" and roots[0].colour != BLUE:\n',

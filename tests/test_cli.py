@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wildbraid import cli, fission, rootsys, stokes
+from wildbraid import cli, fission, linalg, rootsys, stokes
 from wildbraid.cli import (
     InputError,
     TraceProjectionWarning,
@@ -196,6 +196,26 @@ def test_parse_trace_projection_warns():
     # Root values (differences) are untouched by the projection.
     coords = q.coefficients[0].coords
     assert coords[0] - coords[1] == -1
+
+
+def test_parse_clears_each_trace_zero_row_once(monkeypatch):
+    # A trace-zero A row is cleared of denominators once, when its element
+    # is built; a row with a nonzero trace three times: the refused build,
+    # the projection and the build of the projected row.
+    cleared = linalg.cleared
+    calls = []
+    monkeypatch.setattr(linalg, "cleared", lambda *a: calls.append(a) or cleared(*a))
+    rows = [["-1", "1/2", "1/2"], ["-1", "-1", "2"], ["3", "0", "-3"]]
+    parse_blocks(json.dumps({"lie_type": "A", "rank": 2, "coefficients": rows}))
+    assert len(calls) == 3
+    calls.clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_blocks(json.dumps({"lie_type": "A", "rank": 2, "coefficients": [["1", "0", "0"]]}))
+    assert [str(w.message) for w in caught] == [
+        "input.coefficients[1]: nonzero trace projected out"
+    ]
+    assert len(calls) == 3
 
 
 def test_parse_zero_pads_to_p():

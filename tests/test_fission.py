@@ -2,12 +2,15 @@
 
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wildbraid
 from wildbraid import cli, fission, rootsys, selfcheck
 from wildbraid.fission import (
     BLUE,
@@ -22,7 +25,6 @@ from wildbraid.fission import (
     TreeNode,
     UnsupportedFamilyError,
     check_tree_invariants,
-    coordinate_fusions,
     decompose,
     decomposition_from_tree,
     decomposition_via_arrangements,
@@ -38,7 +40,6 @@ from wildbraid.fission import (
     random_irregular_type,
 )
 from wildbraid.rootsys import (
-    Fusion,
     build_root_system,
     cartan,
     fusion_of,
@@ -377,12 +378,22 @@ def classical_types(draw):
     return random_irregular_type(rs, p, rng)
 
 
+def assert_tree_levels_are_root_fusions(q):
+    # Every level Phi_1..Phi_{p+1}: the tree's green nodes are the parts and
+    # its blue node the pinned block of the fusion built from all the roots.
+    tree = fission_tree(q)
+    for level, sub in enumerate(filtration(q).levels, start=1):
+        fus = fusion_of(sub)
+        want = {(part, GREEN) for part in fus.parts}
+        if fus.zero:
+            want.add((fus.zero, BLUE))
+        assert {(n.coords, n.colour) for n in tree.nodes if n.level == level} == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(classical_types())
-def test_coordinate_fusions_equal_root_fusions(q):
-    # Parts, signs and the pinned block of every level, Phi_1..Phi_{p+1}.
-    want = tuple(fusion_of(level) for level in filtration(q).levels)
-    assert coordinate_fusions(q) == want
+def test_fission_tree_levels_equal_root_fusions(q):
+    assert_tree_levels_are_root_fusions(q)
 
 
 @st.composite
@@ -436,43 +447,48 @@ def test_chain_fusions_equal_level_fusions_on_every_p3_chain(family):
     assert chains == {"A": 1484, "B": 3912, "C": 3912, "D": 2130}[family]
 
 
-def test_coordinate_fusions_d_lone_zero_is_a_part():
+def test_fission_tree_d_lone_zero_is_a_part():
+    # D has no one-entry roots: the lone zero coordinate 0 is a small green
+    # part on levels 1 and 2, and only the all-zero level 3 pins a block.
     rs = build_root_system("D", 3)
     q = IrregularType(rs, (cartan(rs, [0, 1, -1]), cartan(rs, [0, 1, -1])))
-    phi1, phi2, phi3 = coordinate_fusions(q)
-    assert phi1 == phi2 == Fusion(((0,), (1, 2)), ((1,), (1, -1)), ())
-    assert phi3 == Fusion((), (), (0, 1, 2))
-    assert (phi1, phi2, phi3) == tuple(fusion_of(level) for level in filtration(q).levels)
+    tree = fission_tree(q)
+    phi1, phi2, phi3 = (
+        [(n.coords, n.colour, n.diameter) for n in tree.nodes if n.level == level]
+        for level in (1, 2, 3)
+    )
+    assert phi1 == phi2 == [((0,), GREEN, SMALL), ((1, 2), GREEN, LARGE)]
+    assert phi3 == [((0, 1, 2), BLUE, LARGE)]
+    assert_tree_levels_are_root_fusions(q)
 
 
-def plant_wrong_level_2(monkeypatch):
-    """Make the shared refinement hand on a wrong level 2 of the sl3 example:
-    classes (0,) | (1, 2), where A_2 = (-1, -1, 2) gives (0, 1) | (2,)."""
-    real = fission._suffix_classes
+def planted_sl3_tree():
+    """A valid tree of the sl3 example with a wrong level 2: parts (0,) | (1, 2),
+    where A_2 = (-1, -1, 2) gives (0, 1) | (2,)."""
+    rows = [
+        (0, 1, 3, (0,)), (1, 1, 4, (1,)), (2, 1, 4, (2,)),
+        (3, 2, 5, (0,)), (4, 2, 5, (1, 2)), (5, 3, None, (0, 1, 2)),
+    ]
+    nodes = tuple(TreeNode(i, l, par, GREEN, LARGE, cs) for i, l, par, cs in rows)
+    return FissionTree("A", nodes)
 
-    def planted(q):
-        for level, classes in zip(range(q.p + 1, 0, -1), real(q)):
-            yield ([0, 1, 1], [1, 1, 1]) if level == 2 else classes
 
-    monkeypatch.setattr(fission, "_suffix_classes", planted)
-
-
-def test_tree_level_mismatch_names_the_level(monkeypatch):
-    # The planted level-2 fusion gives a valid tree with the right product
+def test_tree_level_mismatch_names_the_level():
+    # The planted level 2 gives a valid tree with the right product
     # (PB_2 x PB_2), so only the level-by-level check can catch it.
     _, q = sl3_example()
-    plant_wrong_level_2(monkeypatch)
-    assert coordinate_fusions(q)[1] == Fusion(((0,), (1, 2)), ((1,), (1, 1)), ())
-    assert decompose(q, method="tree").canonical_string() == "PB_2 x PB_2"
+    tree = planted_sl3_tree()
+    assert [n.coords for n in tree.nodes if n.level == 2] == [(0,), (1, 2)]
+    assert decompose(q, "tree", tree).canonical_string() == "PB_2 x PB_2"
     with pytest.raises(DecompositionMismatchError, match="fission tree level 2 "):
-        decompose(q, method="check")
+        decompose(q, "check", tree)
 
 
 def test_sweep_records_the_level_mismatch(monkeypatch):
-    # The same planted level-2 fusion: the products agree, so the sweep
-    # reports it only because it runs the level-by-level check.
+    # The same planted level 2: the products agree, so the sweep reports it
+    # only because it runs the level-by-level check.
     rs, q = sl3_example()
-    plant_wrong_level_2(monkeypatch)
+    monkeypatch.setattr(fission, "fission_tree", lambda q: planted_sl3_tree())
     result = selfcheck.SweepResult()
     selfcheck._sweep_case(rs, q, result)
     (mismatch,) = result.mismatches
@@ -651,14 +667,31 @@ def test_tree_invariants_on_random_inputs():
 
 
 def ref_fission_tree(q):
-    """The tree built from the Fusion of each level: parts and the pinned
-    block sorted by first coordinate, parents looked up in an owner dict of
-    the level above.  The reference for fission_tree's one-pass reading."""
+    """The tree built from a plain grouping of each level's suffix columns:
+    at level l every coordinate is keyed by its column (A_l..A_p)_c of
+    ``coords``, on B/C/D up to the sign of its first nonzero entry, with the
+    all-zero columns pinned (a lone one in D is a part).  Entries are sorted
+    by first coordinate and parents looked up in an owner dict of the level
+    above.  The reference for fission_tree's one-pass refinement."""
+    family, p = q.rs.family, q.p
     per_level = []
-    for fus in coordinate_fusions(q):
-        entries = [(p, GREEN) for p in fus.parts]
-        if fus.zero:
-            entries.append((fus.zero, BLUE))
+    for level in range(1, p + 2):
+        groups: dict[tuple, list[int]] = {}
+        pinned = []
+        for c in range(q.rs.ambient_dim):
+            col = tuple(a.coords[c] for a in q.coefficients[level - 1 :])
+            if family != "A":
+                lead = next((x for x in col if x), 0)
+                if not lead:
+                    pinned.append(c)
+                    continue
+                col = tuple(x if lead > 0 else -x for x in col)
+            groups.setdefault(col, []).append(c)
+        entries = [(tuple(cs), GREEN) for cs in groups.values()]
+        if family == "D" and len(pinned) == 1:
+            entries.append((tuple(pinned), GREEN))
+        elif pinned:
+            entries.append((tuple(pinned), BLUE))
         entries.sort(key=lambda e: e[0][0])
         per_level.append(entries)
     nodes = []
@@ -667,14 +700,14 @@ def ref_fission_tree(q):
         first_above = len(nodes) + len(entries)
         owner = {c: first_above + k for k, (coords, _) in enumerate(above) for c in coords}
         for coords, colour in entries:
-            small = q.rs.family != "A" and colour == GREEN and len(coords) < 2
+            small = family != "A" and colour == GREEN and len(coords) < 2
             nodes.append(
                 TreeNode(
                     len(nodes), level0 + 1, owner.get(coords[0]), colour,
                     SMALL if small else LARGE, coords,
                 )
             )
-    return FissionTree(q.rs.family, tuple(nodes))
+    return FissionTree(family, tuple(nodes))
 
 
 @pytest.mark.parametrize("family", "ABCD")
@@ -1094,3 +1127,19 @@ def test_chains_realize_their_filtrations():
         q = irregular_type_for_chain(rs, chain)
         filt = filtration(q)
         assert [s.members for s in filt.levels[:-1]] == [s.members for s, _ in chain]
+
+
+# ---------------------------------------------------------------------------
+# The README's library example
+# ---------------------------------------------------------------------------
+
+
+def test_readme_library_block_runs_on_exported_names():
+    # The python block under README's "## Library" runs, and every wb. name
+    # it uses is in wildbraid.__all__.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    names = set(re.findall(r"\bwb\.(\w+)", block))
+    assert "fission_tree" in names and names <= set(wildbraid.__all__)
+    exec(compile(block, "README.md", "exec"), {})
