@@ -27,14 +27,15 @@ Subcommands: decompose (--oracle or --check, not both), tree (--format
 json|dot), cable, stokes-verify, selftest.  A call that starts with a
 command is parsed by that command's parser alone; help, usage errors and
 unknown commands come from the whole CLI's parser.  Each fission tree has
-one JSON document (_tree_doc): tree --format json prints it, and decompose
---json puts the same document in its "trees" list.  Trees are checked
-once, when they are built.  Exit codes: 0 success, 1 check failure, 2
-parse/validation error, 141 stdout closed by its reader (as on SIGPIPE).
-Error messages, input paths included, echo at most ECHO_LIMIT characters
-of an offending value.  Every indented JSON document (decompose --json,
-tree --format json, cable --json, stokes-verify --json) is written by
-_dumps.
+one JSON document, {"family", "leaf_order", "nodes"}: tree --format json
+prints it, and decompose --json puts the same document in its "trees"
+list.  Trees are checked once, when they are built.  Exit codes: 0
+success, 1 check failure, 2 parse/validation error, 141 stdout closed by
+its reader (as on SIGPIPE).  Error messages, input paths included, echo at
+most ECHO_LIMIT characters of an offending value.  Every indented JSON
+document (decompose --json, tree --format json, cable --json,
+stokes-verify --json) is written by _dumps; a fission tree in it is
+written by _tree_json, straight from the tree.
 """
 
 from __future__ import annotations
@@ -240,7 +241,8 @@ def _dumps(doc, depth: int = 0) -> str:
     json drops to its pure-Python encoder when indent is set; this walks dicts,
     lists and tuples, one comprehension per container (a dict's over its
     sorted items), and encodes scalars by exact type (a bool is never an int)
-    with json's C encoders, in place.  Any other value goes to plain json.dumps.
+    with json's C encoders, in place.  A FissionTree is written as its
+    document by _tree_json.  Any other value goes to plain json.dumps.
     """
     encode = _SCALARS.get(type(doc))
     if encode is not None:
@@ -259,34 +261,43 @@ def _dumps(doc, depth: int = 0) -> str:
             return "[]"
         brackets = "[]"
         items = [e(v) if (e := _SCALARS.get(type(v))) else _dumps(v, depth + 1) for v in doc]
+    elif type(doc) is FissionTree:
+        return _tree_json(doc, depth)
     else:
         return json.dumps(doc)
     pad = "\n" + "  " * (depth + 1)
     return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
 
 
-def _tree_doc(tree: FissionTree) -> dict:
-    """The JSON document of a fission tree: its nodes and planar leaf order."""
-    return {
-        "family": tree.family,
-        "nodes": [
-            {
-                "id": n.id,
-                "level": n.level,
-                "parent": n.parent,
-                "colour": n.colour,
-                "diameter": n.diameter,
-            }
-            for n in tree.nodes
-        ],
-        "leaf_order": list(tree.leaf_order),
-    }
+def _tree_json(tree: FissionTree, depth: int) -> str:
+    """_dumps of a fission tree's document at ``depth``, written from the tree.
+
+    The document is {"family", "leaf_order", "nodes"}, each node an object
+    of its colour, diameter, id, level and parent.  Every node goes through
+    one %-template whose keys are in sorted order.  Ids, levels and parents
+    are exact ints (check_tree_invariants), and colours and diameters are
+    plain words, so no value needs escaping.
+    """
+    pad = "\n" + "  " * depth
+    pad1, pad2, pad3 = pad + "  ", pad + "    ", pad + "      "
+    keys = ('"colour": "%s"', '"diameter": "%s"', '"id": %d', '"level": %d', '"parent": %s')
+    node = "{" + pad3 + ("," + pad3).join(keys) + pad2 + "}"
+    nodes = ("," + pad2).join([
+        node % (colour, diameter, node_id, level, "null" if parent is None else parent)
+        for node_id, level, parent, colour, diameter, _ in tree.nodes
+    ])
+    leaves = ("," + pad2).join(map(str, tree.leaf_order))
+    return (
+        "{" + pad1 + '"family": ' + encode_basestring_ascii(tree.family) + ","
+        + pad1 + '"leaf_order": [' + pad2 + leaves + pad1 + "],"
+        + pad1 + '"nodes": [' + pad2 + nodes + pad1 + "]" + pad + "}"
+    )
 
 
 def emit_tree(tree: FissionTree, format: str = "json") -> str:
     """Serialize a fission tree; byte-deterministic for a fixed input."""
     if format == "json":
-        return _dumps(_tree_doc(tree)) + "\n"
+        return _dumps(tree) + "\n"
     if format == "dot":
         return _emit_dot(tree)
     raise ValueError(f"unknown tree format {format!r}")
@@ -294,13 +305,14 @@ def emit_tree(tree: FissionTree, format: str = "json") -> str:
 
 def _emit_dot(tree: FissionTree) -> str:
     lines = ["digraph fission_tree {", "  rankdir=BT;"]
-    top = max(n.level for n in tree.nodes)
+    levels: list[list] = [[] for _ in range(max(n.level for n in tree.nodes))]
+    for n in tree.nodes:
+        levels[n.level - 1].append(n)
     leaf_pos = {leaf: i + 1 for i, leaf in enumerate(tree.leaf_order)}
-    for level in range(1, top + 1):
-        members = [n for n in tree.nodes if n.level == level]
+    for level, members in enumerate(levels, start=1):
         lines.append("  { rank=same;")
         for n in members:
-            label = leaf_pos[n.id] if n.level == 1 else ""
+            label = leaf_pos[n.id] if level == 1 else ""
             shape = "point" if n.diameter == fission.SMALL else "circle"
             fill = ", style=filled, fillcolor=lightblue" if n.colour == fission.BLUE else ""
             lines.append(f'    n{n.id} [label="{label}", shape={shape}{fill}];')
@@ -357,7 +369,7 @@ def _cmd_decompose(args) -> int:
             "decomposition": merged.canonical_string(),
             "factors": [str(f) for f in merged.factors],
             "method": method,
-            "trees": [_tree_doc(t) if t is not None else None for t in trees],
+            "trees": trees,
             "warnings": notes,
         }
         print(_dumps(payload))

@@ -238,7 +238,12 @@ def check_tree_invariants(tree: FissionTree) -> None:
     # Each node is unpacked once: a namedtuple field read costs more than
     # its share of one tuple unpacking.
     for n in nodes:
-        _, level, parent, colour, diameter, _ = n
+        node_id, level, parent, colour, diameter, _ = n
+        # 2.0 and True would pass as dict keys equal to 2 and 1.
+        if type(node_id) is not int or type(level) is not int or (
+            parent is not None and type(parent) is not int
+        ):
+            raise ValueError("ids, levels and parents must be ints")
         if colour != GREEN:
             if colour != BLUE:
                 raise ValueError(f"colour must be {GREEN} or {BLUE}")

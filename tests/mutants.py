@@ -117,6 +117,13 @@ MUTANTS = (
         ("tests/test_cli.py", "-k", "dumps_is_json_dumps_indented"),
     ),
     Mutant(
+        "_tree_json writes a node's level before its id",
+        "src/wildbraid/cli.py",
+        """'"id": %d', '"level": %d'""",
+        """'"level": %d', '"id": %d'""",
+        ("tests/test_cli.py", "-k", "dumps_writes_a_tree"),
+    ),
+    Mutant(
         "CartanElement keeps the unscaled numerators as ints",
         "src/wildbraid/rootsys.py",
         "        ints = tuple(linalg.integer_vector(coords))\n",
@@ -187,6 +194,15 @@ MUTANTS = (
         '    if tree.family != "A" and roots[0].colour != BLUE:\n',
         "    if False:\n",
         ("tests/test_fission.py", "-k", "invalid_tree_is_rejected or without_blue_nodes"),
+    ),
+    Mutant(
+        "check_tree_invariants accepts ids, levels and parents that are not ints",
+        "src/wildbraid/fission.py",
+        "        if type(node_id) is not int or type(level) is not int or (\n"
+        "            parent is not None and type(parent) is not int\n"
+        "        ):\n",
+        "        if False:\n",
+        ("tests/test_fission.py", "-k", "invalid_tree_is_rejected"),
     ),
     Mutant(
         "FissionTree.__new__ leaves each node's children in node order",

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -326,6 +327,63 @@ emitted_docs = st.recursive(
 @example([True, 1, False, 0, None, -1, 2**70])
 def test_dumps_is_json_dumps_indented(doc):
     assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def ref_tree_doc(tree):
+    """The JSON document of a fission tree: its nodes and planar leaf order."""
+    return {
+        "family": tree.family,
+        "nodes": [
+            {
+                "id": n.id,
+                "level": n.level,
+                "parent": n.parent,
+                "colour": n.colour,
+                "diameter": n.diameter,
+            }
+            for n in tree.nodes
+        ],
+        "leaf_order": list(tree.leaf_order),
+    }
+
+
+@st.composite
+def classical_trees(draw):
+    """fission_tree of a random A-D type up to rank 40, some coefficients
+    zeroed; when drawn so, rebuilt by hand with its ids shuffled onto a
+    sparse range (negatives included) and its nodes in shuffled order."""
+    family = draw(st.sampled_from("ABCD"))
+    rs = rootsys.build_root_system(family, draw(st.integers(2 if family == "D" else 1, 40)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    coeffs = list(fission.random_irregular_type(rs, draw(st.integers(1, 5)), rng).coefficients)
+    for i in range(len(coeffs)):
+        if draw(st.booleans()):
+            coeffs[i] = rootsys.cartan(rs, [0] * rs.ambient_dim)
+    tree = fission.fission_tree(fission.IrregularType(rs, tuple(coeffs)))
+    if draw(st.booleans()):
+        ids = [n.id for n in tree.nodes]
+        new = dict(zip(ids, rng.sample(range(-len(ids), 3 * len(ids)), len(ids))))
+        nodes = [
+            n._replace(id=new[n.id], parent=None if n.parent is None else new[n.parent])
+            for n in tree.nodes
+        ]
+        rng.shuffle(nodes)
+        tree = fission.FissionTree(family, tuple(nodes))
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(classical_trees())
+def test_dumps_writes_a_tree_as_its_document_at_any_depth(tree):
+    doc = ref_tree_doc(tree)
+    assert cli._dumps(tree) == json.dumps(doc, indent=2, sort_keys=True)
+    # Nested at depths 1-3, in lists and objects beside other values.
+    for wrap in (
+        lambda t: [t],
+        lambda t: {"a": None, "tree": [t, 1]},
+        lambda t: [{"trees": [t, t]}, "x"],
+    ):
+        assert cli._dumps(wrap(tree)) == json.dumps(wrap(doc), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -726,7 +726,7 @@ def test_fission_tree_equals_ref_fission_tree_on_every_chain(family):
 
 
 @st.composite
-def types_with_zero_coefficients(draw):
+def classical_types_with_zero_coefficients(draw):
     """Classical types up to rank 40 from the degeneracy-prone pool, with some
     coefficients set to zero."""
     family = draw(st.sampled_from("ABCD"))
@@ -740,7 +740,7 @@ def types_with_zero_coefficients(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(types_with_zero_coefficients())
+@given(classical_types_with_zero_coefficients())
 def test_fission_tree_equals_ref_fission_tree_on_random_types(q):
     assert fission_tree(q) == ref_fission_tree(q)
 
@@ -756,6 +756,20 @@ def test_fission_tree_equals_ref_fission_tree_at_rank_1000(family):
 # (id, level, parent, colour, diameter), the rule's message).
 BAD_TREES = {
     "family": ("G2", [(0, 1, None, GREEN, LARGE)], "family must be one of"),
+    # Each of these passes every other rule: ids are only dict keys, and
+    # 0.0, True and 2.0 equal 0, 1 and 2 but would be written as 0.0, true
+    # and 2.0.
+    "float-id": ("A", [(0.0, 1, None, GREEN, LARGE)], "ids, levels and parents must be ints"),
+    "str-id": ("A", [("0", 1, None, GREEN, LARGE)], "ids, levels and parents must be ints"),
+    "bool-level": ("A", [(0, True, None, GREEN, LARGE)], "ids, levels and parents must be ints"),
+    "float-parent": (
+        "A",
+        [(2, 2, None, GREEN, LARGE), (0, 1, 2.0, GREEN, LARGE), (1, 1, 2, GREEN, LARGE)],
+        "ids, levels and parents must be ints",
+    ),
+    "bool-parent": (
+        "B", [(1, 2, None, BLUE, LARGE), (0, 1, True, BLUE, LARGE)], "ids, levels and parents"
+    ),
     "duplicate-ids": (
         "A",
         [(1, 2, None, GREEN, LARGE), (0, 1, 1, GREEN, LARGE), (0, 1, 1, GREEN, LARGE)],
