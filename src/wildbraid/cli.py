@@ -24,9 +24,11 @@ parse_blocks is the one parse entry point: a path or a JSON text in, one
 (RootSystem, IrregularType) pair per point out.
 
 Subcommands: decompose (--oracle or --check, not both), tree (--format
-json|dot), cable, stokes-verify, selftest.  A call that starts with a
-command is parsed by that command's parser alone; help, usage errors and
-unknown commands come from the whole CLI's parser.  Each fission tree has
+json|dot), cable, stokes-verify, selftest, all in one grammar table,
+_COMMANDS.  _read_argv reads a well-formed call (a command, its exact flags
+at most once each, and its one input) from that table without loading
+argparse; help, usage errors and any other command line go to the argparse
+parser that build_parser builds from the same table.  Each fission tree has
 one JSON document, {"family", "leaf_order", "nodes"}: tree --format json
 prints it, and decompose --json puts the same document in its "trees"
 list.  Trees are checked once, when they are built.  Exit codes: 0
@@ -40,7 +42,6 @@ written by _tree_json, straight from the tree.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -51,6 +52,7 @@ import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import braid, fission, rootsys, stokes
 from .fission import FissionTree
@@ -95,16 +97,17 @@ def _parse_rational(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
+        exponent = "e" in text or "E" in text
         # Decided on the form alone: the number is never built.
-        if re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+", text):
+        if exponent and re.fullmatch(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][+-]?[0-9]+", text):
             raise InputError(f"{where}: exponent notation {_echo(value)} is not accepted")
         try:
             # Fraction alone also reads exponents, non-ASCII digits and "_" (3.11+).
-            if text.isascii() and "_" not in text and "e" not in text.lower():
+            if text.isascii() and "_" not in text and not exponent:
                 return Fraction(text)
         except (ValueError, ZeroDivisionError):
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-            if limit and re.search(f"[0-9]{{{limit + 1}}}", text):
+            if limit and any(len(run) > limit for run in re.findall("[0-9]+", text)):
                 raise InputError(f"{where}: entry {_echo(value)} exceeds the interpreter's"
                                  f" limit of {limit} digits")
         raise InputError(f"{where}: invalid rational {_echo(value)}")
@@ -453,60 +456,119 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-# Each command's help line and handler.
+# The CLI's grammar: each command's help line, handler and arguments, in
+# the order its help lists them.  "input" is the one positional argument;
+# a flag maps to its value kind (bool: a switch, False unless given; int;
+# or a tuple of choices), its default and its help.  _read_argv and
+# build_parser both read it.
 _COMMANDS = {
-    "decompose": ("decomposition of the local WMCG", _cmd_decompose),
-    "tree": ("emit the fission tree", _cmd_tree),
-    "cable": ("emit cabled generators (family A)", _cmd_cable),
-    "stokes-verify": ("run the Stokes braiding verifier", _cmd_stokes_verify),
-    "selftest": ("run the acceptance property suites", _cmd_selftest),
+    "decompose": ("decomposition of the local WMCG", _cmd_decompose, {
+        "input": (str, None, "spec file path or inline JSON"),
+        "--oracle": (bool, False, "force the arrangement path"),
+        "--check": (bool, False, "run both paths and compare"),
+        "--json": (bool, False, None),
+    }),
+    "tree": ("emit the fission tree", _cmd_tree, {
+        "input": (str, None, None),
+        "--format": (("json", "dot"), "json", None),
+    }),
+    "cable": ("emit cabled generators (family A)", _cmd_cable, {
+        "input": (str, None, None),
+        "--json": (bool, False, None),
+    }),
+    "stokes-verify": ("run the Stokes braiding verifier", _cmd_stokes_verify, {
+        "--count": (int, 100, None),
+        "--seed": (int, 2024, None),
+        "--json": (bool, False, None),
+    }),
+    "selftest": ("run the acceptance property suites", _cmd_selftest, {
+        "--full": (bool, False, "full-size sweeps"),
+    }),
 }
+# decompose's two routes besides the tree: at most one per call.
+_EXCLUSIVE = {"--oracle", "--check"}
+
+
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace of a well-formed command line, or None.
+
+    Well-formed is a command, then its exact flags, each at most once and
+    at most one of _EXCLUSIVE, each valued flag followed by a value that
+    does not start with "-" (read with argparse's int() and choices), and
+    the command's one input if it takes one.  Anything else (help, "--",
+    a prefix of a flag, "--flag=value", ...) is left to build_parser, whose
+    namespace equals this one wherever this one is given.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    _, fn, grammar = _COMMANDS[command]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name = token if token.startswith("-") else "input"
+        if name not in grammar or name in given:
+            return None
+        kind = grammar[name][0]
+        if kind is str:
+            value = token
+        elif kind is bool:
+            value = True
+        else:
+            value = next(tokens, "-")  # no value left reads as "-"
+            if value.startswith("-"):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif value not in kind:
+                return None
+        given[name] = value
+    if len(_EXCLUSIVE & given.keys()) > 1 or ("input" in grammar) != ("input" in given):
+        return None
+    args = {name: default for name, (_, default, _) in grammar.items()} | given
+    return SimpleNamespace(command=command, fn=fn, **{k.lstrip("-"): v for k, v in args.items()})
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The whole CLI's parser or, given a command, that command's own parser,
-    named "wildbraid <command>" as its subparser is; both read one grammar.
-    Each is built once per process and keeps no state between calls."""
-    if command:
-        parsers = {command: argparse.ArgumentParser(prog=f"wildbraid {command}")}
-    else:
-        parser = argparse.ArgumentParser(prog="wildbraid", description="fission trees, wild "
-                                         "mapping class group decompositions, cabled braids")
-        sub = parser.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
-    for name, p in parsers.items():
-        if name == "decompose":
-            p.add_argument("input", help="spec file path or inline JSON")
-            route = p.add_mutually_exclusive_group()
-            route.add_argument("--oracle", action="store_true", help="force the arrangement path")
-            route.add_argument("--check", action="store_true", help="run both paths and compare")
-        elif name in ("tree", "cable"):
-            p.add_argument("input")
-        if name == "tree":
-            p.add_argument("--format", choices=("json", "dot"), default="json")
-        elif name == "stokes-verify":
-            p.add_argument("--count", type=int, default=100)
-            p.add_argument("--seed", type=int, default=2024)
-        elif name == "selftest":
-            p.add_argument("--full", action="store_true", help="full-size sweeps")
-        if name in ("decompose", "cable", "stokes-verify"):
-            p.add_argument("--json", action="store_true")
-        p.set_defaults(command=name, fn=_COMMANDS[name][1])
-    return parsers[command] if command else parser
+def build_parser():
+    """The whole CLI's argparse parser, read from _COMMANDS: built once per
+    process, for help, usage errors and whatever _read_argv leaves to it,
+    and keeping no state between calls."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="wildbraid", description="fission trees, wild "
+                                     "mapping class group decompositions, cabled braids")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, fn, grammar) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        route = p.add_mutually_exclusive_group() if _EXCLUSIVE & grammar.keys() else None
+        for name, (kind, default, text) in grammar.items():
+            if kind is str:
+                p.add_argument(name, help=text)
+            elif kind is bool:
+                (route if name in _EXCLUSIVE else p).add_argument(
+                    name, action="store_true", help=text)
+            elif kind is int:
+                p.add_argument(name, type=int, default=default, help=text)
+            else:
+                p.add_argument(name, choices=kind, default=default, help=text)
+        p.set_defaults(command=command, fn=fn)
+    return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    known = bool(argv) and argv[0] in _COMMANDS
     try:
-        try:
-            args, rest = build_parser(argv[0]).parse_known_args(argv[1:]) if known else (None, argv)
-            if args is None or rest:  # help, usage errors, unknown commands: the whole CLI's parser
+        args = _read_argv(argv)
+        if args is None:  # help, usage errors and unusual argv: argparse
+            try:
                 args = build_parser().parse_args(argv)
-        except SystemExit:  # help is printed to stdout: a closed pipe fails here
-            sys.stdout.flush()
-            raise
+            except SystemExit:  # help is printed to stdout: a closed pipe fails here
+                sys.stdout.flush()
+                raise
         try:
             code = args.fn(args)
         except (fission.DecompositionMismatchError, ValueError) as exc:  # InputError is a ValueError

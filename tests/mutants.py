@@ -138,11 +138,18 @@ MUTANTS = (
         ("tests/test_fission.py", "-k", "root_values_runs_once_per_nonzero_coefficient"),
     ),
     Mutant(
-        "main keeps the command's parse despite leftover arguments",
+        "the reader accepts --oracle with --check",
         "src/wildbraid/cli.py",
-        "    if args is None or rest:",
-        "    if args is None:",
-        ("tests/test_cli.py", "-k", "whole_cli_parser"),
+        "    if len(_EXCLUSIVE & given.keys()) > 1 or",
+        "    if len(_EXCLUSIVE & given.keys()) > 2 or",
+        ("tests/test_cli.py", "-k", "agrees_with_argparse_on_any_argv"),
+    ),
+    Mutant(
+        "the reader takes a second input",
+        "src/wildbraid/cli.py",
+        "        if name not in grammar or name in given:\n",
+        '        if name not in grammar or name in given and name != "input":\n',
+        ("tests/test_cli.py", "-k", "agrees_with_argparse_on_any_argv"),
     ),
     Mutant(
         "conjugates of one torus scalar reused for the next",

@@ -12,12 +12,13 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wildbraid import cli, fission, linalg, rootsys, stokes
+from wildbraid import cli, fission, linalg, rootsys, selfcheck, stokes
 from wildbraid.cli import (
     InputError,
     TraceProjectionWarning,
@@ -791,12 +792,14 @@ def test_main_builds_the_parser_once_and_keeps_no_flags(monkeypatch, capsys):
     assert main(["decompose", SL3_DOC]) == 0
     assert capsys.readouterr().out == "PB_2 x PB_2\n"
     assert methods == ["check", "tree"]
-    # A call that starts with a command builds that command's parser alone.
-    assert built == ["wildbraid decompose"]
-    with pytest.raises(SystemExit):
-        main(["-h"])
-    assert "decompose" in capsys.readouterr().out
-    assert built[1:] == ["wildbraid", *(f"wildbraid {command}" for command in COMMAND_NAMES)]
+    # A well-formed call builds no parser; help builds the whole CLI's
+    # parser and its five subparsers, once.
+    assert built == []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        assert "decompose" in capsys.readouterr().out
+    assert built == ["wildbraid", *(f"wildbraid {command}" for command in COMMAND_NAMES)]
 
 
 @pytest.mark.parametrize(
@@ -850,6 +853,109 @@ def test_main_parses_as_the_whole_cli_parser(argv, monkeypatch, capsys):
     assert (code, output) == (expected_code, capsys.readouterr())
     assert parsed == expected
     assert (expected is not None) == (argv[-1:] == [SL3_DOC])
+
+
+# Every command, each flag exact and as a prefix, a flag with "=value",
+# "--", help, a negative number, values valid and not, an empty string, "-"
+# and a spec.
+ARGV_TOKENS = (
+    *COMMAND_NAMES,
+    "--oracle", "--or", "--check", "--ch", "--json", "--js", "--format", "--fo", "--format=dot",
+    "--count", "--co", "--seed", "--se", "--full", "--fu",
+    "--", "-h", "-3", "abc", "svg", "dot", "7", "", "-", SL3_DOC,
+)
+# Each command's pieces of well-formed command lines, and a few near misses.
+ARGV_PIECES = {
+    "decompose": (["--oracle"], ["--check"], ["--json"], [SL3_DOC], ["abc"]),
+    "tree": (["--format", "dot"], ["--format", "svg"], [SL3_DOC]),
+    "cable": (["--json"], [SL3_DOC]),
+    "stokes-verify": (["--count", "7"], ["--count", "-3"], ["--count", "abc"], ["--seed", "7"],
+                      ["--json"]),
+    "selftest": (["--full"], ["abc"]),
+}
+
+
+def _outcome(argv):
+    """main's exit code, stdout and stderr on argv, SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=5)
+    | st.tuples(st.sampled_from(COMMAND_NAMES), st.lists(st.sampled_from(ARGV_TOKENS), max_size=4))
+    .map(lambda t: [t[0], *t[1]])
+    | st.sampled_from(COMMAND_NAMES).flatmap(
+        lambda c: st.lists(st.sampled_from(ARGV_PIECES[c]), max_size=3)
+        .map(lambda pieces: [c, *(token for piece in pieces for token in piece)])
+    )
+)
+@example(["decompose", SL3_DOC])
+@example(["decompose", "--json", "--check", SL3_DOC])
+@example(["decompose", "--oracle", SL3_DOC, "--json"])
+@example(["decompose", "--oracle", "--check", SL3_DOC])
+@example(["decompose", SL3_DOC, SL3_DOC])
+@example(["decompose", "--json", "--json", SL3_DOC])
+@example(["tree", "--format", "dot", SL3_DOC])
+@example(["tree", SL3_DOC, "--format", "svg"])
+@example(["cable", "--json", SL3_DOC])
+@example(["stokes-verify", "--count", "7", "--seed", "7", "--json"])
+@example(["stokes-verify", "--count", "-3"])
+@example(["stokes-verify", "--count", "7", "--count", "7"])
+@example(["selftest", "--full"])
+def test_main_agrees_with_argparse_on_any_argv(argv):
+    # main gives what the whole CLI's parse_args followed by its handler
+    # gives; whenever main reads argv itself, it reads argparse's namespace.
+    def fake_run_all(fast):
+        return [("fast" if fast else "full", True, "")]
+
+    with mock.patch.object(selfcheck, "run_all", fake_run_all):
+        got = _outcome(argv)
+        with mock.patch.object(cli, "_read_argv", lambda argv: None):
+            expected = _outcome(argv)
+    assert got == expected
+    read = cli._read_argv(list(argv))
+    if read is not None:
+        assert vars(read) == vars(cli.build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", SL3_DOC],
+        ["decompose", "--check", "--json", SL3_DOC],
+        ["tree", "--format", "dot", SL3_DOC],
+        ["cable", SL3_DOC],
+        ["stokes-verify", "--count", "2", "--seed", "3"],
+        ["selftest"],
+    ],
+    ids=lambda argv: " ".join(a if len(a) < 20 else "<doc>" for a in argv),
+)
+def test_a_well_formed_call_loads_no_argparse(argv):
+    # A fresh process: importing the CLI and running a well-formed call
+    # loads neither argparse nor the gettext and locale it brings; help
+    # still comes from argparse.
+    script = (
+        "import json, sys\n"
+        "from wildbraid import cli\n"
+        "code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))]))\n"
+        "cli.main(['-h'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    _, report, usage = result.stdout.partition("\n[0, []]\n")
+    assert report and usage.startswith("usage: wildbraid [-h]"), result.stdout
 
 
 CABLE_A32_DOC = json.dumps(
@@ -928,6 +1034,57 @@ def test_cmd_names_other_e_strings_invalid_rationals(entry, capsys):
     assert main(["decompose", json.dumps(doc)]) == 2
     err = capsys.readouterr().err
     assert "invalid rational" in err and "exponent notation" not in err
+
+
+def ref_parse_rational(value, where):
+    """cli._parse_rational as it was before it ran the exponent pattern only
+    on texts with an "e" or "E": the reference for the messages and values."""
+    if isinstance(value, bool) or isinstance(value, float):
+        raise InputError(f"{where}: entry {cli._echo(value)} is not an exact rational")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        text = value.strip()
+        if re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+", text):
+            raise InputError(f"{where}: exponent notation {cli._echo(value)} is not accepted")
+        try:
+            if text.isascii() and "_" not in text and "e" not in text.lower():
+                return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and re.search(f"[0-9]{{{limit + 1}}}", text):
+                raise InputError(f"{where}: entry {cli._echo(value)} exceeds the interpreter's"
+                                 f" limit of {limit} digits")
+        raise InputError(f"{where}: invalid rational {cli._echo(value)}")
+    raise InputError(f"{where}: entry {cli._echo(value)} is not an exact rational")
+
+
+def _rational_or_message(parse, value):
+    try:
+        return parse(value, "input.coefficients[1]")
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.text(alphabet="0123456789eE+-./_ \u0661xÉ", max_size=12)
+    | st.integers()
+    | st.floats()
+    | st.booleans()
+    | st.none()
+)
+@example("1e5")
+@example(" .5E-3 ")
+@example("1.5")
+@example("9" * 5000)
+@example("9" * 5000 + "e1")
+@example("9" * 5000 + "e")
+@example(("9" * 4300 + "x") * 2 + "9" * 4301)
+def test_parse_rational_matches_the_reference(value):
+    assert _rational_or_message(cli._parse_rational, value) == _rational_or_message(
+        ref_parse_rational, value
+    )
 
 
 def test_cmd_stokes_verify_rejects_negative_count(capsys):
