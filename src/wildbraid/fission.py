@@ -16,15 +16,19 @@ implemented:
   ``decomposition_from_tree`` reads one factor per node, by one rule for
   every family; no root is enumerated;
 * the arrangement oracle: enumerate the roots and bucket them by degree;
-  the roots Phi_{l+1} adds to Phi_l are bucket l.  ``rootsys.levi_chain``
-  walks up the filtration once (the one Levi test), refining each fusion from
-  the level below and classifying each level's arrangement block by block:
-  one ``rootsys.Level`` per level, kept on the instance as a ``Filtration``.
+  Phi_1 is bucket 0 and the roots Phi_{l+1} adds to Phi_l are bucket l.
+  ``rootsys.levi_chain`` walks up from the empty level once (the one Levi
+  test), one restriction step per nonempty bucket, Phi_1's included:
+  each step refines the fusion of the level below, and every step above
+  Phi_1 classifies its level's arrangement block by block.  One
+  ``rootsys.Level`` per level, kept on the instance as a ``Filtration``.
 
 The two must agree on families A-D; ``decompose(..., method="check")``, the
 one comparison of the two, raises if they ever differ, level by level (tree
 nodes against the fusion of the root-enumerated level) and in the product.
-G2 is handled by the oracle only (there is no fission tree for G2).
+G2 is handled by the oracle only (there is no fission tree for G2), so on
+G2 every method runs that one route and "check" compares nothing (see
+"G2 gets a second route" in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -548,12 +552,14 @@ def decompose(
 ) -> GroupDecomposition:
     """Group decomposition of the pure local wild mapping class group of q.
 
-    method="tree" uses the fission-tree fast path (arrangement oracle for
-    G2); method="oracle" forces the arrangement path; method="check" runs
-    both and raises DecompositionMismatchError on disagreement: first
-    level by level, the tree's nodes against the root side's fusion of
-    that level (``rootsys.levi_chain``), then the two products.  A caller
-    that already holds fission_tree(q) passes it as ``tree``.
+    method="tree" uses the fission-tree fast path; method="oracle" forces
+    the arrangement path; method="check" runs both and raises
+    DecompositionMismatchError on disagreement: first level by level, the
+    tree's nodes against the root side's fusion of that level
+    (``rootsys.levi_chain``), then the two products.  G2 has no tree, so
+    every method returns the arrangement path there and "check" compares
+    nothing (see "G2 gets a second route" in ROADMAP.md).  A caller that
+    already holds fission_tree(q) passes it as ``tree``.
     """
     if method not in ("tree", "oracle", "check"):
         raise ValueError(f"unknown method {method!r}")

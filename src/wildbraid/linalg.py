@@ -8,29 +8,40 @@ they encode discrete invariants; they only ask whether a quantity is zero,
 so the elimination runs fraction-free.  ``cleared`` (and its
 ``integer_vector``) clears the denominators of a rational vector, the one
 place here where ``fractions.Fraction`` input is accepted, and refuses an
-entry that is not an exact rational.  ``rootsys.CartanElement`` calls it
-once per coefficient, when the coefficient is built (the parser builds each
-parsed vector first and projects only on the trace refusal),
-``rootsys.project_traceless`` once per projection and ``stokes`` once per
-matrix it reads as a pair.
+entry that is not an exact rational: a float or a bool (as ``exact`` does,
+which ``rootsys.cartan`` and ``stokes.mat`` call before ``Fraction`` reads
+an entry), or anything without ``as_integer_ratio``.
+``rootsys.CartanElement`` calls it once per coefficient, when the
+coefficient is built (the parser builds each parsed vector first and
+projects only on the trace refusal), ``rootsys.project_traceless`` once per
+projection and ``stokes`` once per matrix it reads as a pair.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
+_INEXACT = (float, bool)  # a float is inexact, a bool is not a number
+
+
+def exact(x, name: str):
+    """x itself, unless it is a float or a bool."""
+    if isinstance(x, _INEXACT):
+        raise ValueError(f"{name} entry {x!r} is not an exact rational")
+    return x
+
 
 def cleared(v, name: str) -> tuple[list[int], int]:
     """The sequence v (ints or Fractions) times the lcm d of its
     denominators, and d.
 
-    An entry without ``as_integer_ratio`` (a str, a complex, None) raises
-    a ValueError that names it, as "<name> entry ...".
+    A float or a bool entry, or one without ``as_integer_ratio`` (a str, a
+    complex, None), raises a ValueError that names it, as "<name> entry ...".
     """
-    try:
-        ratios = [x.as_integer_ratio() for x in v]
+    try:  # one pass: a float or a bool reads as None, which has no ratio
+        ratios = [(None if isinstance(x, _INEXACT) else x).as_integer_ratio() for x in v]
     except AttributeError:
-        bad = next(x for x in v if not hasattr(x, "as_integer_ratio"))
+        bad = next(x for x in v if isinstance(x, _INEXACT) or not hasattr(x, "as_integer_ratio"))
         raise ValueError(f"{name} entry {bad!r} is not an exact rational") from None
     # A list, not a generator: unpacking a generator builds an oversized
     # tuple and shrinks it, which fills CPython's tuple free list.

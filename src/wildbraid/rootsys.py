@@ -28,17 +28,19 @@ partitions and the classification of restricted hyperplane arrangements
 against the model families A / BC / D / exotic (B_r/C_r)D_s.
 
 One signed union-find on hyperplane supports (``_signed_classes``) computes
-both, once per level.  ``levi_chain`` restricts each new level's positive
-roots to the kernel of the level below; the signed classes of those
-restricted covectors refine that level's fusion (``_refine``) and are the
-arrangement's blocks, each classified from its axes, pairs and balance
-(Zaslavsky, "Signed graphs", 1982).  It returns one ``Level`` record per
-level (subsystem, fusion, classified blocks); supports and classes stay here.
+both, once per level.  ``levi_chain`` walks up from the empty level, whose
+fusion is the singletons, one step per level: it restricts the level's new
+positive roots to the kernel of the level below, each covector held once as
+its nonzero (part, entry) pairs.  Their signed classes refine the fusion
+below (``_refine``) and, above Phi_1, are the arrangement's blocks, each
+classified from its axes, pairs and balance (Zaslavsky, "Signed graphs",
+1982) and written out densely only then.  It returns one ``Level`` record
+per level (subsystem, fusion, classified blocks); pairs and classes stay here.
 
 The one Levi test is ``levi_chain``, which the fission filtration,
-``restricted_arrangement_blocks`` and ``RootSubsystem.is_levi`` all call
-(the last two classify their top increment too); ``validate`` (closure) is
-kept only for the tests and the benchmark.
+``restricted_arrangement_blocks``, ``RootSubsystem.is_levi`` and
+``fusion_of`` (one step, from the singletons) all call; ``validate``
+(closure) is kept only for the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -211,7 +213,10 @@ class CartanElement(namedtuple("CartanElement", "rs coords")):
 
 
 def cartan(rs: RootSystem, values) -> CartanElement:
-    return CartanElement(rs, tuple(v if type(v) is Fraction else Fraction(v) for v in values))
+    """Each value read by ``Fraction`` (a str too), a float or a bool refused."""
+    return CartanElement(rs, tuple(
+        v if type(v) is Fraction else Fraction(linalg.exact(v, "coordinate")) for v in values
+    ))
 
 
 def project_traceless(values) -> tuple[Fraction, ...]:
@@ -398,20 +403,12 @@ def _refine(fus: Fusion, classes) -> Fusion:
 def fusion_of(sub: RootSubsystem) -> Fusion:
     """The singletons refined by the subsystem's roots; classical families only.
 
-    Only the lex-positive members are read: a root and its negative cut the
-    same hyperplane, and sub is closed under negation, as every Levi
-    subsystem is (``levi_chain`` checks it before calling this).
+    This is ``levi_chain`` over the one bucket ``sub.members``, which must be
+    closed under negation, as every Levi subsystem is.
     """
-    rs = sub.parent
-    if rs.family == "G2":
+    if sub.parent.family == "G2":
         raise ValueError("fusion is defined for classical families only")
-    n, supports = rs.ambient_dim, rs.supports
-    positive = sub.members[bisect_left(sub.members, len(supports) // 2) :]
-    hyperplanes = [
-        ((i, x), (j, y)) if y else ((i, x),) for i, x, j, y in (supports[k] for k in positive)
-    ]
-    singletons = Fusion(tuple((c,) for c in range(n)), ((1,),) * n, ())
-    return _refine(singletons, _signed_classes(n, hyperplanes))
+    return levi_chain(sub.parent, [sub.members])[0].fusion
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +468,22 @@ class ArrangementType(namedtuple("ArrangementType", "kind d r s raw_hyperplanes"
 
 def _restricted_covectors(
     rs: RootSystem, inner: RootSubsystem, new: list[int], fus: Fusion | None
-) -> tuple[list[tuple[int, ...]], list | None]:
-    """Deduplicated restrictions of the roots ``new``, ascending, to Ker(inner):
-    the primitive covectors in order of first appearance, and on A-D each
-    one's nonzero (part, entry) pairs (None on G2).
+) -> list:
+    """Deduplicated restrictions of the roots ``new``, ascending, to Ker(inner),
+    in order of first appearance: on A-D each primitive covector once, as its
+    nonzero (part, entry) pairs; on G2 each as a dense tuple.
 
     Only the lex-positive roots of ``new`` are read (index at least half the
     roots): ``new`` is closed under negation (``levi_chain`` checks it
     first), and a negative restricts to minus the positive root's covector.
     On families A-D a root restricts to the signed sum of its entries over
-    each part of ``fus``, the fusion of inner; pinned coordinates (sign 0)
-    drop out.  G2 has no fusion (``fus`` is None): there the covector is the
-    root's values on an integer basis of the trace-free kernel.  For family
-    A the fused value vectors are differences of two unit entries; such
-    covectors are never proportional modulo the trace relation, so
-    deduplication on the value vectors equals deduplication on the
-    trace-free kernel.
+    each part of ``fus``, the fusion of inner (the singletons when inner is
+    empty); pinned coordinates (sign 0) drop out.  G2 has no fusion (``fus``
+    is None): there the covector is the root's values on an integer basis of
+    the trace-free kernel.  For family A the fused value vectors are
+    differences of two unit entries; such covectors are never proportional
+    modulo the trace relation, so deduplication on the value vectors equals
+    deduplication on the trace-free kernel.
 
     A root that restricts to zero lies in span(inner) and raises
     ``SubsystemError``.
@@ -501,7 +498,7 @@ def _restricted_covectors(
             if not any(w):
                 raise SubsystemError(zero_error)
             seen[linalg.primitive(w)] = None
-        return list(seen), None
+        return list(seen)
     # The part and sign of every coordinate; a pinned one keeps sign 0.
     part, sign = [0] * rs.ambient_dim, [0] * rs.ambient_dim
     for k, (cs, ss) in enumerate(zip(fus.parts, fus.signs)):
@@ -522,13 +519,7 @@ def _restricted_covectors(
             nonzero[((ka if a else kb, 1),)] = None
         else:
             raise SubsystemError(zero_error)
-    covectors = []
-    for pairs in nonzero:
-        w = [0] * len(fus.parts)
-        for k, t in pairs:
-            w[k] = t
-        covectors.append(tuple(w))
-    return covectors, list(nonzero)
+    return list(nonzero)
 
 
 class Level(namedtuple("Level", "sub fusion blocks")):
@@ -548,9 +539,10 @@ def levi_chain(rs: RootSystem, increments) -> tuple[Level, ...]:
 
     Every increment must first be closed under negation (a root whose
     negative its level lacks lies in its span); then only its positive half
-    is read.  Phi_1 gets ``fusion_of``; each nonempty increment, restricted
-    to Ker(Phi_l), runs one signed union-find on the covectors' supports,
-    whose classes refine Phi_l's fusion (``_refine``) and are the blocks.
+    is read.  From the empty level and its singleton fusion, each nonempty
+    increment, Phi_1's included, restricted to the kernel of the level
+    below, runs one signed union-find on the covectors' supports, whose
+    classes refine the fusion below (``_refine``) and are the blocks.
 
     This is the one Levi test; every pair passes it before any is
     classified.  It raises ``SubsystemError`` on an increment not closed
@@ -558,29 +550,31 @@ def levi_chain(rs: RootSystem, increments) -> tuple[Level, ...]:
     on Ker(Phi_l) (it lies in span(Phi_l)).  Else Phi_l is Levi in
     Phi_{l+1}, and Levi in Levi is Levi: every level is Levi in Phi, the top.
     """
-    last = len(rs.supports) - 1
+    last, n = len(rs.supports) - 1, rs.ambient_dim
     for new in increments:
         if [last - i for i in reversed(new)] != list(new):
             raise SubsystemError("level lacks a root's negative (inner is not Levi)")
-    sub = subsystem(rs, increments[0])
-    fus = None if rs.family == "G2" else fusion_of(sub)
-    walk = [(sub, fus, None)]  # per level: its (covectors, supports, classes), if any
-    for new in increments[1:]:
+    sub = RootSubsystem(rs, ())
+    fus = None if rs.family == "G2" else Fusion(tuple((c,) for c in range(n)), ((1,),) * n, ())
+    walk = []  # per level: its subsystem, fusion and (covectors, classes), if any
+    for new in increments:
         restriction = None
         if new:
-            covectors, supports = _restricted_covectors(rs, sub, new, fus)
+            covectors = _restricted_covectors(rs, sub, new, fus)
             sub = RootSubsystem(rs, tuple(sorted(sub.members + tuple(new))))  # two runs: one merge
             classes = None
             if fus is not None:
-                classes = _signed_classes(len(fus.parts), supports)
+                classes = _signed_classes(len(fus.parts), covectors)
                 fus = _refine(fus, classes)
-            restriction = (covectors, supports, classes)
-        walk.append((sub, fus, restriction))
+            restriction = (covectors, classes)
+        walk.append((sub, fus, restriction if walk else None))  # Phi_1 is not classified
     return tuple(Level(s, f, _arrangement_blocks(rs, *r) if r else ()) for s, f, r in walk)
 
 
-def _classify_block(block: list, balanced: bool) -> ArrangementType:
-    """Pattern-match one block of restricted covectors, each with its nonzero pairs.
+def _classify_block(block: list, balanced: bool, width: int) -> ArrangementType:
+    """Pattern-match one block of restricted covectors, each given by its
+    nonzero (part, entry) pairs and written out here, densely over the
+    ``width`` parts of the inner fusion, as ``raw_hyperplanes``.
 
     Covectors are primitive and distinct, so a coordinate pair carries at
     most its difference and its sum: with k coordinates, k(k-1) pair
@@ -589,16 +583,21 @@ def _classify_block(block: list, balanced: bool) -> ArrangementType:
     """
     support: set[int] = set()
     axes = pairs = 0
-    for cov, nz in block:
+    raw = []
+    for nz in block:
+        cov = [0] * width
+        for part, x in nz:
+            cov[part] = x
+        raw.append(tuple(cov))
         if len(nz) == 1:
             axes += 1
         elif len(nz) == 2 and abs(nz[0][1]) == 1 and abs(nz[1][1]) == 1:
             pairs += 1
         else:
-            raise ClassificationError(f"covector {cov} matches no model pattern")
+            raise ClassificationError(f"covector {raw[-1]} matches no model pattern")
         support.update(c for c, _ in nz)
     k = len(support)
-    raw = tuple(cov for cov, _ in block)
+    raw = tuple(raw)
     if pairs == k * (k - 1):
         if axes == k:
             return ArrangementType("TypeBC", d=k, raw_hyperplanes=raw)
@@ -630,20 +629,19 @@ def restricted_arrangement_blocks(
     return list(levi_chain(rs, [inner.members, new, rest])[1].blocks)
 
 
-def _arrangement_blocks(
-    rs: RootSystem, covectors: list[tuple[int, ...]], supports, classes
-) -> tuple[ArrangementType, ...]:
-    """Classify one level pair's restricted covectors, given each one's
-    nonzero (part, entry) pairs and their ``_signed_classes`` as
-    ``levi_chain`` hands them on: each class is one block.
+def _arrangement_blocks(rs: RootSystem, covectors: list, classes) -> tuple[ArrangementType, ...]:
+    """Classify one level pair's restricted covectors as ``levi_chain`` hands
+    them on: on A-D each one's nonzero (part, entry) pairs and their
+    ``_signed_classes`` on the inner fusion's parts (each class is one
+    block); on G2 the dense covectors alone (``classes`` is None).
     """
     if rs.family == "G2":
         return (_classify_g2(covectors),)
-    root, _, unbalanced = classes
-    blocks: dict[int, list] = {}  # class -> its (covector, support) pairs
-    for cov, sup in zip(covectors, supports):
-        blocks.setdefault(root[sup[0][0]], []).append((cov, sup))
-    return tuple(_classify_block(blocks[r], r not in unbalanced) for r in sorted(blocks))
+    root, _, unbalanced = classes  # root: one entry per part
+    blocks: dict[int, list] = {}  # class -> its covectors
+    for pairs in covectors:
+        blocks.setdefault(root[pairs[0][0]], []).append(pairs)
+    return tuple(_classify_block(blocks[r], r not in unbalanced, len(root)) for r in sorted(blocks))
 
 
 def _classify_g2(covectors: list[tuple[int, ...]]) -> ArrangementType:

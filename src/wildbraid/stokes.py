@@ -29,9 +29,9 @@ Arithmetic runs on one canonical integer form.  A matrix m is the pair
 m = n / q and gcd(q, *n) == 1.  Each rational matrix has exactly one such
 pair, so matrix equality is tuple equality, the identity is
 ((1, 0, 0, 0, 1, 0, 0, 0, 1), 1) and det(m) = 1 reads det(n) == q**3.
-_pair checks a Mat's shape, refuses float and bool entries (so does mat)
-and clears its denominators, once per entry, with linalg.cleared, which
-refuses a str or a complex:
+_pair checks a Mat's shape and clears its denominators, once per entry,
+with linalg.cleared, which refuses a float, a bool, a str or a complex (mat
+refuses the first two too, and reads a str through Fraction):
 a StokesTuple keeps its seven pairs as ``pairs``, and the actions,
 solve_relation and random_tuple build their tuples from pairs
 (``_from_pairs``, with the constructor's checks), clearing nothing again.
@@ -64,15 +64,8 @@ Mat = tuple[tuple[Fraction, ...], ...]
 Pair = tuple[tuple[int, ...], int]
 
 
-def _exact(x, name: str):
-    """x itself, unless it is a float (inexact) or a bool (not a number)."""
-    if isinstance(x, (float, bool)):
-        raise ValueError(f"{name} entry {x!r} is not an exact rational")
-    return x
-
-
 def mat(rows) -> Mat:
-    m = tuple(tuple(Fraction(_exact(x, "matrix")) for x in row) for row in rows)
+    m = tuple(tuple(Fraction(linalg.exact(x, "matrix")) for x in row) for row in rows)
     if len(m) != 3 or any(len(r) != 3 for r in m):
         raise ValueError("3x3 matrix required")
     return m
@@ -95,7 +88,7 @@ def _pair(m: Mat, name: str = "matrix") -> Pair:
     """
     if len(m) != 3 or any(len(row) != 3 for row in m):
         raise ValueError(f"{name} must be 3x3")
-    n, q = linalg.cleared([_exact(x, name) for row in m for x in row], name)
+    n, q = linalg.cleared([x for row in m for x in row], name)
     return tuple(n), q
 
 

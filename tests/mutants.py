@@ -10,7 +10,9 @@ Run from anywhere, with pytest installed:
 For each mutant, ``src/`` and ``tests/`` are copied to a fresh temporary
 directory, the mutant's old text, which must occur exactly once in its file,
 is replaced by its new text, and the mutant's pytest selection runs on the
-copy.  Before any mutant, every selection must pass on an unmutated copy.
+copy under the hypothesis profile ``mutants`` (``tests/conftest.py``), which
+skips shrinking: a property that catches a mutant reports at its first
+failing example.  Before any mutant, every selection must pass on an unmutated copy.
 The gate passes (exit 0) when every mutant's selection fails; a mutant whose
 old text does not match once, or whose selection still passes, fails the
 gate (exit 1).
@@ -55,6 +57,20 @@ MUTANTS = (
         "cs = sorted((c, s * sign[k]) for k in ks",
         "cs = sorted((c, s) for k in ks",
         ("tests/test_rootsys.py", "-k", "refine_glues_parts"),
+    ),
+    Mutant(
+        "levi_chain classifies Phi_1's step from the empty level",
+        "src/wildbraid/rootsys.py",
+        "        walk.append((sub, fus, restriction if walk else None))",
+        "        walk.append((sub, fus, restriction))",
+        ("tests/test_fission.py", "-k", "chain_fusions_equal_level_fusions_on_every_p3_chain"),
+    ),
+    Mutant(
+        "_classify_block writes each entry one part to the left",
+        "src/wildbraid/rootsys.py",
+        "            cov[part] = x\n",
+        "            cov[part - 1] = x\n",
+        ("tests/test_rootsys.py", "-k", "balanced_triangle or reference_on_every_levi_pair"),
     ),
     Mutant(
         "_classify_block reads balanced backwards",
@@ -163,9 +179,7 @@ MUTANTS = (
         "src/wildbraid/stokes.py",
         "a0 * b1 + a1 * b4 + a2 * b7,",
         "a0 * b1 + a1 * b4 + a2 * b8,",
-        # integer_arithmetic_matches_fraction_reference catches it too, but
-        # hypothesis then spends over a minute shrinking the example.
-        ("tests/test_stokes.py", "-k", "minv_exact"),
+        ("tests/test_stokes.py", "-k", "minv_exact or integer_arithmetic_matches_fraction_reference"),
     ),
     Mutant(
         "_shear_product adds column j to column i",
@@ -253,7 +267,10 @@ def run_pytest(copy: Path, args: tuple[str, ...]) -> int:
     )
     if not Path(probe.stdout.strip()).resolve().is_relative_to(copy.resolve()):
         raise SystemExit(f"wildbraid imports from {probe.stdout.strip()}, not the copy")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args]
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "--hypothesis-profile=mutants", *args,
+    ]
     return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
 
 

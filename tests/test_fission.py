@@ -315,8 +315,8 @@ def test_root_side_pass_rejects_a_non_levi_level(case, monkeypatch):
 
 @pytest.mark.parametrize(
     "vectors",
-    [Q_I, [Q_I[0], (0,) * 9, Q_I[2], (0,) * 9]],
-    ids=["qi", "repeated-levels"],
+    [Q_I, [Q_I[0], (0,) * 9, Q_I[2], (0,) * 9], Q_I[1:]],
+    ids=["qi", "repeated-levels", "nonempty-phi1"],
 )
 def test_one_root_side_pass_per_instance(vectors, monkeypatch):
     calls = []
@@ -331,20 +331,18 @@ def test_one_root_side_pass_per_instance(vectors, monkeypatch):
     decompose(q, method="check")
     level_factors(q)
     decomposition_via_arrangements(q)
-    levels = filtration(q).levels
-    pairs = list(zip(levels, levels[1:]))
-    # One fusion_of per pass, on Phi_1 (every level above is refined from
-    # the one below), and one restriction per changing pair, which is
-    # passed the roots outer \ inner in ascending order.
-    changing = [
-        (a.members, sorted(set(b.members) - set(a.members)))
-        for a, b in pairs
-        if a.members != b.members
+    # No fusion_of: the walk starts from the empty level and its singletons.
+    # One restriction per nonempty bucket, Phi_1's included, passed the
+    # level below, the roots the bucket adds, ascending, and the fusion of
+    # the level below.
+    n = q.rs.ambient_dim
+    below = [((), rootsys.Fusion(tuple((c,) for c in range(n)), ((1,),) * n, ()))]
+    below += [(level.sub.members, level.fusion) for level in filtration(q).chain]
+    steps = [
+        (a, sorted(set(b) - set(a)), fus) for (a, fus), (b, _) in zip(below, below[1:]) if a != b
     ]
-    assert [args[0].members for name, args in calls if name == "fusion"] == [levels[0].members]
-    assert [
-        (args[1].members, args[2]) for name, args in calls if name == "restrict"
-    ] == changing
+    assert [name for name, _ in calls] == ["restrict"] * len(steps)
+    assert [(args[1].members, args[2], args[3]) for _, args in calls] == steps
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Exact rank, integer nullspace and primitive covectors."""
 
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -48,3 +50,21 @@ def test_rational_rows():
         (Fraction(-2, 3), Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1)),
     ]
+
+
+@pytest.mark.parametrize(
+    "v, bad",
+    [
+        ([1, 0.5], "0.5"),
+        ([True, 1], "True"),
+        ([Fraction(1, 2), "1", 0.5], "'1'"),
+        ([2, None], "None"),
+    ],
+    ids=["float", "bool", "str-before-float", "none"],
+)
+def test_cleared_refuses_the_first_inexact_entry(v, bad):
+    # A float is not exact and a bool is not a number; the first entry that
+    # is neither an int nor a Fraction is the one named.
+    with pytest.raises(ValueError, match=f"^row entry {re.escape(bad)} is not an exact rational$"):
+        linalg.cleared(v, "row")
+    assert linalg.cleared([Fraction(1, 2), 3, Fraction(-2, 3)], "row") == ([3, 18, -4], 6)

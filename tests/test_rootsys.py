@@ -1,5 +1,6 @@
 """Root systems, Levi subsystems, fusions, kernels, and restricted arrangements."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -232,6 +233,23 @@ def test_cartan_element_refuses_entries_without_a_ratio(family, bad, text):
     with pytest.raises(ValueError, match=message):
         rootsys.CartanElement(rs, (Fraction(1, 2), bad) + (Fraction(-1, 2),) * rest)
     assert cartan(rs, ["1/2", "-1/2"] + ["0"] * rest).ints == (1, -1) + (0,) * rest
+
+
+@pytest.mark.parametrize("bad, text", [(0.5, "0.5"), (True, "True")], ids=["float", "bool"])
+@pytest.mark.parametrize("entry_point", ["cartan", "CartanElement", "project_traceless"])
+def test_float_and_bool_coordinates_are_refused(entry_point, bad, text):
+    # A float is not exact and a bool is not a number, wherever coordinates
+    # enter; strings stay accepted by cartan and project_traceless.
+    rs = build_root_system("B", 2)
+    build, name = {
+        "cartan": (lambda: cartan(rs, [bad, 1]), "coordinate"),
+        "CartanElement": (lambda: rootsys.CartanElement(rs, (bad, Fraction(2))), "coordinate"),
+        "project_traceless": (lambda: rootsys.project_traceless([bad, 1, -1]), "value"),
+    }[entry_point]
+    with pytest.raises(ValueError, match=f"^{name} entry {re.escape(text)} is not an exact rational$"):
+        build()
+    want = tuple(map(Fraction, ("5/6", "-2/3", "-1/6")))
+    assert rootsys.project_traceless(["1", "-1/2", 0]) == want
 
 
 _RATIONALS = st.one_of(
@@ -902,10 +920,20 @@ def ref_blocks(covectors):
 
 
 def ref_arrangement_blocks(rs, inner, outer):
-    """The reference blocks, smallest coordinate first."""
-    new = [i for i in outer.members if i not in inner.member_set]
-    covectors, _ = rootsys._restricted_covectors(rs, inner, new, fusion_of(inner))
-    return ref_classified(covectors)
+    """The reference blocks, smallest coordinate first, of the new positive
+    roots restricted here: each root's entries summed with their signs over
+    each part of fusion_of(inner) (pinned coordinates drop out), divided by
+    the gcd with the first nonzero entry made positive, duplicates dropped."""
+    fus = fusion_of(inner)
+    half = len(rs.roots) // 2
+    covectors = {}
+    for i in outer.members:
+        if i >= half and i not in inner.member_set:
+            root = rs.roots[i]
+            w = [sum(s * root[c] for c, s in zip(cs, ss)) for cs, ss in zip(fus.parts, fus.signs)]
+            g = math.gcd(*w) if next(x for x in w if x) > 0 else -math.gcd(*w)
+            covectors[tuple(x // g for x in w)] = None
+    return ref_classified(list(covectors))
 
 
 def ref_classified(covectors):
@@ -953,7 +981,7 @@ def classify(rs, covectors):
     classes recomputed here, where ``levi_chain`` hands on its own."""
     pairs = nonzero_pairs(covectors)
     classes = rootsys._signed_classes(len(covectors[0]), pairs)
-    return rootsys._arrangement_blocks(rs, covectors, pairs, classes)
+    return rootsys._arrangement_blocks(rs, pairs, classes)
 
 
 @pytest.mark.parametrize(
@@ -975,7 +1003,7 @@ def test_arrangement_balanced_triangle_is_type_a():
     # The triangle above with e_a + e_c turned into e_a - e_c is balanced.
     covectors = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
     (arr,) = classify(build_root_system("B", 3), covectors)
-    assert (arr.kind, arr.d) == ("TypeA", 2)
+    assert (arr.kind, arr.d, arr.raw_hyperplanes) == ("TypeA", 2, tuple(covectors))
 
 
 def sweep_types():
@@ -994,11 +1022,14 @@ def sweep_types():
 
 
 def test_one_signed_union_find_per_changing_level(monkeypatch):
-    # decompose(q, "check") runs _signed_classes once for Phi_1 (fusion_of)
-    # and once per changing level, and the classifier is handed that
-    # level's own classes (the very object the union-find returned), on
-    # the covectors' nonzero pairs; each changing level's blocks are the
-    # reference classification of its restricted covectors.
+    # decompose(q, "check") runs _signed_classes once per nonempty bucket:
+    # on the coordinates for Phi_1, when Phi_1 has roots, and on the parts
+    # of the level below for each changing level above it.  The classifier
+    # is handed each changing level's own classes (the very object the
+    # union-find returned) and the restricted covectors as nonzero pairs,
+    # which are exactly the nonzero pairs of the dense raw hyperplanes it
+    # writes; each changing level's blocks are the reference classification
+    # of its restricted covectors.
     found, handed = [], []
     signed_classes, arrangement_blocks = rootsys._signed_classes, rootsys._arrangement_blocks
 
@@ -1006,9 +1037,9 @@ def test_one_signed_union_find_per_changing_level(monkeypatch):
         found.append(signed_classes(*args))
         return found[-1]
 
-    def record(rs, covectors, pairs, classes):
-        handed.append((covectors, pairs, classes))
-        return arrangement_blocks(rs, covectors, pairs, classes)
+    def record(rs, covectors, classes):
+        handed.append((covectors, classes))
+        return arrangement_blocks(rs, covectors, classes)
 
     monkeypatch.setattr(rootsys, "_signed_classes", count)
     monkeypatch.setattr(rootsys, "_arrangement_blocks", record)
@@ -1019,10 +1050,15 @@ def test_one_signed_union_find_per_changing_level(monkeypatch):
         decompose(q, "check")
         chain = filtration(q).chain
         changing = [(a, b) for a, b in zip(chain, chain[1:]) if a.sub != b.sub]
-        assert len(found) == 1 + len(changing) == 1 + len(handed)
-        for (covectors, pairs, classes), own in zip(handed, found[1:]):
-            assert pairs == nonzero_pairs(covectors)
+        first = 1 if chain[0].sub.members else 0
+        assert len(found) == first + len(changing) == first + len(handed)
+        if first:
+            assert len(found[0][0]) == q.rs.ambient_dim
+        for (covectors, classes), own, (below, level) in zip(handed, found[first:], changing):
             assert classes is own
+            assert len(classes[0]) == len(below.fusion.parts)
+            raw = [cov for arr in level.blocks for cov in arr.raw_hyperplanes]
+            assert sorted(covectors) == sorted(nonzero_pairs(raw))
         for below, level in changing:
             assert level.blocks == tuple(ref_arrangement_blocks(q.rs, below.sub, level.sub))
             blocks += len(level.blocks)
