@@ -372,20 +372,20 @@ def cabled_group_generators(
 
     Cabling identities adds no letters, so a lift is the node's block braid
     (one block per child, as wide as its leaves) at the node's first leaf;
-    leaf_order visits children by id, so a node's leaves are one run.
+    each node's leaves are one run (``FissionTree.leaf_runs``).
     """
     if tree.family != "A":
         raise ValueError("cabled generators are defined for family A trees")
-    strands = len(tree.leaf_order)
+    strands, runs = len(tree.leaf_order), tree.leaf_runs
     out = []
     for node in tree.nodes:
         kids = tree.children(node.id)
         k = len(kids)
         if k < 2:
             continue
-        under = leaves_under(tree, node.id)
-        before, after = identity(under[0] - 1), identity(strands - under[-1])
-        widths = [len(leaves_under(tree, c)) for c in kids]
+        under = runs[node.id]
+        before, after = identity(under.start - 1), identity(strands + 1 - under.stop)
+        widths = [len(runs[c]) for c in kids]
         gens = [
             direct_sum([before, block_braid(pure_generator(k, j, m), widths), after])
             for j in range(1, k + 1)
@@ -397,11 +397,4 @@ def cabled_group_generators(
 
 def leaves_under(tree: FissionTree, node_id: int) -> tuple[int, ...]:
     """Leaf strand positions (1-based) below a node, in leaf order."""
-    reach, stack = set(), [node_id]
-    while stack:
-        node = stack.pop()
-        reach.add(node)
-        stack.extend(tree.children_map[node])
-    return tuple(
-        pos + 1 for pos, leaf in enumerate(tree.leaf_order) if leaf in reach
-    )
+    return tuple(tree.leaf_runs[node_id])

@@ -19,8 +19,9 @@ implemented:
   Phi_1 is bucket 0 and the roots Phi_{l+1} adds to Phi_l are bucket l.
   ``rootsys.levi_chain`` walks up from the empty level once (the one Levi
   test), one restriction step per nonempty bucket, Phi_1's included:
-  each step refines the fusion of the level below, and every step above
-  Phi_1 classifies its level's arrangement block by block.  One
+  each step carries each coordinate's part and sign up from the level
+  below and refines its fusion, and once every level has passed, each
+  step above Phi_1 has its arrangement classified block by block.  One
   ``rootsys.Level`` per level, kept on the instance as a ``Filtration``.
 
 The two must agree on families A-D; ``decompose(..., method="check")``, the
@@ -38,6 +39,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from . import linalg, rootsys
 from .rootsys import (
@@ -81,9 +83,11 @@ class IrregularType(namedtuple("IrregularType", "rs coefficients")):
 
     @cached_property
     def _root_side(self) -> Filtration:
-        """The ``filtration``: the roots bucketed by degree once, Phi_1 is
-        bucket 0 and Phi_{l+1} is Phi_l plus bucket l, walked up by
-        ``rootsys.levi_chain``."""
+        """The ``filtration``: the whole degree profile, both signs of every
+        root, bucketed by degree once (so a bucket that lacks a negative
+        reaches the negation check); Phi_1 is bucket 0 and Phi_{l+1} is
+        Phi_l plus bucket l, walked up by ``rootsys.levi_chain`` in one
+        restriction step per nonempty bucket."""
         by_degree: list[list[int]] = [[] for _ in range(self.p + 1)]
         for j, d in enumerate(degree_profile(self)):
             by_degree[d].append(j)
@@ -98,17 +102,16 @@ def degree_profile(q: IrregularType) -> tuple[int, ...]:
     """d_alpha = max{ i : alpha(A_i) != 0 } (0 if none), aligned with ``q.rs.roots``.
 
     Walks the coefficients bottom-up, skipping zero ones: each nonzero A_i
-    is evaluated once by ``rootsys.root_values``, on its integer column
-    ``A_i.ints`` (only zero/non-zero is read), and i is written on every
-    lex-positive root it does not kill.
-    Since d_alpha = d_{-alpha}, the negatives mirror the positive half.
+    is evaluated once on the lex-positive roots only, by
+    ``rootsys.positive_root_values`` on its integer column ``A_i.ints``
+    (only zero/non-zero is read), and i is written on every root it does
+    not kill.  Since d_alpha = d_{-alpha}, the negatives mirror that half.
     """
-    half = len(q.rs.positive_indices)
-    degrees = [0] * half
+    degrees = [0] * len(q.rs.positive_indices)
     for i, coeff in enumerate(q.coefficients, start=1):
         if any(coeff.coords):
-            values = rootsys.root_values(coeff)
-            degrees = [i if v else d for d, v in zip(degrees, values[half:])]
+            values = rootsys.positive_root_values(coeff)
+            degrees = [i if v else d for d, v in zip(degrees, values)]
     return tuple(degrees[::-1] + degrees)
 
 
@@ -211,6 +214,17 @@ class FissionTree(namedtuple("FissionTree", "family nodes")):
                 order.append(node)
             stack.extend(reversed(kids))
         return tuple(order)
+
+    @cached_property
+    def leaf_runs(self) -> dict[int, range]:
+        """Each node's leaves as their 1-based positions in ``leaf_order``: one
+        run, as that order visits children by id, read bottom-up once."""
+        runs = {leaf: range(i, i + 1) for i, leaf in enumerate(self.leaf_order, start=1)}
+        for node_id, _, _, _, _, _ in sorted(self.nodes, key=itemgetter(1)):
+            kids = self.children_map[node_id]
+            if kids:
+                runs[node_id] = range(runs[kids[0]].start, runs[kids[-1]].stop)
+        return runs
 
     @property
     def height(self) -> int:
@@ -494,12 +508,18 @@ def merge_decompositions(parts) -> GroupDecomposition:
 
 
 def decomposition_from_tree(tree: FissionTree) -> GroupDecomposition:
-    """Read one factor off each node: PB_k at a green node with k children,
-    PB_BC_d at a blue node with d green children and, in family D only,
-    PB_BCD(r, s) at the lowest blue node, with r large and s small children.
-    That node exists and is unique: the root is blue, no green node has a
-    blue child and no node has two blue children (check_tree_invariants), so
-    the blue nodes are one chain down from the root, one per level.
+    """The product of ``_node_factors``, one factor per node."""
+    return GroupDecomposition.from_factors(_node_factors(tree))
+
+
+def _node_factors(tree: FissionTree) -> list[Factor | None]:
+    """Read one factor off each node, aligned with ``tree.nodes``: PB_k at a
+    green node with k children, PB_BC_d at a blue node with d green children
+    and, in family D only, PB_BCD(r, s) at the lowest blue node, with r large
+    and s small children.  That node exists and is unique: the root is blue,
+    no green node has a blue child and no node has two blue children
+    (check_tree_invariants), so the blue nodes are one chain down from the
+    root, one per level.
     """
     exotic = None
     if tree.family == "D":
@@ -516,7 +536,7 @@ def decomposition_from_tree(tree: FissionTree) -> GroupDecomposition:
             factors.append(_canonical_factor("PBBCD", r, len(kids) - r))
         else:
             factors.append(_canonical_factor("PBBC", sum(c.colour == GREEN for c in kids)))
-    return GroupDecomposition.from_factors(factors)
+    return factors
 
 
 def _factor_of_arrangement(arr: ArrangementType, family: str) -> Factor | None:
@@ -575,8 +595,23 @@ def decompose(
     if via_tree != via_arr:
         raise DecompositionMismatchError(
             f"tree path gave [{via_tree}] but arrangement oracle gave [{via_arr}]"
+            + _first_differing_level(tree, q)
         )
     return via_tree
+
+
+def _first_differing_level(tree: FissionTree, q: IrregularType) -> str:
+    """Name the first level l whose tree factors (the nodes at tree level
+    l+1) differ from entry l of ``level_factors(q)``, with both lists; read
+    only once the two products differ."""
+    per_node = list(zip(tree.nodes, _node_factors(tree)))
+    for l, factors in level_factors(q):
+        at_tree = GroupDecomposition.from_factors([f for n, f in per_node if n.level == l + 1])
+        if at_tree.factors != factors:
+            at_nodes, at_roots = (", ".join(map(str, fs)) for fs in (at_tree.factors, factors))
+            return (f"; level {l} differs first: the tree nodes at level {l + 1} give "
+                    f"[{at_nodes}] and its arrangements [{at_roots}]")
+    return ""
 
 
 def _check_tree_levels(tree: FissionTree, chain: tuple[rootsys.Level, ...]) -> None:

@@ -27,15 +27,17 @@ one-entry roots of B/C or by a sign conflict (the reducible "D_2 pair"
 partitions and the classification of restricted hyperplane arrangements
 against the model families A / BC / D / exotic (B_r/C_r)D_s.
 
-One signed union-find on hyperplane supports (``_signed_classes``) computes
-both, once per level.  ``levi_chain`` walks up from the empty level, whose
-fusion is the singletons, one step per level: it restricts the level's new
-positive roots to the kernel of the level below, each covector held once as
-its nonzero (part, entry) pairs.  Their signed classes refine the fusion
-below (``_refine``) and, above Phi_1, are the arrangement's blocks, each
-classified from its axes, pairs and balance (Zaslavsky, "Signed graphs",
-1982) and written out densely only then.  It returns one ``Level`` record
-per level (subsystem, fusion, classified blocks); pairs and classes stay here.
+``levi_chain`` computes both in one step per level (``_restrict``), up from
+the empty level, whose fusion is the singletons.  It carries each
+coordinate's part and sign (0: pinned) in the fusion below from step to
+step, reads the level's new positive roots off them as covectors on the
+kernel of the level below, each held once as its nonzero (part, entry)
+pairs, and cuts the fusion below by them (``_refine``): one signed
+union-find on the parts, whose classes are the new parts and, above Phi_1,
+the arrangement's blocks.  Only once every level has passed the Levi test
+is each block classified from its axes, pairs and balance (Zaslavsky,
+"Signed graphs", 1982) and written out densely.  It returns one ``Level``
+record per level (subsystem, fusion, classified blocks).
 
 The one Levi test is ``levi_chain``, which the fission filtration,
 ``restricted_arrangement_blocks``, ``RootSubsystem.is_levi`` and
@@ -303,21 +305,25 @@ def subsystem_from_vectors(rs: RootSystem, vectors) -> RootSubsystem:
         raise SubsystemError(f"{exc.args[0]} is not a root of {rs!r}") from None
 
 
-def root_values(a: CartanElement) -> list[int]:
-    """alpha(a) for every root alpha, aligned with roots, times one positive int.
+def positive_root_values(a: CartanElement) -> list[int]:
+    """alpha(a) for every lex-positive root alpha, in order, times one positive int.
 
     Only zero/non-zero is read off these values, so they are taken on
-    ``a.ints``, the coordinates cleared of denominators when a was built.
-    Each lex-positive root is evaluated on its flat support, and its
-    negative at the mirror index gets the negated value: v(-alpha) = -v(alpha).
+    ``a.ints``, the coordinates cleared of denominators when a was built;
+    each root is evaluated on its flat support.  The one root evaluation.
     """
     coords = a.ints
     supports = a.rs.supports
     positive = supports[len(supports) // 2 :]
     if a.rs.family == "G2":
-        half = [sum(coords[s[t]] * s[t + 1] for t in range(0, len(s), 2)) for s in positive]
-    else:
-        half = [coords[i] * x + coords[j] * y for i, x, j, y in positive]
+        return [sum(coords[s[t]] * s[t + 1] for t in range(0, len(s), 2)) for s in positive]
+    return [coords[i] * x + coords[j] * y for i, x, j, y in positive]
+
+
+def root_values(a: CartanElement) -> list[int]:
+    """alpha(a) for every root alpha, aligned with roots: ``positive_root_values``
+    mirrored, since v(-alpha) = -v(alpha) at the mirror index."""
+    half = positive_root_values(a)
     return [-v for v in reversed(half)] + half
 
 
@@ -345,59 +351,78 @@ class Fusion(namedtuple("Fusion", "parts signs zero")):
     __slots__ = ()
 
 
-def _signed_classes(n: int, hyperplanes):
-    """Signed union-find on coordinates 0..n-1 cut by hyperplanes, each its
-    nonzero (coordinate, entry) pairs: an axis pins its class, x e_a + y e_b
-    glues x_b = -sign(xy) x_a.  Returns each coordinate's class (named by its
-    smallest coordinate), its sign relative to that one, and the classes
-    pinned by an axis or a sign conflict (an unbalanced cycle).
+def _find(parent: list[int], rel: list[int], x: int) -> int:
+    """The root of x in a signed union-find, its path compressed: then
+    ``rel[x]`` is x's sign relative to the root, whose own sign is +1."""
+    path = []
+    while parent[x] != x:
+        path.append(x)
+        x = parent[x]
+    for y in reversed(path):  # nearest the root first: parent[y] is final
+        if parent[y] != x:
+            rel[y] *= rel[parent[y]]
+            parent[y] = x
+    return x
+
+
+def _refine(width: int, part: list[int], sign: list[int], hyperplanes) -> tuple:
+    """Cut a fusion with ``width`` parts (part k is the kernel's y_k) by
+    hyperplanes, each its nonzero (part, entry) pairs, where coordinate c is
+    ``sign[c]`` times y of ``part[c]`` (sign 0: pinned).
+
+    One signed union-find on the parts: an axis pins its class, x y_a + y y_b
+    glues y_b = -sign(xy) y_a, and a sign conflict (an unbalanced cycle) pins
+    its class.  The unpinned classes, named by their smallest part, are the
+    new parts in that order; pinned ones join the zeros.  Rewrites ``part``
+    and ``sign`` in place for the refined fusion and returns it, with the
+    blocks: per class that holds hyperplanes, ascending, the arguments of
+    ``_classify_block`` (its hyperplanes, whether it is balanced, ``width``).
     """
-    parent, sign = list(range(n)), [1] * n
-
-    def find(x: int) -> int:
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        for y in reversed(path):  # nearest the root first: parent[y] is final
-            if parent[y] != x:
-                sign[y] *= sign[parent[y]]
-                parent[y] = x
-        return x
-
-    conflicts = [h[0][0] for h in hyperplanes if len(h) == 1]
-    for (a, x), *rest in hyperplanes:
-        for b, y in rest:
-            ra, rb = find(a), find(b)
-            s = (-1 if x * y > 0 else 1) * sign[a] * sign[b]  # now x_rb = s * x_ra
-            if ra != rb:
-                lo, hi = min(ra, rb), max(ra, rb)
-                parent[hi], sign[hi] = lo, s
+    parent, rel = list(range(width)), [1] * width
+    conflicts = []
+    for h in hyperplanes:
+        a, x = h[0]
+        if len(h) == 1:
+            conflicts.append(a)
+        for b, y in h[1:]:
+            ra = a if parent[a] == a else _find(parent, rel, a)
+            rb = b if parent[b] == b else _find(parent, rel, b)
+            s = (-1 if x * y > 0 else 1) * rel[a] * rel[b]  # now y_rb = s * y_ra
+            if ra < rb:
+                parent[rb], rel[rb] = ra, s
+            elif rb < ra:
+                parent[ra], rel[ra] = rb, s
             elif s != 1:
                 conflicts.append(ra)
-    root = [find(c) for c in range(n)]
-    return root, sign, {root[c] for c in conflicts}
-
-
-def _refine(fus: Fusion, classes) -> Fusion:
-    """Ker(fus) cut by hyperplanes on its parts (part k is the kernel's y_k),
-    given their ``_signed_classes`` on the parts: those classes are the new
-    parts; pinned ones join the zeros.
-    """
-    root, sign, pinned = classes
-    classes: dict[int, list[int]] = {}
-    for k, r in enumerate(root):
-        classes.setdefault(r, []).append(k)
-    kept, zero = [], list(fus.zero)  # kept: (coordinates, signs) per new part
-    for r, ks in classes.items():
-        if r in pinned:
-            zero.extend(c for k in ks for c in fus.parts[k])
-        elif len(ks) == 1:  # an untouched part (a root has sign +1) is kept
-            kept.append((fus.parts[r], fus.signs[r]))
-        else:
-            cs = sorted((c, s * sign[k]) for k in ks for c, s in zip(fus.parts[k], fus.signs[k]))
-            kept.append(tuple(zip(*cs)))
-    return Fusion(tuple(p for p, _ in kept), tuple(s for _, s in kept), tuple(sorted(zero)))
+    root = [k if parent[k] == k else _find(parent, rel, k) for k in range(width)]
+    pinned = {root[k] for k in conflicts}
+    to: list = [None] * width  # each part's new part and sign, None if pinned
+    parts, signs, zero = [], [], []
+    for k, r in enumerate(root):  # r <= k, so to[r] is set when k needs it
+        if r not in pinned:
+            if r == k:
+                to[k] = (len(parts), 1)
+                parts.append([])
+                signs.append([])
+            else:
+                to[k] = (to[r][0], rel[k])
+    for c, s in enumerate(sign):  # ascending, so each new part is sorted
+        if s:
+            moved = to[part[c]]
+            if moved:
+                new, t = moved
+                part[c] = new
+                s = sign[c] = s * t
+                parts[new].append(c)
+                signs[new].append(s)
+                continue
+            sign[c] = 0
+        zero.append(c)
+    blocks: dict[int, list] = {}
+    for h in hyperplanes:
+        blocks.setdefault(root[h[0][0]], []).append(h)
+    fus = Fusion(tuple(map(tuple, parts)), tuple(map(tuple, signs)), tuple(zero))
+    return fus, tuple([(blocks[r], r not in pinned, width) for r in sorted(blocks)])
 
 
 def fusion_of(sub: RootSubsystem) -> Fusion:
@@ -466,27 +491,32 @@ class ArrangementType(namedtuple("ArrangementType", "kind d r s raw_hyperplanes"
         return self.kind
 
 
-def _restricted_covectors(
-    rs: RootSystem, inner: RootSubsystem, new: list[int], fus: Fusion | None
-) -> list:
-    """Deduplicated restrictions of the roots ``new``, ascending, to Ker(inner),
-    in order of first appearance: on A-D each primitive covector once, as its
-    nonzero (part, entry) pairs; on G2 each as a dense tuple.
+class Level(namedtuple("Level", "sub fusion blocks")):
+    """One level Phi_l of ``levi_chain``: its subsystem, its fusion (None on
+    G2), and the blocks of Phi_l \\ Phi_{l-1} restricted to Ker(Phi_{l-1}),
+    classified; none on Phi_1 or on a level that repeats the one below."""
 
-    Only the lex-positive roots of ``new`` are read (index at least half the
-    roots): ``new`` is closed under negation (``levi_chain`` checks it
-    first), and a negative restricts to minus the positive root's covector.
-    On families A-D a root restricts to the signed sum of its entries over
-    each part of ``fus``, the fusion of inner (the singletons when inner is
-    empty); pinned coordinates (sign 0) drop out.  G2 has no fusion (``fus``
-    is None): there the covector is the root's values on an integer basis of
-    the trace-free kernel.  For family A the fused value vectors are
-    differences of two unit entries; such covectors are never proportional
-    modulo the trace relation, so deduplication on the value vectors equals
-    deduplication on the trace-free kernel.
+    __slots__ = ()
 
-    A root that restricts to zero lies in span(inner) and raises
-    ``SubsystemError``.
+
+def _restrict(rs: RootSystem, inner: RootSubsystem, new: list[int], fus: Fusion | None,
+              part: list[int], sign: list[int]) -> tuple:
+    """One step of ``levi_chain``: the level inner plus the roots ``new``,
+    ascending, each restricted to Ker(inner).  Returns that level, its fusion
+    and its blocks, each the arguments of its classifier.
+
+    Only the lex-positive roots of ``new`` are read: ``new`` is closed under
+    negation (``levi_chain`` checks it first), and a negative restricts to
+    minus its positive's covector.  On A-D a root restricts to the signed sum
+    of its entries over each part of ``fus``, read off each coordinate's
+    carried ``part`` and ``sign`` (sign 0, pinned, drops out): each primitive
+    covector once, in order of first appearance, as its nonzero (part,
+    entry) pairs, which ``_refine`` cuts ``fus`` by.  G2 has no fusion: its
+    covector is the root's values on an integer basis of the trace-free
+    kernel, and the level is one block.  On A the fused value vectors are
+    differences of two unit entries, never proportional modulo the trace
+    relation, so deduplicating them deduplicates on the trace-free kernel.
+    A root that restricts to zero lies in span(inner): ``SubsystemError``.
     """
     positive = new[bisect_left(new, len(rs.supports) // 2) :]
     zero_error = "root restricts to zero on the kernel (inner is not Levi)"
@@ -498,36 +528,25 @@ def _restricted_covectors(
             if not any(w):
                 raise SubsystemError(zero_error)
             seen[linalg.primitive(w)] = None
-        return list(seen)
-    # The part and sign of every coordinate; a pinned one keeps sign 0.
-    part, sign = [0] * rs.ambient_dim, [0] * rs.ambient_dim
-    for k, (cs, ss) in enumerate(zip(fus.parts, fus.signs)):
-        for c, s in zip(cs, ss):
-            part[c], sign[c] = k, s
-    # Each primitive covector by its nonzero pairs: y_k, or y_k + t y_l with
-    # k < l, where t = +-1 as two-entry roots have unit entries.
-    nonzero: dict[tuple, None] = {}
-    supports = rs.supports
-    for r in positive:
-        i, x, j, y = supports[r]
-        a, b, ka, kb = x * sign[i], y * sign[j], part[i], part[j]
-        if ka == kb:
-            a, b = a + b, 0
-        if a and b:
-            nonzero[((ka, 1), (kb, a * b)) if ka < kb else ((kb, 1), (ka, a * b))] = None
-        elif a or b:
-            nonzero[((ka if a else kb, 1),)] = None
-        else:
-            raise SubsystemError(zero_error)
-    return list(nonzero)
-
-
-class Level(namedtuple("Level", "sub fusion blocks")):
-    """One level Phi_l of ``levi_chain``: its subsystem, its fusion (None on
-    G2), and the blocks of Phi_l \\ Phi_{l-1} restricted to Ker(Phi_{l-1}),
-    classified; none on Phi_1 or on a level that repeats the one below."""
-
-    __slots__ = ()
+        fus, blocks = None, ((list(seen),),)
+    else:
+        # y_k, or y_k + t y_l with k < l, where t = +-1 as two-entry roots
+        # have unit entries.
+        nonzero: dict[tuple, None] = {}
+        supports = rs.supports
+        for r in positive:
+            i, x, j, y = supports[r]
+            a, b, ka, kb = x * sign[i], y * sign[j], part[i], part[j]
+            if ka == kb:
+                a, b = a + b, 0
+            if a and b:
+                nonzero[((ka, 1), (kb, a * b)) if ka < kb else ((kb, 1), (ka, a * b))] = None
+            elif a or b:
+                nonzero[((ka if a else kb, 1),)] = None
+            else:
+                raise SubsystemError(zero_error)
+        fus, blocks = _refine(len(fus.parts), part, sign, list(nonzero))
+    return RootSubsystem(rs, tuple(sorted(inner.members + tuple(new)))), fus, blocks
 
 
 def levi_chain(rs: RootSystem, increments) -> tuple[Level, ...]:
@@ -538,13 +557,12 @@ def levi_chain(rs: RootSystem, increments) -> tuple[Level, ...]:
     l-th of the rest.  Returns one ``Level`` per level, Phi_1 first.
 
     Every increment must first be closed under negation (a root whose
-    negative its level lacks lies in its span); then only its positive half
-    is read.  From the empty level and its singleton fusion, each nonempty
-    increment, Phi_1's included, restricted to the kernel of the level
-    below, runs one signed union-find on the covectors' supports, whose
-    classes refine the fusion below (``_refine``) and are the blocks.
+    negative its level lacks lies in its span).  From the empty level and
+    its singleton fusion, each nonempty increment, Phi_1's included, is one
+    ``_restrict`` step from the level below, its fusion and, on A-D, each
+    coordinate's part and sign in it, which the step rewrites for its level.
 
-    This is the one Levi test; every pair passes it before any is
+    This is the one Levi test; every level passes it before any block is
     classified.  It raises ``SubsystemError`` on an increment not closed
     under negation, or on a root of Phi_{l+1} \\ Phi_l that restricts to zero
     on Ker(Phi_l) (it lies in span(Phi_l)).  Else Phi_l is Levi in
@@ -555,20 +573,17 @@ def levi_chain(rs: RootSystem, increments) -> tuple[Level, ...]:
         if [last - i for i in reversed(new)] != list(new):
             raise SubsystemError("level lacks a root's negative (inner is not Levi)")
     sub = RootSubsystem(rs, ())
-    fus = None if rs.family == "G2" else Fusion(tuple((c,) for c in range(n)), ((1,),) * n, ())
-    walk = []  # per level: its subsystem, fusion and (covectors, classes), if any
+    fus = None if rs.family == "G2" else Fusion(tuple(zip(range(n))), ((1,),) * n, ())  # singletons
+    part, sign = list(range(n)), [1] * n  # each coordinate's part of fus and sign in it
+    walk = []  # per level: its subsystem, fusion and blocks, if any
     for new in increments:
-        restriction = None
+        blocks = None
         if new:
-            covectors = _restricted_covectors(rs, sub, new, fus)
-            sub = RootSubsystem(rs, tuple(sorted(sub.members + tuple(new))))  # two runs: one merge
-            classes = None
-            if fus is not None:
-                classes = _signed_classes(len(fus.parts), covectors)
-                fus = _refine(fus, classes)
-            restriction = (covectors, classes)
-        walk.append((sub, fus, restriction if walk else None))  # Phi_1 is not classified
-    return tuple(Level(s, f, _arrangement_blocks(rs, *r) if r else ()) for s, f, r in walk)
+            sub, fus, blocks = _restrict(rs, sub, new, fus, part, sign)
+        walk.append((sub, fus, blocks if walk else None))  # Phi_1 is not classified
+    classify = _classify_g2 if rs.family == "G2" else _classify_block
+    return tuple([Level(s, f, tuple([classify(*b) for b in blocks]) if blocks else ())
+                  for s, f, blocks in walk])
 
 
 def _classify_block(block: list, balanced: bool, width: int) -> ArrangementType:
@@ -588,6 +603,7 @@ def _classify_block(block: list, balanced: bool, width: int) -> ArrangementType:
         cov = [0] * width
         for part, x in nz:
             cov[part] = x
+            support.add(part)
         raw.append(tuple(cov))
         if len(nz) == 1:
             axes += 1
@@ -595,7 +611,6 @@ def _classify_block(block: list, balanced: bool, width: int) -> ArrangementType:
             pairs += 1
         else:
             raise ClassificationError(f"covector {raw[-1]} matches no model pattern")
-        support.update(c for c, _ in nz)
     k = len(support)
     raw = tuple(raw)
     if pairs == k * (k - 1):
@@ -627,21 +642,6 @@ def restricted_arrangement_blocks(
     new = [i for i in outer.members if i not in inner.member_set]
     rest = [i for i in range(len(rs.supports)) if i not in outer.member_set]
     return list(levi_chain(rs, [inner.members, new, rest])[1].blocks)
-
-
-def _arrangement_blocks(rs: RootSystem, covectors: list, classes) -> tuple[ArrangementType, ...]:
-    """Classify one level pair's restricted covectors as ``levi_chain`` hands
-    them on: on A-D each one's nonzero (part, entry) pairs and their
-    ``_signed_classes`` on the inner fusion's parts (each class is one
-    block); on G2 the dense covectors alone (``classes`` is None).
-    """
-    if rs.family == "G2":
-        return (_classify_g2(covectors),)
-    root, _, unbalanced = classes  # root: one entry per part
-    blocks: dict[int, list] = {}  # class -> its covectors
-    for pairs in covectors:
-        blocks.setdefault(root[pairs[0][0]], []).append(pairs)
-    return tuple(_classify_block(blocks[r], r not in unbalanced, len(root)) for r in sorted(blocks))
 
 
 def _classify_g2(covectors: list[tuple[int, ...]]) -> ArrangementType:

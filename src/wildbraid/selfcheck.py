@@ -257,7 +257,7 @@ def criterion_cabled_groups(result: SweepResult) -> tuple[bool, str]:
                 continue
             for (j, m), g in gens.items():
                 expect = [[0] * g.strands for _ in range(g.strands)]
-                for a, b in product(*(braid.leaves_under(tree, kids[x - 1]) for x in (j, m))):
+                for a, b in product(*(tree.leaf_runs[kids[x - 1]] for x in (j, m))):
                     expect[a - 1][b - 1] = expect[b - 1][a - 1] = 1
                 if not braid.is_pure(g) or braid.linking_matrix(g) != tuple(map(tuple, expect)):
                     failures.append(f"node {node_id}: A_{j}{m} breaks purity or linking")

@@ -54,15 +54,22 @@ MUTANTS = (
     Mutant(
         "_refine drops each part's sign",
         "src/wildbraid/rootsys.py",
-        "cs = sorted((c, s * sign[k]) for k in ks",
-        "cs = sorted((c, s) for k in ks",
+        "                to[k] = (to[r][0], rel[k])\n",
+        "                to[k] = (to[r][0], 1)\n",
         ("tests/test_rootsys.py", "-k", "refine_glues_parts"),
+    ),
+    Mutant(
+        "_refine keeps a pinned coordinate's old part and sign for the next level",
+        "src/wildbraid/rootsys.py",
+        "            sign[c] = 0\n",
+        "",
+        ("tests/test_rootsys.py", "-k", "refine_glues_parts or reference_walk_on_every_p3_chain"),
     ),
     Mutant(
         "levi_chain classifies Phi_1's step from the empty level",
         "src/wildbraid/rootsys.py",
-        "        walk.append((sub, fus, restriction if walk else None))",
-        "        walk.append((sub, fus, restriction))",
+        "        walk.append((sub, fus, blocks if walk else None))",
+        "        walk.append((sub, fus, blocks))",
         ("tests/test_fission.py", "-k", "chain_fusions_equal_level_fusions_on_every_p3_chain"),
     ),
     Mutant(

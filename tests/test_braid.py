@@ -891,6 +891,38 @@ def test_cabled_generators_rejects_other_families():
         cabled_group_generators(tree)
 
 
+def subtree_scan(tree, node_id):
+    """Reference: the leaves reached below a node, scanned in leaf order."""
+    reach, stack = set(), [node_id]
+    while stack:
+        node = stack.pop()
+        reach.add(node)
+        stack.extend(tree.children_map[node])
+    return tuple(pos + 1 for pos, leaf in enumerate(tree.leaf_order) if leaf in reach)
+
+
+def test_leaf_runs_match_the_subtree_scan():
+    # Each node's run of leaf_order holds exactly the leaves below it, on
+    # random trees of every family, also with the ids relabelled at random
+    # and the nodes listed in a random order.
+    rng = random.Random(37)
+    nodes = 0
+    for _ in range(80):
+        rs = build_root_system(rng.choice("ABCD"), rng.randint(2, 7))
+        tree = fission.fission_tree(fission.random_irregular_type(rs, rng.randint(1, 4), rng))
+        new_id = dict(zip([n.id for n in tree.nodes], rng.sample(range(1000), len(tree.nodes))))
+        moved = [
+            n._replace(id=new_id[n.id], parent=None if n.parent is None else new_id[n.parent])
+            for n in tree.nodes
+        ]
+        rng.shuffle(moved)
+        for t in (tree, fission.FissionTree(tree.family, tuple(moved))):
+            for n in t.nodes:
+                assert leaves_under(t, n.id) == subtree_scan(t, n.id)
+                nodes += 1
+    assert nodes > 1000
+
+
 def gamma_lift(tree, node_id, label):
     """Reference lift: gamma at every node, label at node_id, identities elsewhere."""
 

@@ -149,9 +149,13 @@ def test_degree_profile_matches_fraction_reference(q):
     ids=["a8", "b3", "g2"],
 )
 def test_root_values_runs_once_per_nonzero_coefficient(q, monkeypatch):
+    # One evaluation on the positive roots per nonzero coefficient, and no
+    # other (root_values evaluates through the same helper).
     seen = []
-    root_values = rootsys.root_values
-    monkeypatch.setattr(rootsys, "root_values", lambda a: seen.append(a) or root_values(a))
+    positive_root_values = rootsys.positive_root_values
+    monkeypatch.setattr(
+        rootsys, "positive_root_values", lambda a: seen.append(a) or positive_root_values(a)
+    )
     decompose(q, method="check")
     assert seen == [a for a in q.coefficients if any(a.coords)]
 
@@ -325,16 +329,22 @@ def test_one_root_side_pass_per_instance(vectors, monkeypatch):
         return lambda *args: calls.append((name, args)) or fn(*args)
 
     monkeypatch.setattr(rootsys, "fusion_of", counted("fusion", fusion_of))
-    restrict = rootsys._restricted_covectors
-    monkeypatch.setattr(rootsys, "_restricted_covectors", counted("restrict", restrict))
+    restrict = rootsys._restrict
+
+    def step(rs, inner, new, fus, part, sign):  # the carried state as it was handed on
+        calls.append(("restrict", (rs, inner, new, fus, list(part), list(sign))))
+        return restrict(rs, inner, new, fus, part, sign)
+
+    monkeypatch.setattr(rootsys, "_restrict", step)
     q = a8_type(vectors)
     decompose(q, method="check")
     level_factors(q)
     decomposition_via_arrangements(q)
     # No fusion_of: the walk starts from the empty level and its singletons.
-    # One restriction per nonempty bucket, Phi_1's included, passed the
-    # level below, the roots the bucket adds, ascending, and the fusion of
-    # the level below.
+    # One restriction step per nonempty bucket, Phi_1's included, passed the
+    # level below, the roots the bucket adds, ascending, the fusion of the
+    # level below, and each coordinate's part and sign in that fusion (sign
+    # 0 when pinned).
     n = q.rs.ambient_dim
     below = [((), rootsys.Fusion(tuple((c,) for c in range(n)), ((1,),) * n, ()))]
     below += [(level.sub.members, level.fusion) for level in filtration(q).chain]
@@ -343,6 +353,11 @@ def test_one_root_side_pass_per_instance(vectors, monkeypatch):
     ]
     assert [name for name, _ in calls] == ["restrict"] * len(steps)
     assert [(args[1].members, args[2], args[3]) for _, args in calls] == steps
+    for _, (_, _, _, fus, part, sign) in calls:
+        assert tuple(c for c, s in enumerate(sign) if not s) == fus.zero
+        by_part = [[(c, s) for c, s in enumerate(sign) if s and part[c] == k]
+                   for k in range(len(fus.parts))]
+        assert by_part == [list(zip(cs, ss)) for cs, ss in zip(fus.parts, fus.signs)]
 
 
 @pytest.mark.parametrize(
@@ -1075,6 +1090,35 @@ def test_mismatch_error_names_both_results(monkeypatch):
     assert str(exc.value) == (
         "tree path gave [PB_BC_1] but arrangement oracle gave [PB_2 x PB_2]"
     )
+
+
+@pytest.mark.parametrize(
+    "planted_d, message",
+    [
+        # TypeA(2) is the block of levels 2 and 3 of Q_III: level 2 is named.
+        (2, "tree path gave [PB_2 x PB_3^2 x PB_4] but arrangement oracle gave "
+            "[PB_2 x PB_4^3]; level 2 differs first: the tree nodes at level 3 "
+            "give [PB_3] and its arrangements [PB_4]"),
+        (3, "tree path gave [PB_2 x PB_3^2 x PB_4] but arrangement oracle gave "
+            "[PB_2 x PB_3^2 x PB_5]; level 4 differs first: the tree nodes at "
+            "level 5 give [PB_4] and its arrangements [PB_5]"),
+    ],
+    ids=["twice-planted", "top-level"],
+)
+def test_mismatch_error_names_the_first_differing_level(planted_d, message, monkeypatch):
+    # The level fusions agree, so only the products differ; the message then
+    # names the first level whose tree factors and arrangement factors differ.
+    real = fission._factor_of_arrangement
+
+    def planted(arr, family):
+        if (arr.kind, arr.d) == ("TypeA", planted_d):
+            return Factor("PB", planted_d + 2)
+        return real(arr, family)
+
+    monkeypatch.setattr(fission, "_factor_of_arrangement", planted)
+    with pytest.raises(DecompositionMismatchError) as exc:
+        decompose(a8_type(Q_III), method="check")
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildbraid import rootsys
+from wildbraid import fission, rootsys
 from wildbraid.fission import (
     decompose,
     enumerate_filtration_chains,
@@ -642,16 +642,45 @@ SIGNED_CLASSES = {
 
 @pytest.mark.parametrize("case", SIGNED_CLASSES, ids=list(SIGNED_CLASSES))
 def test_signed_classes_on_hyperplane_supports(case):
+    # _refine's signed union-find, on the singletons: each unpinned class,
+    # named by its smallest coordinate, is a part with each coordinate's sign
+    # relative to that one; a pinned class joins the zeros, its coordinates'
+    # carried signs become 0; each class that holds hyperplanes is a block,
+    # balanced unless pinned.  The reference union-find, which also signs the
+    # coordinates of a pinned class, gives the table's classes whole.
     n, hyperplanes, root, sign, pinned = SIGNED_CLASSES[case]
-    assert rootsys._signed_classes(n, hyperplanes) == (root, sign, pinned)
+    assert ref_signed_classes(n, hyperplanes) == (root, sign, pinned)
+    part_of, sign_of = list(range(n)), [1] * n
+    fus, blocks = rootsys._refine(n, part_of, sign_of, hyperplanes)
+    kept = sorted({r for r in root if r not in pinned})
+    assert fus == rootsys.Fusion(
+        tuple(tuple(c for c in range(n) if root[c] == r) for r in kept),
+        tuple(tuple(sign[c] for c in range(n) if root[c] == r) for r in kept),
+        tuple(c for c in range(n) if root[c] in pinned),
+    )
+    assert sign_of == [0 if root[c] in pinned else sign[c] for c in range(n)]
+    assert all(part_of[c] == kept.index(root[c]) for c in range(n) if root[c] not in pinned)
+    holding = sorted({root[h[0][0]] for h in hyperplanes})
+    assert blocks == tuple(
+        ([h for h in hyperplanes if root[h[0][0]] == r], r not in pinned, n) for r in holding
+    )
 
 
 def test_refine_glues_parts_with_their_signs():
-    # Parts (0, 2) with signs (1, -1), (1,), (3,) and (4,); y_1 = -y_0 joins
-    # part 1 to part 0, and an axis on y_2 pins coordinate 3.
-    fus = rootsys.Fusion(((0, 2), (1,), (3,), (4,)), ((1, -1), (1,), (1,), (1,)), (5,))
-    got = rootsys._refine(fus, rootsys._signed_classes(4, [((0, 1), (1, 1)), ((2, -1),)]))
-    assert got == rootsys.Fusion(((0, 1, 2), (4,)), ((1, -1, -1), (1,)), (3, 5))
+    # Parts (0, 2) with signs (1, -1), (1,), (3,) and (4,), and 5 pinned
+    # (its stale part is ignored); y_1 = -y_0 joins part 1 to part 0, and an
+    # axis on y_2 pins coordinate 3.
+    part, sign = [0, 1, 0, 2, 3, 2], [1, 1, -1, 1, 1, 0]
+    fus, blocks = rootsys._refine(4, part, sign, [((0, 1), (1, 1)), ((2, -1),)])
+    assert fus == rootsys.Fusion(((0, 1, 2), (4,)), ((1, -1, -1), (1,)), (3, 5))
+    carried = [(c, part[c], s) for c, s in enumerate(sign) if s]
+    assert carried == [(0, 0, 1), (1, 0, -1), (2, 0, -1), (4, 1, 1)]
+    assert sign[3] == sign[5] == 0
+    assert blocks == (([((0, 1), (1, 1))], True, 4), ([((2, -1),)], False, 4))
+    # The next level glues y_0 = y_1: coordinate 3 stays pinned, whatever
+    # its old part held.
+    fus, _ = rootsys._refine(2, part, sign, [((0, 1), (1, -1))])
+    assert fus == rootsys.Fusion(((0, 1, 2, 4),), ((1, -1, -1, 1),), (3, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -976,12 +1005,12 @@ def nonzero_pairs(covectors):
     return [tuple((c, x) for c, x in enumerate(cov) if x) for cov in covectors]
 
 
-def classify(rs, covectors):
-    """The classifier on covectors, handed their nonzero pairs and signed
-    classes recomputed here, where ``levi_chain`` hands on its own."""
-    pairs = nonzero_pairs(covectors)
-    classes = rootsys._signed_classes(len(covectors[0]), pairs)
-    return rootsys._arrangement_blocks(rs, pairs, classes)
+def classify(covectors):
+    """The classifier on covectors over singleton parts, handed the blocks
+    that ``_refine`` groups their nonzero pairs into, as ``levi_chain`` does."""
+    n = len(covectors[0])
+    _, blocks = rootsys._refine(n, list(range(n)), [1] * n, nonzero_pairs(covectors))
+    return tuple(rootsys._classify_block(*block) for block in blocks)
 
 
 @pytest.mark.parametrize(
@@ -994,15 +1023,14 @@ def classify(rs, covectors):
     ids=["three-entry", "unbalanced-triangle", "axis-with-single-pair"],
 )
 def test_arrangement_classifier_rejects(covectors, message):
-    rs = build_root_system("B", 3)
     with pytest.raises(rootsys.ClassificationError, match=message):
-        classify(rs, covectors)
+        classify(covectors)
 
 
 def test_arrangement_balanced_triangle_is_type_a():
     # The triangle above with e_a + e_c turned into e_a - e_c is balanced.
     covectors = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
-    (arr,) = classify(build_root_system("B", 3), covectors)
+    (arr,) = classify(covectors)
     assert (arr.kind, arr.d, arr.raw_hyperplanes) == ("TypeA", 2, tuple(covectors))
 
 
@@ -1022,45 +1050,253 @@ def sweep_types():
 
 
 def test_one_signed_union_find_per_changing_level(monkeypatch):
-    # decompose(q, "check") runs _signed_classes once per nonempty bucket:
-    # on the coordinates for Phi_1, when Phi_1 has roots, and on the parts
-    # of the level below for each changing level above it.  The classifier
-    # is handed each changing level's own classes (the very object the
-    # union-find returned) and the restricted covectors as nonzero pairs,
-    # which are exactly the nonzero pairs of the dense raw hyperplanes it
-    # writes; each changing level's blocks are the reference classification
-    # of its restricted covectors.
-    found, handed = [], []
-    signed_classes, arrangement_blocks = rootsys._signed_classes, rootsys._arrangement_blocks
+    # decompose(q, "check") runs _refine, the signed union-find, once per
+    # nonempty bucket: on the coordinates for Phi_1, when Phi_1 has roots,
+    # and on the parts of the level below for each changing level above it.
+    # Its fusion is its level's, and the restricted covectors it is handed
+    # are exactly the nonzero pairs of the dense raw hyperplanes its level's
+    # blocks write.  The classifier runs only after the last union-find and
+    # is handed each changing level's own blocks (the very objects that
+    # level's union-find returned); each changing level's blocks are the
+    # reference classification of its restricted covectors.
+    events, found, handed = [], [], []
+    refine, classify_block = rootsys._refine, rootsys._classify_block
 
-    def count(*args):
-        found.append(signed_classes(*args))
-        return found[-1]
+    def count(width, part, sign, pairs):
+        events.append("refine")
+        found.append((width, pairs, refine(width, part, sign, pairs)))
+        return found[-1][2]
 
-    def record(rs, covectors, classes):
-        handed.append((covectors, classes))
-        return arrangement_blocks(rs, covectors, classes)
+    def record(*block):
+        events.append("classify")
+        handed.append(block)
+        return classify_block(*block)
 
-    monkeypatch.setattr(rootsys, "_signed_classes", count)
-    monkeypatch.setattr(rootsys, "_arrangement_blocks", record)
+    monkeypatch.setattr(rootsys, "_refine", count)
+    monkeypatch.setattr(rootsys, "_classify_block", record)
     cases = blocks = 0
     for q in sweep_types():
+        events.clear()
         found.clear()
         handed.clear()
         decompose(q, "check")
         chain = filtration(q).chain
         changing = [(a, b) for a, b in zip(chain, chain[1:]) if a.sub != b.sub]
         first = 1 if chain[0].sub.members else 0
-        assert len(found) == first + len(changing) == first + len(handed)
+        assert len(found) == first + len(changing)
+        assert events == ["refine"] * len(found) + ["classify"] * len(handed)
         if first:
-            assert len(found[0][0]) == q.rs.ambient_dim
-        for (covectors, classes), own, (below, level) in zip(handed, found[first:], changing):
-            assert classes is own
-            assert len(classes[0]) == len(below.fusion.parts)
+            assert found[0][0] == q.rs.ambient_dim and found[0][2][0] == chain[0].fusion
+        own = [block for _, _, (_, level_blocks) in found[first:] for block in level_blocks]
+        assert len(handed) == len(own)
+        assert all(h == o and h[0] is o[0] for h, o in zip(handed, own))
+        for (width, pairs, (fus, _)), (below, level) in zip(found[first:], changing):
+            assert width == len(below.fusion.parts) and fus == level.fusion
             raw = [cov for arr in level.blocks for cov in arr.raw_hyperplanes]
-            assert sorted(covectors) == sorted(nonzero_pairs(raw))
+            assert sorted(pairs) == sorted(nonzero_pairs(raw))
         for below, level in changing:
             assert level.blocks == tuple(ref_arrangement_blocks(q.rs, below.sub, level.sub))
             blocks += len(level.blocks)
         cases += 1
     assert cases > 400 and blocks > cases
+
+
+# ---------------------------------------------------------------------------
+# The Levi walk against a reference: the A-D walk that rebuilt each
+# coordinate's part and sign from the fusion below at every level, ran a
+# signed union-find with a nested find, refined the fusion from those
+# classes and regrouped the covectors by class before classifying them
+# ---------------------------------------------------------------------------
+
+
+def ref_signed_classes(n, hyperplanes):
+    parent, sign = list(range(n)), [1] * n
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        for y in reversed(path):
+            if parent[y] != x:
+                sign[y] *= sign[parent[y]]
+                parent[y] = x
+        return x
+
+    conflicts = [h[0][0] for h in hyperplanes if len(h) == 1]
+    for (a, x), *rest in hyperplanes:
+        for b, y in rest:
+            ra, rb = find(a), find(b)
+            s = (-1 if x * y > 0 else 1) * sign[a] * sign[b]
+            if ra != rb:
+                lo, hi = min(ra, rb), max(ra, rb)
+                parent[hi], sign[hi] = lo, s
+            elif s != 1:
+                conflicts.append(ra)
+    root = [find(c) for c in range(n)]
+    return root, sign, {root[c] for c in conflicts}
+
+
+def ref_refine(fus, classes):
+    root, sign, pinned = classes
+    by_root = {}
+    for k, r in enumerate(root):
+        by_root.setdefault(r, []).append(k)
+    kept, zero = [], list(fus.zero)
+    for r, ks in by_root.items():
+        if r in pinned:
+            zero.extend(c for k in ks for c in fus.parts[k])
+        elif len(ks) == 1:
+            kept.append((fus.parts[r], fus.signs[r]))
+        else:
+            cs = sorted((c, s * sign[k]) for k in ks for c, s in zip(fus.parts[k], fus.signs[k]))
+            kept.append(tuple(zip(*cs)))
+    return rootsys.Fusion(
+        tuple(p for p, _ in kept), tuple(s for _, s in kept), tuple(sorted(zero))
+    )
+
+
+def ref_restricted_covectors(rs, new, fus):
+    positive = [i for i in new if i >= len(rs.supports) // 2]
+    part, sign = [0] * rs.ambient_dim, [0] * rs.ambient_dim
+    for k, (cs, ss) in enumerate(zip(fus.parts, fus.signs)):
+        for c, s in zip(cs, ss):
+            part[c], sign[c] = k, s
+    nonzero = {}
+    for r in positive:
+        i, x, j, y = rs.supports[r]
+        a, b, ka, kb = x * sign[i], y * sign[j], part[i], part[j]
+        if ka == kb:
+            a, b = a + b, 0
+        if a and b:
+            nonzero[((ka, 1), (kb, a * b)) if ka < kb else ((kb, 1), (ka, a * b))] = None
+        elif a or b:
+            nonzero[((ka if a else kb, 1),)] = None
+        else:
+            raise SubsystemError("root restricts to zero on the kernel (inner is not Levi)")
+    return list(nonzero)
+
+
+def ref_level_blocks(covectors, classes):
+    root, _, unbalanced = classes
+    blocks = {}
+    for pairs in covectors:
+        blocks.setdefault(root[pairs[0][0]], []).append(pairs)
+    return tuple(
+        rootsys._classify_block(blocks[r], r not in unbalanced, len(root)) for r in sorted(blocks)
+    )
+
+
+def ref_levi_chain(rs, increments):
+    last, n = len(rs.supports) - 1, rs.ambient_dim
+    for new in increments:
+        if [last - i for i in reversed(new)] != list(new):
+            raise SubsystemError("level lacks a root's negative (inner is not Levi)")
+    sub = rootsys.RootSubsystem(rs, ())
+    fus = rootsys.Fusion(tuple((c,) for c in range(n)), ((1,),) * n, ())
+    walk = []
+    for new in increments:
+        restriction = None
+        if new:
+            covectors = ref_restricted_covectors(rs, new, fus)
+            sub = rootsys.RootSubsystem(rs, tuple(sorted(sub.members + tuple(new))))
+            classes = ref_signed_classes(len(fus.parts), covectors)
+            fus = ref_refine(fus, classes)
+            restriction = (covectors, classes)
+        walk.append((sub, fus, restriction if walk else None))
+    return tuple(
+        rootsys.Level(s, f, ref_level_blocks(*r) if r else ()) for s, f, r in walk
+    )
+
+
+def outcome(walk, rs, increments):
+    """What a walk returns, or the type and message of what it raises."""
+    try:
+        return walk(rs, increments)
+    except (SubsystemError, rootsys.ClassificationError) as exc:
+        return type(exc), str(exc)
+
+
+def degree_buckets(q):
+    """The roots of q bucketed by degree, as the filtration hands them on."""
+    buckets = [[] for _ in range(q.p + 1)]
+    for j, d in enumerate(fission.degree_profile(q)):
+        buckets[d].append(j)
+    return buckets
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_levi_chain_matches_reference_walk_on_every_p3_chain(family):
+    # Every weak chain of three Levi subsystems (zero and repeated levels
+    # included), realised by its witnesses, at every rank up to 4: whole
+    # Level records, subsystems, fusions and classified blocks, agree.
+    chains = 0
+    for rank in range(2 if family == "D" else 1, 5):
+        rs = build_root_system(family, rank)
+        for chain in enumerate_filtration_chains(rs, 3):
+            buckets = degree_buckets(irregular_type_for_chain(rs, chain))
+            assert rootsys.levi_chain(rs, buckets) == ref_levi_chain(rs, buckets)
+            chains += 1
+    assert chains == {"A": 1484, "B": 3912, "C": 3912, "D": 2130}[family]
+
+
+@st.composite
+def zeroed_classical_types(draw):
+    family = draw(st.sampled_from("ABCD"))
+    rs = build_root_system(family, draw(st.integers(2 if family == "D" else 1, 12)))
+    p = draw(st.integers(1, 4))
+    q = random_irregular_type(rs, p, random.Random(draw(st.integers(0, 2**32))))
+    zeroed = draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    zero = cartan(rs, [0] * rs.ambient_dim)
+    coefficients = tuple(zero if z else a for z, a in zip(zeroed, q.coefficients))
+    return fission.IrregularType(rs, coefficients)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zeroed_classical_types())
+def test_levi_chain_matches_reference_walk_on_random_types(q):
+    buckets = degree_buckets(q)
+    assert rootsys.levi_chain(q.rs, buckets) == ref_levi_chain(q.rs, buckets)
+
+
+@st.composite
+def classical_increments(draw):
+    """Any partition of the roots into one to four increments; when drawn
+    symmetric, each root goes with its negative, so the walk reaches the
+    restriction test."""
+    family = draw(st.sampled_from("ABCD"))
+    rs = build_root_system(family, draw(st.integers(2 if family == "D" else 1, 6)))
+    count, last = draw(st.integers(1, 4)), len(rs.supports) - 1
+    half = len(rs.supports) // 2
+    symmetric = draw(st.booleans())
+    size = half if symmetric else last + 1
+    bucket = draw(st.lists(st.integers(0, count - 1), min_size=size, max_size=size))
+    if symmetric:
+        bucket = bucket[::-1] + bucket  # root half + k and its mirror half - 1 - k
+    return rs, [[i for i in range(last + 1) if bucket[i] == b] for b in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(classical_increments())
+def test_levi_chain_matches_reference_walk_off_levi_chains(case):
+    rs, increments = case
+    assert outcome(rootsys.levi_chain, rs, increments) == outcome(ref_levi_chain, rs, increments)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_levi_chain_matches_reference_walk_on_every_nested_pair(family):
+    # Every pair of nested root subsets at rank 2, symmetric or not: the two
+    # walks return equal Levels or raise the same exception and message.
+    rs = build_root_system(family, 2)
+    size = len(rs.supports)
+    subsets = [[i for i in range(size) if mask >> i & 1] for mask in range(1 << size)]
+    raised = 0
+    for inner in subsets:
+        for outer in subsets:
+            if set(inner) <= set(outer):
+                increments = [inner, [i for i in outer if i not in inner],
+                              [i for i in range(size) if i not in outer]]
+                got = outcome(rootsys.levi_chain, rs, increments)
+                assert got == outcome(ref_levi_chain, rs, increments)
+                raised += got[0] is SubsystemError
+    assert raised > 0
